@@ -1,9 +1,9 @@
-"""The :class:`ArrayBackend` protocol.
+"""The :class:`ArrayBackend` protocol and the Walsh–Hadamard kernel.
 
 The paper's pre-computation and state evolution are "spread across many
 threads or GPUs"; on our side every hot path was reduced to a handful of
 dense-algebra primitives (PRs 1/3/6): complex/real GEMMs, ``einsum``
-contractions and the GEMM-factored Walsh–Hadamard transform.  An
+contractions and the blocked Walsh–Hadamard transform.  An
 :class:`ArrayBackend` packages exactly those primitives so the same kernels
 can execute on NumPy (default), PyTorch or CuPy without any algorithmic
 change.
@@ -12,11 +12,11 @@ Storage policy
 --------------
 Host-resident ``numpy`` arrays are the interchange format: every primitive
 accepts and returns numpy arrays (honouring ``out=`` buffers), so the
-pre-allocated :class:`~repro.core.workspace.BatchedWorkspace` buffers, the
-in-place butterflies and the interleaved re/im float views all keep working
-unchanged on every backend.  CPU backends dispatch zero-copy (torch wraps the
-same memory); CUDA backends keep the *constant* operator factors (Hadamard
-factors, eigenbases, term diagonals) resident on the device and stream the
+pre-allocated :class:`~repro.core.workspace.BatchedWorkspace` buffers and
+the interleaved re/im float views all keep working unchanged on every
+backend.  CPU backends dispatch zero-copy (torch wraps the same memory);
+CUDA backends keep the *constant* operator factors (Hadamard blocks,
+eigenbases, term diagonals) resident on the device and stream the
 activations per call — the factors are ``O(dim^2)`` while activations are
 ``O(dim * M)``, so large problems amortize the transfer.  ``asarray`` /
 ``to_numpy`` convert explicitly for callers that want to hold native arrays.
@@ -26,15 +26,104 @@ Dtype policy
 Pinned: ``complex128`` statevectors, ``float64`` factors/diagonals/angles on
 every backend.  The equivalence gates (numpy-vs-torch ``<= 1e-10``) only hold
 in double precision, so backends never down-cast silently.
+
+Walsh–Hadamard kernel
+---------------------
+Every products-of-X path (dense mixer layers, adjoint Hamiltonian products,
+mixer diagonals, shard workers) runs :func:`blocked_wht`:
+``H^{⊗n} = H_1 ⊗ ... ⊗ H_k`` over ``k`` near-equal blocks of index bits,
+one BLAS call per block with the ``±1`` block as the first ``matmul``
+operand.  :func:`hadamard_blocks` picks ``k`` from ``n`` and the column
+count ``M`` alone: ``k = max(2, ceil(n / 6))``, except that ``n <= 16`` with
+``M >= 32`` keeps the two-factor split, where its larger GEMMs beat the
+extra memory passes.
 """
 
 from __future__ import annotations
 
 import abc
+from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["ArrayBackend"]
+__all__ = ["ArrayBackend", "blocked_wht", "hadamard_blocks"]
+
+
+@lru_cache(maxsize=None)
+def _hadamard(bits: int) -> np.ndarray:
+    """The ``±1`` Hadamard matrix of order ``2^bits`` (shared, never written)."""
+    from scipy.linalg import hadamard
+
+    return np.ascontiguousarray(hadamard(1 << bits), dtype=np.float64)
+
+
+def hadamard_blocks(n: int, columns: int) -> tuple[np.ndarray, ...]:
+    """Hadamard blocks (high index bits first) for transforming ``columns`` vectors.
+
+    Two blocks of ``n // 2`` and ``n - n // 2`` bits when ``n <= 12``, or
+    when ``n <= 16`` and ``columns >= 32``; otherwise ``ceil(n / 6)``
+    near-equal blocks (see the module docstring).
+    """
+    k = max(2, -(-n // 6))
+    if n <= 16 and columns >= 32:
+        k = 2
+    base, extra = divmod(n, k)
+    return tuple(_hadamard(base + (i >= k - extra)) for i in range(k))
+
+
+def blocked_wht(src, via, dst, blocks, matmul=np.matmul) -> np.ndarray:
+    """*Unnormalized* Walsh–Hadamard transform of the columns of ``src`` into ``dst``.
+
+    ``src``/``via``/``dst`` are C-contiguous ``(dim, M)`` complex128 or
+    float64 matrices (complex ones are transformed as their interleaved
+    re/im float view); ``blocks`` come from :func:`hadamard_blocks`.
+    ``via`` must be distinct from both others; ``src`` may alias ``dst``.
+    Nothing is allocated.  The caller folds the ``2^{-n/2}`` normalization
+    into its phase factors.
+
+    * Two blocks: a batched GEMM over the low bits, then one GEMM over the
+      high bits — about ``2 sqrt(dim)`` multiply-adds per entry, in large GEMMs
+      that win for wide batches.
+    * ``k >= 3`` blocks: each GEMM transforms the leading block of index
+      bits and writes it as the trailing one (a transposed ``out``), so
+      after ``k`` GEMMs the bits are back in order and one transposing copy
+      moves the float columns back behind them.  With ``k`` even the
+      columns are moved to the front first and every GEMM runs per column,
+      so the pass count stays even and the result lands in ``dst``.
+    """
+    dim = src.shape[0]
+    src_f = src.view(np.float64).reshape(dim, -1)
+    width = src_f.shape[1]
+    if len(blocks) == 2:
+        h_hi, h_lo = blocks
+        dim_hi, dim_lo = h_hi.shape[0], h_lo.shape[0]
+        via_f = via.view(np.float64).reshape(dim_hi, dim_lo, width)
+        matmul(h_lo, src_f.reshape(dim_hi, dim_lo, width), out=via_f)
+        matmul(
+            h_hi,
+            via_f.reshape(dim_hi, dim_lo * width),
+            out=dst.view(np.float64).reshape(dim_hi, dim_lo * width),
+        )
+        return dst
+    buffers = (via.view(np.float64).reshape(-1), dst.view(np.float64).reshape(-1))
+    per_column = len(blocks) % 2 == 0
+    cur = src_f.reshape(-1)
+    passes = 0
+    if per_column:
+        buffers[0].reshape(width, dim)[...] = src_f.T
+        cur, passes = buffers[0], 1
+    for block in blocks:
+        size = block.shape[0]
+        out = buffers[passes % 2]
+        if per_column:
+            rotated = out.reshape(width, dim // size, size).transpose(0, 2, 1)
+            matmul(block, cur.reshape(width, size, dim // size), out=rotated)
+        else:
+            rest = dim * width // size
+            matmul(block, cur.reshape(size, rest), out=out.reshape(rest, size).T)
+        cur, passes = out, passes + 1
+    dst.view(np.float64).reshape(dim, width)[...] = cur.reshape(width, dim).T
+    return dst
 
 
 class ArrayBackend(abc.ABC):
@@ -122,37 +211,10 @@ class ArrayBackend(abc.ABC):
         )
         return out
 
-    def wht_gemm(
-        self,
-        src: np.ndarray,
-        via: np.ndarray,
-        dst: np.ndarray,
-        h_hi: np.ndarray,
-        h_lo: np.ndarray,
-    ) -> np.ndarray:
-        """*Unnormalized* batched Walsh–Hadamard transform via two real GEMMs.
-
-        The FFT-free transform of the products-of-X mixers: ``H^{⊗n}`` is
-        factored into two ``~sqrt(dim)``-sized ``±1`` Hadamard factors and
-        both GEMMs run on the interleaved re/im float view.  ``src``/``via``/
-        ``dst`` are C-contiguous complex128 ``(dim, M)`` matrices; ``via``
-        must be distinct from both others (``src`` may alias ``dst``).  The
-        caller folds the ``2^{-n/2}`` normalization into its phase factors.
-        """
-        dim_hi = h_hi.shape[0]
-        dim_lo = h_lo.shape[0]
-        width = 2 * src.shape[1]  # float columns of the interleaved view
-        src_f = src.view(np.float64).reshape(dim_hi, dim_lo, width)
-        via_f = via.view(np.float64).reshape(dim_hi, dim_lo, width)
-        # low bits: one GEMM per high-bit block (a single batched call)
-        self.matmul(h_lo, src_f, out=via_f)
-        # high bits: one big GEMM over the flattened (low bits x batch) axis
-        self.matmul(
-            h_hi,
-            via_f.reshape(dim_hi, dim_lo * width),
-            out=dst.view(np.float64).reshape(dim_hi, dim_lo * width),
-        )
-        return dst
+    def wht_gemm(self, src: np.ndarray, via: np.ndarray, dst: np.ndarray,
+                 *blocks: np.ndarray) -> np.ndarray:
+        """:func:`blocked_wht` on this backend's GEMM (``blocks`` from :func:`hadamard_blocks`)."""
+        return blocked_wht(src, via, dst, blocks, self.matmul)
 
     # ------------------------------------------------------------------
     # diagnostics

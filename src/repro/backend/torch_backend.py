@@ -7,7 +7,7 @@ threading) while the rest of the engine keeps seeing numpy.  That is the
 configuration the CI backend matrix tests on CPU wheels.
 
 On CUDA, the *operator factors* passed as ``matmul``'s first operand
-(Hadamard factors, eigenbases, term diagonals — constants per mixer) are
+(Hadamard blocks, eigenbases, term diagonals — constants per mixer) are
 cached device-side in a small LRU keyed on the host array's identity, while
 activations are transferred per call.  Factors are ``O(dim^2)`` against
 ``O(dim * M)`` activations, so large problems amortize the PCIe traffic; see

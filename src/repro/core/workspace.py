@@ -111,8 +111,8 @@ class BatchedWorkspace:
     phase matrix (per-column phase-separator and eigenphase factors).  All are
     backed by flat arrays of ``dim * capacity`` elements; a request for batch
     size ``M <= capacity`` returns the first ``dim * M`` elements reshaped to
-    ``(dim, M)``, which is always C-contiguous — a requirement of the in-place
-    Walsh–Hadamard butterflies and the interleaved real-GEMM fast path.
+    ``(dim, M)``, which is always C-contiguous — a requirement of the blocked
+    Walsh–Hadamard kernel and the interleaved real-GEMM fast path.
     Capacity grows on demand and never shrinks.
     """
 

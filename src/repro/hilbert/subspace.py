@@ -64,9 +64,11 @@ class FeasibleSpace:
         # wrong indices silently.  Sorting here would instead silently permute
         # the basis out from under any caller-supplied per-state arrays, so
         # unsorted input is rejected loudly (CustomSpace sorts for you).
-        if len(np.unique(labels)) != len(labels):
-            raise ValueError("feasible-state labels must be unique")
-        if labels.size > 1 and np.any(labels[1:] < labels[:-1]):
+        # Strictly ascending labels are unique, so the O(dim) order check
+        # alone passes valid input; np.unique only runs to pick the message.
+        if labels.size > 1 and np.any(labels[1:] <= labels[:-1]):
+            if len(np.unique(labels)) != len(labels):
+                raise ValueError("feasible-state labels must be unique")
             raise ValueError(
                 "feasible-state labels must be in ascending order (the canonical "
                 "basis order); use CustomSpace(...) to sort arbitrary label lists"

@@ -18,12 +18,19 @@ Mixer decompositions
 --------------------
 * ``x`` / ``multiangle_x`` (full space, power-of-two shards): the n-qubit
   Walsh–Hadamard transform factors into a *local* transform over the low
-  ``n - s`` bits (in-shard, contiguous) and ``s`` butterfly levels over the
-  high bits (cross-shard, one level per shard-index bit).  The mixer layer is
-  transform → diagonal eigenphases (evaluated chunk-wise from global labels,
-  never materialized whole) → transform back, with the ``2^{-s}`` of the two
-  unnormalized butterfly passes folded into the phases — the exact sharded
-  analogue of the dense ``XMixer.apply_batch``.
+  ``n - s`` bits (in-shard, contiguous: the blocked kernel
+  :func:`~repro.backend.base.blocked_wht`, ping-ponging through the other
+  state slot) and ``s`` butterfly levels over the high bits (cross-shard, one
+  level per shard-index bit).  The mixer layer is transform → diagonal
+  eigenphases → transform back, with the ``1/dim`` of the two unnormalized
+  transforms folded into the phases — the exact sharded analogue of the dense
+  ``XMixer.apply_batch``.  Each worker builds its chunk of the mixer diagonal
+  once, with the same scatter-and-transform code as the dense mixer
+  (:func:`~repro.mixers.xmixer.x_mask_diagonal`); multi-angle layers
+  transform their per-column scattered angles instead.  A worker pins its
+  OpenBLAS to one thread at its first transform: forked workers inherit the
+  coordinator's BLAS threads, and two multithreaded workers on the same
+  cores slow each other down.
 * ``grover`` (any space, any shard count): the rank-one update needs one
   overlap (a per-shard column sum combined by the coordinator) and one
   broadcast axpy.
@@ -37,6 +44,7 @@ anywhere.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import multiprocessing as mp
 import os
@@ -44,12 +52,14 @@ import traceback
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from ...hilbert.bitops import ints_to_bit_matrix, popcount
+from ...backend.base import blocked_wht, hadamard_blocks
+from ...hilbert.bitops import ints_to_bit_matrix
 from ...io.locking import FileLock
+from ...mixers.xmixer import fold_x_terms, term_mask, x_mask_diagonal
 from ..partition import Chunk, chunk_labels, split_dicke_space, split_full_space
 from .workspace import ShardedWorkspace, attach_segment
 
@@ -81,9 +91,9 @@ class ShardedMixerConfig:
 
     ``masks``/``coeffs`` describe the products-of-X terms (``mask_t = sum
     2^q`` over the term's qubits): the Hadamard-basis eigenvalue at global
-    index ``y`` is ``sum_t c_t (-1)^{popcount(y & mask_t)}``, which workers
-    evaluate chunk-wise.  ``betas_per_round`` is 1 except for multi-angle
-    layers (one beta per term).
+    index ``y`` is ``sum_t c_t (-1)^{popcount(y & mask_t)}``, which each
+    worker builds for its own chunk.  ``betas_per_round`` is 1 except for
+    multi-angle layers (one beta per term).
     """
 
     kind: str  # "x" | "multiangle_x" | "grover"
@@ -95,18 +105,6 @@ class ShardedMixerConfig:
     def needs_wht(self) -> bool:
         """Whether applying this mixer requires the Walsh–Hadamard pipeline."""
         return self.kind in ("x", "multiangle_x")
-
-
-def _term_mask(term: Sequence[int], n: int) -> int:
-    mask = 0
-    for qubit in term:
-        qubit = int(qubit)
-        if not 0 <= qubit < n:
-            raise ValueError(f"qubit index {qubit} out of range for n={n}")
-        if mask >> qubit & 1:
-            raise ValueError(f"duplicate qubit {qubit} in mixer term {tuple(term)}")
-        mask |= 1 << qubit
-    return mask
 
 
 def sharded_mixer_config(name: str, n: int, params: dict | None = None) -> ShardedMixerConfig:
@@ -139,7 +137,7 @@ def sharded_mixer_config(name: str, n: int, params: dict | None = None) -> Shard
                 raise ValueError(f"interaction order {order} out of range for n={n}")
             weight = 1.0 if coefficients is None else float(coefficients[idx])
             for combo in combinations(range(n), order):
-                masks.append(_term_mask(combo, n))
+                masks.append(term_mask(combo, n))
                 coeffs.append(weight)
         return ShardedMixerConfig("x", tuple(masks), tuple(coeffs), 1)
     if canonical == "multiangle_x":
@@ -148,7 +146,7 @@ def sharded_mixer_config(name: str, n: int, params: dict | None = None) -> Shard
             raise ValueError(f"unknown multiangle-x parameters {sorted(params)}")
         if terms is None:
             terms = [(i,) for i in range(n)]
-        masks = tuple(_term_mask(term, n) for term in terms)
+        masks = tuple(term_mask(term, n) for term in terms)
         if not masks:
             raise ValueError("a multi-angle X mixer needs at least one term")
         return ShardedMixerConfig("multiangle_x", masks, (1.0,) * len(masks), len(masks))
@@ -174,14 +172,37 @@ class _WorkerConfig:
     k: int | None
     shards: int
     cost_vectorized: Callable[[np.ndarray], np.ndarray]
+    mixer: ShardedMixerConfig
     value_chunk: int = 1 << 16
 
 
-def _local_wht(block: np.ndarray) -> None:
-    """In-place *normalized* WHT along axis 0 of a contiguous (d, M) block."""
-    from ...mixers.xmixer import walsh_hadamard_transform
-
-    walsh_hadamard_transform(block, out=block)
+def _openblas_calls(action: str) -> list:
+    """``*openblas_<action>_num_threads*`` of every OpenBLAS mapped into this process."""
+    try:
+        with open("/proc/self/maps", "r", encoding="ascii", errors="replace") as handle:
+            paths = sorted({
+                fields[5] for fields in map(str.split, handle)
+                if len(fields) >= 6 and "openblas" in os.path.basename(fields[5])
+            })
+    except OSError:  # pragma: no cover - /proc-less platforms
+        return []
+    calls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in (f"{prefix}openblas_{action}_num_threads{suffix}"
+                     for prefix in ("", "scipy_") for suffix in ("", "64_")):
+            call = getattr(lib, name, None)
+            if call is not None:
+                if action == "set":
+                    call.argtypes, call.restype = [ctypes.c_int], None
+                else:
+                    call.argtypes, call.restype = [], ctypes.c_int
+                calls.append(call)
+                break
+    return calls
 
 
 class _WorkerState:
@@ -197,6 +218,9 @@ class _WorkerState:
         self.values: np.ndarray | None = None
         self.local_labels: np.ndarray | None = None  # Dicke only
         self.layers: np.ndarray | None = None
+        self.local_bits = self.local_dim.bit_length() - 1  # WHT kinds only
+        self._diagonal: np.ndarray | None = None
+        self._blas_pinned = False
 
     # -- segment plumbing ------------------------------------------------
     def _close_handles(self) -> None:
@@ -242,26 +266,18 @@ class _WorkerState:
     def _row_chunk(self) -> int:
         return max(1024, (1 << 20) // max(1, self.batch))
 
-    def _term_signs(self, labels_u: np.ndarray, mask: int) -> np.ndarray:
-        return 1.0 - 2.0 * (popcount(labels_u & np.uint64(mask)) & 1)
+    def _chunk_diagonal(self) -> np.ndarray:
+        """This chunk's slice of the mixer diagonal, built on first use."""
+        if self._diagonal is None:
+            mixer = self.cfg.mixer
+            self._diagonal = x_mask_diagonal(
+                mixer.masks, mixer.coeffs, self.local_bits, high=self._chunk_high()
+            )
+        return self._diagonal
 
-    def _combined_diag(self, lo: int, hi: int, masks, coeffs) -> np.ndarray:
-        labels_u = np.arange(
-            self.cfg.chunk.start + lo, self.cfg.chunk.start + hi, dtype=np.uint64
-        )
-        diag = np.zeros(hi - lo, dtype=np.float64)
-        for mask, coeff in zip(masks, coeffs):
-            diag += coeff * self._term_signs(labels_u, mask)
-        return diag
-
-    def _term_matrix(self, lo: int, hi: int, masks, coeffs) -> np.ndarray:
-        labels_u = np.arange(
-            self.cfg.chunk.start + lo, self.cfg.chunk.start + hi, dtype=np.uint64
-        )
-        out = np.empty((hi - lo, len(masks)), dtype=np.float64)
-        for t, (mask, coeff) in enumerate(zip(masks, coeffs)):
-            out[:, t] = coeff * self._term_signs(labels_u, mask)
-        return out
+    def _chunk_high(self) -> int:
+        """The index bits above the local ones, shared by this whole chunk."""
+        return self.cfg.chunk.start >> self.local_bits
 
     # -- operations ------------------------------------------------------
     def setup(self, names: list[list[str]], batch: int) -> tuple[float, float]:
@@ -290,27 +306,38 @@ class _WorkerState:
                 np.multiply.outer(self.values[lo:hi], factor * gammas)
             )
 
-    def diag_phase(self, slot: int, masks, coeffs, betas: np.ndarray, sign: float,
-                   scale: float) -> None:
+    def diag_phase(self, slot: int, betas: np.ndarray, sign: float, scale: float) -> None:
         view = self.view(slot)
         factor = sign * 1j
+        mixer = self.cfg.mixer
+        if mixer.kind == "x":
+            d, angles = self._chunk_diagonal()[:, None], factor * betas[0]
+        else:  # multi-angle: each column's diagonal is its own angle-weighted sum
+            d = x_mask_diagonal(
+                mixer.masks, mixer.coeffs, self.local_bits, high=self._chunk_high(),
+                angles=betas,
+            )
+            angles = factor
         step = self._row_chunk()
-        combine = betas.shape[0] == 1
         for lo in range(0, self.local_dim, step):
             hi = min(lo + step, self.local_dim)
-            if combine:
-                d = self._combined_diag(lo, hi, masks, coeffs)
-                exponent = np.multiply.outer(d, factor * betas[0])
-            else:
-                E = self._term_matrix(lo, hi, masks, coeffs)
-                exponent = E @ (factor * betas)
-            phases = np.exp(exponent)
-            if scale != 1.0:
-                phases *= scale
+            phases = np.exp(d[lo:hi] * angles)
+            phases *= scale
             view[lo:hi] *= phases
 
-    def wht_local(self, slot: int) -> None:
-        _local_wht(self.view(slot))
+    def wht_local(self, slot: int, scratch: int) -> None:
+        """Unnormalized WHT over the local index bits, in place, via ``scratch``."""
+        if not self._blas_pinned:
+            for set_threads in _openblas_calls("set"):
+                set_threads(1)
+            self._blas_pinned = True
+        state = self.view(slot)
+        blocks = hadamard_blocks(self.local_bits, self.batch)
+        blocked_wht(state, self.view(scratch), state, blocks)
+
+    def blas_threads(self) -> list[int]:
+        """Thread count reported by every OpenBLAS this worker has mapped."""
+        return [int(get_threads()) for get_threads in _openblas_calls("get")]
 
     def butterfly(self, level: int, src_slot: int, dst_slot: int) -> None:
         bit = 1 << level
@@ -392,22 +419,28 @@ class _WorkerState:
             acc += self.values[lo:hi] @ imag
         return acc
 
-    def xgrad_part(self, phi_slot: int, psi_slot: int, masks, coeffs,
-                   combine: bool) -> np.ndarray:
+    def xgrad_part(self, phi_slot: int, psi_slot: int) -> np.ndarray:
+        """``sum_y d_t[y] Im(conj(phi[y]) psi[y])`` per term ``t`` (one row for ``x``)."""
         phi = self.view(phi_slot)
         psi = self.view(psi_slot)
-        T = 1 if combine else len(masks)
-        acc = np.zeros((T, self.batch), dtype=np.float64)
-        step = self._row_chunk()
-        for lo in range(0, self.local_dim, step):
-            hi = min(lo + step, self.local_dim)
-            pb, sb = phi[lo:hi], psi[lo:hi]
-            imag = pb.real * sb.imag - pb.imag * sb.real
-            if combine:
-                acc[0] += self._combined_diag(lo, hi, masks, coeffs) @ imag
-            else:
-                acc += self._term_matrix(lo, hi, masks, coeffs).T @ imag
-        return acc
+        if self.cfg.mixer.kind == "x":
+            d = self._chunk_diagonal()
+            acc = np.zeros((1, self.batch), dtype=np.float64)
+            step = self._row_chunk()
+            for lo in range(0, self.local_dim, step):
+                hi = min(lo + step, self.local_dim)
+                pb, sb = phi[lo:hi], psi[lo:hi]
+                acc[0] += d[lo:hi] @ (pb.real * sb.imag - pb.imag * sb.real)
+            return acc
+        # multi-angle: every term diagonal is a signed Hadamard row, so all
+        # per-term sums are rows of one transform of the imaginary parts
+        mixer = self.cfg.mixer
+        rows, weights = fold_x_terms(
+            mixer.masks, mixer.coeffs, self.local_bits, high=self._chunk_high()
+        )
+        imag = phi.real * psi.imag - phi.imag * psi.real
+        blocked_wht(imag, np.empty_like(imag), imag, hadamard_blocks(self.local_bits, self.batch))
+        return weights[:, None] * imag[rows]
 
     # -- sampling / gather / io ------------------------------------------
     def sample_local(self, slot: int, col: int, count: int, seed: int) -> np.ndarray:
@@ -549,6 +582,7 @@ class ShardedExecutor:
                 k=self.k,
                 shards=self.shards,
                 cost_vectorized=structure.cost_vectorized,
+                mixer=mixer,
             )
             proc = ctx.Process(target=_worker_main, args=(cfg, child), daemon=True)
             proc.start()
@@ -635,13 +669,14 @@ class ShardedExecutor:
 
     # -- evolution -------------------------------------------------------
     def _transform(self, slot: int, scratch: int) -> int:
-        """Full-WHT one statevector batch: local butterfly + s exchange levels.
+        """Unnormalized full WHT of one batch: local transform + s exchange levels.
 
-        The local transform (low bits) and the cross-shard levels (high bits)
-        act on disjoint index bits, so their order is immaterial; the state
-        ends in whichever of ``slot``/``scratch`` the level parity lands on.
+        The local transform (low bits, in place in ``slot`` via ``scratch``)
+        and the cross-shard levels (high bits) act on disjoint index bits, so
+        their order is immaterial; the state ends in whichever of
+        ``slot``/``scratch`` the level parity lands on.
         """
-        self._command("wht_local", slot)
+        self._command("wht_local", slot, scratch)
         cur, other = slot, scratch
         for level in range(self._s):
             self._command("butterfly", level, cur, other)
@@ -657,10 +692,7 @@ class ShardedExecutor:
             return slot
         scratch = 1 - slot if slot in (0, 1) else 0
         t = self._transform(slot, scratch)
-        self._command(
-            "diag_phase", t, self.mixer.masks, self.mixer.coeffs,
-            betas_k, sign, 2.0 ** -self._s,
-        )
+        self._command("diag_phase", t, betas_k, sign, 1.0 / self.dim)
         t_scratch = next(s for s in (0, 1, 2) if s != t and s < self.workspace.num_slots)
         return self._transform(t, t_scratch)
 
@@ -698,7 +730,7 @@ class ShardedExecutor:
         energies = np.sum(self._command("expectation_part", cur), axis=0)
 
         self._command("mul_values", cur)  # phi = C psi
-        scale = 2.0 ** -self._s
+        scale = 1.0 / self.dim  # the two unnormalized transforms
         grad_beta_blocks: list[np.ndarray] = [None] * self.p  # type: ignore[list-item]
         grad_gammas = np.empty((self.p, M), dtype=np.float64)
         for k in range(self.p - 1, -1, -1):
@@ -717,15 +749,9 @@ class ShardedExecutor:
                 rem = [s for s in (0, 1, 2) if s != phi_t]
                 self._command("load_layer", k, 1, rem[0])
                 psi_t = self._transform(rem[0], rem[1])
-                partials = self._command(
-                    "xgrad_part", phi_t, psi_t, self.mixer.masks, self.mixer.coeffs,
-                    self.mixer.kind == "x",
-                )
+                partials = self._command("xgrad_part", phi_t, psi_t)
                 grad_beta_blocks[k] = 2.0 * scale * np.sum(partials, axis=0)
-                self._command(
-                    "diag_phase", phi_t, self.mixer.masks, self.mixer.coeffs,
-                    betas_k, +1.0, scale,
-                )
+                self._command("diag_phase", phi_t, betas_k, +1.0, scale)
                 t_scratch = next(s for s in (0, 1, 2) if s != phi_t)
                 cur = self._transform(phi_t, t_scratch)
             grad_gammas[k] = 2.0 * np.sum(self._command("gamma_grad_part", cur, k), axis=0)

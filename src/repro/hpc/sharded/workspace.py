@@ -10,9 +10,10 @@ can re-shape the batch dimension between sweeps.
 Layout: per shard, per *slot* (double/triple buffer), one
 ``multiprocessing.shared_memory`` segment holding a C-contiguous complex128
 ``(local_dim, batch)`` block — the same state-major orientation as the dense
-kernels, so the workers' local Walsh–Hadamard butterflies run on contiguous
-memory.  Two slots are enough for forward evolution (the cross-shard
-butterfly ping-pongs between them); the adjoint gradient lazily adds a third.
+kernels, so the workers' local Walsh–Hadamard transforms run on contiguous
+memory.  Two slots are enough for forward evolution (the local transform
+uses the other slot as its intermediate, and the cross-shard butterfly
+ping-pongs between them); the adjoint gradient lazily adds a third.
 
 Only the coordinator (the creating process) ever unlinks segments; workers
 attach by name and deregister themselves from the resource tracker so a

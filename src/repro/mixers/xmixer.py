@@ -12,12 +12,17 @@ Grover mixer's multi-X expansions.  Using ``H Z H = X`` the evolution is
 
 so a single diagonal vector ``d`` (the mixer eigenvalues in the Hadamard
 basis) is pre-computed once, and each layer costs two fast Walsh–Hadamard
-transforms (``O(n 2^n)``) plus an element-wise phase multiply (Sec. 2.1-2.2 of
-the paper).
+transforms plus an element-wise phase multiply (Sec. 2.1-2.2 of the paper).
+Every transform here is the blocked kernel of
+:func:`repro.backend.base.blocked_wht` (``ArrayBackend.wht_gemm`` on the
+batched paths): one small ``±1`` Hadamard GEMM per block of index bits.
 
 The diagonal entries follow from ``Z_{i1}...Z_{ik} |x> = (-1)^{popcount(x & mask)} |x>``:
 
-    d[x] = sum_t  c_t  (-1)^{popcount(x & mask_t)} .
+    d[x] = sum_t  c_t  (-1)^{popcount(x & mask_t)} ,
+
+which is itself the unnormalized Walsh–Hadamard transform of the term
+coefficients scattered at their masks — one transform builds ``d``.
 """
 
 from __future__ import annotations
@@ -27,13 +32,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..hilbert.bitops import popcount
+from ..backend.base import blocked_wht, hadamard_blocks
 from ..hilbert.subspace import FullSpace
 from .base import Mixer
 
 __all__ = [
     "walsh_hadamard_transform",
-    "walsh_hadamard_gemm",
+    "term_mask",
+    "fold_x_terms",
+    "x_mask_diagonal",
     "x_term_diagonal",
     "XMixer",
     "mixer_x",
@@ -43,91 +50,28 @@ __all__ = [
 
 
 def walsh_hadamard_transform(psi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Normalized Walsh–Hadamard transform ``H^{⊗n} |psi>`` in ``O(n 2^n)``.
+    """Normalized Walsh–Hadamard transform ``H^{⊗n} |psi>``.
 
     ``psi`` is either a single statevector of power-of-two length or a
     ``(dim, M)`` batch of column statevectors (the transform acts along axis
-    0, touching all M columns in each butterfly pass).  If ``out`` is provided
-    the result is written there (it may alias ``psi``); otherwise a new array
-    is returned and ``psi`` is left untouched.
+    0).  A thin wrapper of :func:`~repro.backend.base.blocked_wht`: the
+    result is complex128; if ``out`` is provided it is written there (it may
+    alias ``psi``), otherwise a new array is returned and ``psi`` is left
+    untouched.
     """
     psi = np.asarray(psi)
     dim = psi.shape[0]
     if dim == 0 or dim & (dim - 1):
         raise ValueError(f"statevector length {dim} is not a power of two")
     n = dim.bit_length() - 1
-
+    work = np.array(psi, dtype=np.complex128, order="C")
+    columns = work.reshape(dim, -1)
+    blocked_wht(columns, np.empty_like(columns), columns, hadamard_blocks(n, columns.shape[1]))
+    work *= 2.0 ** (-n / 2.0)
     if out is None:
-        out = psi.astype(np.complex128, copy=True)
-    elif out is not psi:
-        out[:] = psi
-    if not out.flags.c_contiguous:
-        # The in-place butterfly requires reshape views; round-trip through a
-        # contiguous copy for exotic caller-supplied buffers.
-        out[:] = walsh_hadamard_transform(np.ascontiguousarray(out))
-        return out
-
-    tail = out.shape[1:]
-    h = 1
-    while h < dim:
-        view = out.reshape(-1, 2, h, *tail)
-        upper = view[:, 0] + view[:, 1]
-        lower = view[:, 0] - view[:, 1]
-        view[:, 0] = upper
-        view[:, 1] = lower
-        h *= 2
-    out *= 2.0 ** (-n / 2.0)
+        return work
+    out[...] = work
     return out
-
-
-def _hadamard_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Kronecker factors of the ``2^n`` Hadamard matrix, split at ``n // 2``.
-
-    ``H^{⊗n} = (H^{⊗kh} ⊗ I) (I ⊗ H^{⊗kl})`` with ``kh = n // 2`` high bits
-    and ``kl = n - kh`` low bits, so a batched transform is two dense real
-    GEMMs with ``2^kh`` / ``2^kl``-sized (i.e. ~``sqrt(dim)``) factors instead
-    of ``n`` bandwidth-bound butterfly passes over the whole batch.
-    """
-    from scipy.linalg import hadamard
-
-    kh = n // 2
-    kl = n - kh
-    h_hi = np.ascontiguousarray(hadamard(1 << kh), dtype=np.float64)
-    h_lo = np.ascontiguousarray(hadamard(1 << kl), dtype=np.float64)
-    return h_hi, h_lo
-
-
-def walsh_hadamard_gemm(
-    src: np.ndarray,
-    via: np.ndarray,
-    dst: np.ndarray,
-    h_hi: np.ndarray,
-    h_lo: np.ndarray,
-) -> np.ndarray:
-    """*Unnormalized* batched WHT of ``(dim, M)`` ``src`` into ``dst`` via two GEMMs.
-
-    Both GEMMs run on the interleaved re/im float view (the Hadamard factors
-    are ``±1`` real), which BLAS executes at full rate — multithreaded and far
-    above the bandwidth-bound butterfly for large batches.  ``via`` is the
-    intermediate buffer: it must be distinct from both ``src`` and ``dst``
-    (``src`` and ``dst`` may alias each other).  All three are C-contiguous
-    complex128 ``(dim, M)`` arrays.  The caller folds the ``2^{-n/2}``
-    normalization into its phase factors.  Returns ``dst``.
-    """
-    dim_hi = h_hi.shape[0]
-    dim_lo = h_lo.shape[0]
-    width = 2 * src.shape[1]  # float columns of the interleaved view
-    src_f = src.view(np.float64).reshape(dim_hi, dim_lo, width)
-    via_f = via.view(np.float64).reshape(dim_hi, dim_lo, width)
-    # low bits: one GEMM per high-bit block (a single batched BLAS call)
-    np.matmul(h_lo, src_f, out=via_f)
-    # high bits: one big GEMM over the flattened (low bits x batch) axis
-    np.matmul(
-        h_hi,
-        via_f.reshape(dim_hi, dim_lo * width),
-        out=dst.view(np.float64).reshape(dim_hi, dim_lo * width),
-    )
-    return dst
 
 
 def _wht_diagonal_product(
@@ -136,13 +80,12 @@ def _wht_diagonal_product(
     Psi: np.ndarray,
     out: np.ndarray | None,
     workspace,
-    hadamard_pair: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
-    """Batched ``H^{⊗n} diag(d) H^{⊗n} Psi`` via two GEMM-based WHTs.
+    """Batched ``H^{⊗n} diag(d) H^{⊗n} Psi`` via two blocked WHTs.
 
     The shared kernel behind every products-of-X ``apply_hamiltonian_batch``:
     both transform normalizations are folded into the diagonal, so the product
-    costs four real GEMMs plus one elementwise pass for all M columns.
+    costs two transforms plus one elementwise pass for all M columns.
     """
     Psi, out, M = mixer._check_batch(Psi, out)
     if workspace is not None:
@@ -151,11 +94,73 @@ def _wht_diagonal_product(
     else:
         scratch = np.empty((mixer.dim, M), dtype=np.complex128)
         bk = mixer.backend
-    h_hi, h_lo = hadamard_pair
-    bk.wht_gemm(Psi, scratch, out, h_hi, h_lo)
+    blocks = hadamard_blocks(mixer.n, M)
+    bk.wht_gemm(Psi, scratch, out, *blocks)
     out *= (diagonal * (1.0 / mixer.dim))[:, None]
-    bk.wht_gemm(out, scratch, out, h_hi, h_lo)
+    bk.wht_gemm(out, scratch, out, *blocks)
     return out
+
+
+def term_mask(term: Sequence[int], n: int) -> int:
+    """Bit mask ``sum_{q in term} 2^q`` of one X-product term on ``n`` qubits.
+
+    Raises ``ValueError`` for an out-of-range or repeated qubit.
+    """
+    mask = 0
+    for qubit in term:
+        qubit = int(qubit)
+        if not 0 <= qubit < n:
+            raise ValueError(f"qubit index {qubit} out of range for n={n}")
+        if mask >> qubit & 1:
+            raise ValueError(f"duplicate qubit {qubit} in mixer term {tuple(term)}")
+        mask |= 1 << qubit
+    return mask
+
+
+def fold_x_terms(
+    masks: Sequence[int], coefficients: Sequence[float], n: int, high: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and signed weights of X-product terms restricted to ``2^n`` indices.
+
+    Over the indices ``(high << n) + x`` with ``x < 2^n``, term ``t``
+    contributes ``c_t (-1)^{popcount(high & (mask_t >> n))} (-1)^{popcount(x
+    & row_t)}`` with ``row_t = mask_t mod 2^n`` — so any diagonal or inner
+    product over those indices is an unnormalized ``2^n`` WHT of the weights
+    scattered at the rows.  ``high = 0`` covers the whole ``2^n`` space; a
+    shard uses its chunk's high index bits.
+    """
+    rows = np.array([mask & ((1 << n) - 1) for mask in masks], dtype=np.intp)
+    weights = np.array(
+        [
+            -float(c) if ((mask >> n) & high).bit_count() & 1 else float(c)
+            for mask, c in zip(masks, coefficients)
+        ],
+        dtype=np.float64,
+    )
+    return rows, weights
+
+
+def x_mask_diagonal(
+    masks: Sequence[int],
+    coefficients: Sequence[float],
+    n: int,
+    *,
+    high: int = 0,
+    angles: np.ndarray | None = None,
+) -> np.ndarray:
+    """``d[x] = sum_t c_t (-1)^{popcount(((high << n) + x) & mask_t)}`` for ``x < 2^n``.
+
+    Scatters the (folded, see :func:`fold_x_terms`) coefficients at their
+    masks and runs one Walsh–Hadamard transform.  With ``angles`` of shape
+    ``(num_terms, M)`` it returns the ``(2^n, M)`` diagonals of a multi-angle
+    layer instead, column ``j`` weighting term ``t`` by ``angles[t, j]``.
+    """
+    rows, weights = fold_x_terms(masks, coefficients, n, high)
+    values = weights[:, None] if angles is None else weights[:, None] * angles
+    diag = np.zeros((1 << n, values.shape[1]), dtype=np.float64)
+    np.add.at(diag, rows, values)
+    blocked_wht(diag, np.empty_like(diag), diag, hadamard_blocks(n, values.shape[1]))
+    return diag[:, 0] if angles is None else diag
 
 
 def x_term_diagonal(
@@ -166,19 +171,7 @@ def x_term_diagonal(
     Returns a length-``2^n`` float array ``d`` with
     ``d[x] = sum_t c_t (-1)^{popcount(x & mask_t)}``.
     """
-    labels = np.arange(1 << n, dtype=np.uint64)
-    diag = np.zeros(1 << n, dtype=np.float64)
-    for term, coeff in zip(terms, coefficients):
-        mask = 0
-        for qubit in term:
-            if not 0 <= qubit < n:
-                raise ValueError(f"qubit index {qubit} out of range for n={n}")
-            if mask >> qubit & 1:
-                raise ValueError(f"duplicate qubit {qubit} in mixer term {tuple(term)}")
-            mask |= 1 << qubit
-        signs = 1.0 - 2.0 * (popcount(labels & np.uint64(mask)) & 1)
-        diag += coeff * signs
-    return diag
+    return x_mask_diagonal([term_mask(term, n) for term in terms], coefficients, n)
 
 
 class XMixer(Mixer):
@@ -219,7 +212,6 @@ class XMixer(Mixer):
         # n + 1), so batched eigenphases are an exp over (levels, M) plus a
         # gather instead of an exp over the full (dim, M) matrix.
         self._diag_values, self._diag_inverse = np.unique(self.diagonal, return_inverse=True)
-        self._hadamard_pair = _hadamard_factors(n)
 
     def apply_batch(
         self,
@@ -229,14 +221,14 @@ class XMixer(Mixer):
         *,
         workspace=None,
     ) -> np.ndarray:
-        """Batched layer: two GEMM-based WHTs around a per-column phase multiply.
+        """Batched layer: two blocked WHTs around a per-column phase multiply.
 
-        The Hadamard transform is factored into two ``~sqrt(dim)``-sized real
-        GEMMs (:func:`walsh_hadamard_gemm`), the ``2^{-n/2}`` normalizations
-        of both transforms are folded into the phase factors, and the phase
-        factors themselves come from a distinct-eigenvalue table — so a layer
-        costs four BLAS-3 calls plus two elementwise passes for all M angle
-        sets.
+        Each transform is ``ArrayBackend.wht_gemm`` (one small Hadamard GEMM
+        per block of index bits, see :func:`~repro.backend.base.blocked_wht`),
+        the ``2^{-n/2}`` normalizations of both transforms are folded into the
+        phase factors, and the phase factors themselves come from a
+        distinct-eigenvalue table — so a layer costs a few BLAS-3 calls plus
+        elementwise passes for all M angle sets.
         """
         Psi, out, M = self._check_batch(Psi, out)
         betas = self._batch_angles(betas, M)
@@ -261,10 +253,10 @@ class XMixer(Mixer):
             np.multiply(self.diagonal[:, None], -1j * betas[None, :], out=phases)
             np.exp(phases, out=phases)
             phases *= scale
-        h_hi, h_lo = self._hadamard_pair
-        bk.wht_gemm(Psi, scratch, out, h_hi, h_lo)
+        blocks = hadamard_blocks(self.n, M)
+        bk.wht_gemm(Psi, scratch, out, *blocks)
         out *= phases
-        bk.wht_gemm(out, scratch, out, h_hi, h_lo)
+        bk.wht_gemm(out, scratch, out, *blocks)
         return out
 
     def apply_hamiltonian_batch(
@@ -275,9 +267,7 @@ class XMixer(Mixer):
         workspace=None,
     ) -> np.ndarray:
         """Batched ``H_M`` product (see :func:`_wht_diagonal_product`)."""
-        return _wht_diagonal_product(
-            self, self.diagonal, Psi, out, workspace, self._hadamard_pair
-        )
+        return _wht_diagonal_product(self, self.diagonal, Psi, out, workspace)
 
     def matrix(self) -> np.ndarray:
         dim = self.dim
@@ -346,7 +336,6 @@ class MultiAngleXMixer(Mixer):
         # (dim, num_terms) factor pre-scaled by -i, so the batched per-column
         # phase exponents are a single GEMM with the (num_terms, M) angles.
         self._term_diag_T_negj = np.ascontiguousarray(-1j * self.term_diagonals.T)
-        self._hadamard_pair = _hadamard_factors(n)
 
     @property
     def num_angles(self) -> int:
@@ -422,10 +411,10 @@ class MultiAngleXMixer(Mixer):
         bk.matmul(self._term_diag_T_negj, np.ascontiguousarray(betas), out=phases)
         np.exp(phases, out=phases)
         phases *= 1.0 / self.dim  # absorbs both transforms' 2^{-n/2} norms
-        h_hi, h_lo = self._hadamard_pair
-        bk.wht_gemm(Psi, scratch, out, h_hi, h_lo)
+        blocks = hadamard_blocks(self.n, M)
+        bk.wht_gemm(Psi, scratch, out, *blocks)
         out *= phases
-        bk.wht_gemm(out, scratch, out, h_hi, h_lo)
+        bk.wht_gemm(out, scratch, out, *blocks)
         return out
 
     def apply_hamiltonian_batch(
@@ -436,9 +425,7 @@ class MultiAngleXMixer(Mixer):
         workspace=None,
     ) -> np.ndarray:
         """Batched summed-Hamiltonian product (see :func:`_wht_diagonal_product`)."""
-        return _wht_diagonal_product(
-            self, self._summed_diagonal, Psi, out, workspace, self._hadamard_pair
-        )
+        return _wht_diagonal_product(self, self._summed_diagonal, Psi, out, workspace)
 
     def term_gradients_batch(
         self,
@@ -476,9 +463,9 @@ class MultiAngleXMixer(Mixer):
             wphi = np.empty((self.dim, M), dtype=np.complex128)
             wpsi = np.empty((self.dim, M), dtype=np.complex128)
             bk = self.backend
-        h_hi, h_lo = self._hadamard_pair
-        bk.wht_gemm(Phi, via, wphi, h_hi, h_lo)
-        bk.wht_gemm(Psi, via, wpsi, h_hi, h_lo)
+        blocks = hadamard_blocks(self.n, M)
+        bk.wht_gemm(Phi, via, wphi, *blocks)
+        bk.wht_gemm(Psi, via, wpsi, *blocks)
         # A = conj(W phi) * (W psi); both transforms are unnormalized, so A
         # carries an extra factor of dim that the final scale removes.
         np.conjugate(wphi, out=wphi)

@@ -14,12 +14,16 @@ Three layers of coverage:
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import hadamard
 
 import repro
 from repro.api import SolveSpec
@@ -35,6 +39,7 @@ from repro.backend import (
     set_active_backend,
     use_backend,
 )
+from repro.backend.base import hadamard_blocks
 from repro.core import BatchedWorkspace, QAOAAnsatz, qaoa_value_and_gradient_batch
 from repro.mixers import (
     MultiAngleXMixer,
@@ -42,7 +47,6 @@ from repro.mixers import (
     mixer_clique,
     transverse_field_mixer,
 )
-from repro.mixers.xmixer import _hadamard_factors, walsh_hadamard_transform
 
 HAS_TORCH = importlib.util.find_spec("torch") is not None
 
@@ -217,17 +221,62 @@ class TestNumpyPrimitives:
         self.backend.real_gemm(factor, src, out)
         np.testing.assert_allclose(out, factor @ src, rtol=0, atol=1e-12)
 
-    def test_wht_gemm_matches_butterfly(self):
-        n = 6
-        dim = 1 << n
-        src = np.ascontiguousarray(self._complex(dim, 5))
-        via = np.empty_like(src)
-        dst = np.empty_like(src)
-        h_hi, h_lo = _hadamard_factors(n)
-        self.backend.wht_gemm(src, via, dst, h_hi, h_lo)
-        expected = walsh_hadamard_transform(src) * (2.0 ** (n / 2.0))  # unnormalized
-        np.testing.assert_allclose(dst, expected, rtol=0, atol=1e-10)
 
+@functools.lru_cache(maxsize=1)
+def _int8_hadamard(n: int) -> np.ndarray:
+    return hadamard(1 << n, dtype=np.int8)
+
+
+def _hadamard_product(n: int, X: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.hadamard(2**n) @ X`` for complex ``X``, in row blocks of floats."""
+    H = _int8_hadamard(n)
+    Xf = X.view(np.float64)
+    rows = 1 << min(n, 9)
+    out = np.concatenate(
+        [H[lo:lo + rows].astype(np.float64) @ Xf for lo in range(0, 1 << n, rows)]
+    )
+    return out.view(np.complex128)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(0, 14),
+    M=st.sampled_from([1, 3, 64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=13, M=1, seed=0)  # three blocks (4+4+5 bits), odd n
+@example(n=14, M=3, seed=1)  # three blocks (4+5+5 bits)
+@example(n=14, M=64, seed=2)  # wide batch: the two-factor split
+def test_wht_gemm_matches_hadamard_matrix(n, M, seed):
+    """The blocked kernel equals the dense ``±1`` Hadamard product (src aliasing dst too)."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((1 << n, M)) + 1j * rng.standard_normal((1 << n, M))
+    expected = _hadamard_product(n, X)
+    scale = np.abs(expected).max()
+    backend = active_backend()
+    blocks = hadamard_blocks(n, M)
+    assert len(blocks) == (2 if n <= 12 or M >= 32 else max(2, -(-n // 6)))
+    src, via, dst = X.copy(), np.empty_like(X), np.empty_like(X)
+    assert backend.wht_gemm(src, via, dst, *blocks) is dst
+    assert np.abs(dst - expected).max() <= 1e-12 * scale
+    np.testing.assert_array_equal(src, X)  # the input is untouched
+    assert backend.wht_gemm(src, via, src, *blocks) is src  # in place
+    assert np.abs(src - expected).max() <= 1e-12 * scale
+
+
+
+@pytest.mark.parametrize("bits", [(1, 2, 2, 3), (2, 2, 2, 2, 2), (0, 3, 1, 2)])
+@pytest.mark.parametrize("M", [1, 3])
+def test_wht_gemm_any_block_split(bits, M):
+    """Even and odd block counts (the plans for n >= 19 and n >= 25) on small n."""
+    n = sum(bits)
+    rng = np.random.default_rng(n * M)
+    X = rng.standard_normal((1 << n, M)) + 1j * rng.standard_normal((1 << n, M))
+    expected = _hadamard_product(n, X)
+    blocks = tuple(hadamard(1 << b).astype(np.float64) for b in bits)
+    src, via = X.copy(), np.empty_like(X)
+    active_backend().wht_gemm(src, via, src, *blocks)
+    assert np.abs(src - expected).max() <= 1e-12 * np.abs(expected).max()
 
 # ---------------------------------------------------------------------------
 # numpy-vs-torch equivalence (runs under the CI backend matrix)

@@ -13,6 +13,7 @@ from repro.hpc.sharded import (
     ShardedWorkspace,
     sharded_mixer_config,
 )
+from repro.hpc.sharded.executor import _openblas_calls
 from repro.problems.registry import make_problem, make_problem_structure
 
 
@@ -148,6 +149,54 @@ class TestShardedMatchesDense:
                 right[i] += eps
                 fd = (sharded.expectation(right) - sharded.expectation(left)) / (2 * eps)
                 assert abs(fd - grad[i]) < 1e-5
+        finally:
+            sharded.close()
+
+
+class TestShardedWorkerKernels:
+    @pytest.mark.parametrize("shards", [2, 4])
+    @pytest.mark.parametrize("params", [None, {"orders": [1, 2], "coefficients": [0.7, -0.3]}])
+    def test_chunk_diagonal_matches_dense_slice(self, shards, params):
+        n = 7
+        problem = make_problem("maxcut", n, seed=3)
+        diagonal = make_mixer("x", problem.space, **(params or {})).diagonal
+        sharded = _sharded("maxcut", n, "x", 1, shards, mixer_params=params)
+        try:
+            executor = sharded.executor
+            parts = executor._command("_chunk_diagonal")
+            assert len(parts) == shards
+            for chunk, part in zip(executor.chunks, parts):
+                np.testing.assert_allclose(
+                    part, diagonal[chunk.start:chunk.stop], rtol=0, atol=1e-12
+                )
+        finally:
+            sharded.close()
+
+    @pytest.mark.parametrize("mixer", ["x", "multiangle_x"])
+    def test_three_block_local_transform_matches_dense(self, mixer):
+        # n=15 over 2 shards: each worker transforms 14 local bits in 3 blocks
+        _, dense = _dense("maxcut", 15, mixer, 2)
+        sharded = _sharded("maxcut", 15, mixer, 2, 2)
+        try:
+            angles = 2 * np.pi * np.random.default_rng(5).random((2, dense.num_angles))
+            values_d, grads_d = dense.value_and_gradient_batch(angles)
+            values_s, grads_s = sharded.value_and_gradient_batch(angles)
+            np.testing.assert_allclose(values_s, values_d, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(grads_s, grads_d, rtol=0, atol=1e-10)
+        finally:
+            sharded.close()
+
+    def test_worker_pins_blas_at_first_transform(self):
+        coordinator = [int(get_threads()) for get_threads in _openblas_calls("get")]
+        if not coordinator:
+            pytest.skip("no OpenBLAS thread-count symbol is mapped in this process")
+        sharded = _sharded("maxcut", 7, "x", 1, 2)
+        try:
+            executor = sharded.executor
+            # setup() leaves the inherited thread count alone
+            assert executor._command("blas_threads") == [coordinator] * 2
+            sharded.expectation_batch(np.zeros((1, sharded.num_angles)))
+            assert executor._command("blas_threads") == [[1] * len(coordinator)] * 2
         finally:
             sharded.close()
 

@@ -29,6 +29,17 @@ def _kron_x_term(term, n):
     return mat
 
 
+def _popcount_diagonal(terms, coeffs, n):
+    """Reference ``d[x] = sum_t c_t (-1)^{popcount(x & mask_t)}``, term by term."""
+    labels = np.arange(1 << n)
+    diag = np.zeros(1 << n)
+    for term, c in zip(terms, coeffs):
+        mask = sum(1 << q for q in term)
+        parity = np.array([bin(x).count("1") & 1 for x in labels & mask])
+        diag += c * (1.0 - 2.0 * parity)
+    return diag
+
+
 def _dense_x_mixer(terms, coeffs, n):
     total = np.zeros((1 << n, 1 << n))
     for term, c in zip(terms, coeffs):
@@ -90,6 +101,41 @@ class TestXTermDiagonal:
             x_term_diagonal([(5,)], [1.0], 3)
         with pytest.raises(ValueError):
             x_term_diagonal([(1, 1)], [1.0], 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 14))
+    def test_matches_popcount_definition(self, data, n):
+        """Scatter-and-transform equals ``sum_t c_t (-1)^{popcount(x & mask_t)}``."""
+        orders = st.integers(1, min(3, n))
+        term = orders.flatmap(
+            lambda k: st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)
+        )
+        terms = data.draw(st.lists(term.map(tuple), min_size=1, max_size=8))
+        if data.draw(st.booleans()):
+            terms.append(())  # the identity term
+        coeffs = data.draw(
+            st.lists(st.floats(-3.0, 3.0), min_size=len(terms), max_size=len(terms))
+        )
+        expected = _popcount_diagonal(terms, coeffs, n)
+        diag = x_term_diagonal(terms, coeffs, n)
+        assert diag.shape == (1 << n,)
+        np.testing.assert_allclose(diag, expected, rtol=0, atol=1e-12 * (1 + sum(map(abs, coeffs))))
+
+    def test_identity_term_is_constant(self):
+        np.testing.assert_array_equal(x_term_diagonal([()], [2.5], 5), np.full(32, 2.5))
+
+    @pytest.mark.parametrize("n", [5, 13])
+    def test_multi_angle_term_diagonals(self, n):
+        terms = [(0,), (n - 1,), (1, 3), (0, 2, n - 1)]
+        mixer = MultiAngleXMixer(n, terms)
+        for t, term in enumerate(terms):
+            np.testing.assert_array_equal(
+                mixer.term_diagonals[t], _popcount_diagonal([term], [1.0], n)
+            )
+        np.testing.assert_array_equal(
+            mixer._summed_diagonal,
+            _popcount_diagonal(terms, [1.0] * len(terms), n),
+        )
 
 
 class TestXMixer:
