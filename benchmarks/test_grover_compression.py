@@ -15,11 +15,7 @@ import pytest
 from repro.bench.timing import time_call
 from repro.bench.workloads import figure4_graph, is_paper_scale
 from repro.core import QAOAAnsatz, random_angles
-from repro.grover import (
-    compress_objective,
-    hamming_weight_spectrum,
-    simulate_grover_compressed,
-)
+from repro.grover import CompressedGroverAnsatz, compress_objective, hamming_weight_spectrum
 from repro.hilbert import state_matrix
 from repro.mixers import grover_mixer
 from repro.problems.maxcut import maxcut_values
@@ -47,7 +43,8 @@ def test_dense_grover_simulation(benchmark, grover_workload):
 def test_compressed_grover_simulation(benchmark, grover_workload):
     """Compressed simulation over the distinct-value classes only."""
     obj, spectrum = grover_workload
-    value = benchmark(lambda: simulate_grover_compressed(_ANGLES, spectrum).expectation())
+    engine = CompressedGroverAnsatz(spectrum, _P, n=_N_DENSE)
+    value = benchmark(lambda: engine.expectation(_ANGLES))
     # Agreement with the dense simulator.
     dense = QAOAAnsatz(obj, grover_mixer(_N_DENSE), _P).expectation(_ANGLES)
     assert np.isclose(value, dense, atol=1e-9)
@@ -56,7 +53,8 @@ def test_compressed_grover_simulation(benchmark, grover_workload):
 def test_compressed_n100_simulation(benchmark):
     """A 100-qubit Grover-QAOA on an analytically-compressed spectrum."""
     spectrum = hamming_weight_spectrum(100, lambda w: float(min(w, 100 - w)))
-    result = benchmark(lambda: simulate_grover_compressed(_ANGLES, spectrum))
+    engine = CompressedGroverAnsatz(spectrum, _P, n=100)
+    result = benchmark(lambda: engine.simulate(_ANGLES))
     assert np.isclose(result.norm(), 1.0, atol=1e-9)
     assert result.spectrum.total == 2**100
 
@@ -66,10 +64,9 @@ def test_compression_speedup_and_agreement(benchmark, grover_workload):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)  # shape-only entry
     obj, spectrum = grover_workload
     ansatz = QAOAAnsatz(obj, grover_mixer(_N_DENSE), _P)
+    engine = CompressedGroverAnsatz(spectrum, _P, n=_N_DENSE)
     dense_stats = time_call(lambda: ansatz.expectation(_ANGLES), repeats=3)
-    comp_stats = time_call(
-        lambda: simulate_grover_compressed(_ANGLES, spectrum).expectation(), repeats=3
-    )
+    comp_stats = time_call(lambda: engine.expectation(_ANGLES), repeats=3)
     print()
     print(
         f"  grover n={_N_DENSE}: dense={dense_stats['min'] * 1e3:.3f} ms, "

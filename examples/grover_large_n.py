@@ -4,11 +4,14 @@ With the Grover mixer every basis state with the same objective value keeps
 the same amplitude, so only the distinct values and their degeneracies are
 needed.  This example:
 
-1. verifies the compressed simulation against the dense simulator at n = 10,
+1. verifies the compressed engine against the dense simulator at n = 10,
 2. runs a 3-SAT Grover-QAOA whose spectrum is counted in parallel worker
    processes without ever materializing the 2^n objective vector,
 3. simulates a 100-qubit Hamming-weight objective whose degeneracies are known
    analytically, and optimizes its angles with the compressed adjoint gradient.
+
+Every step drives ``CompressedGroverAnsatz``, the same engine ``solve()``
+routes large Grover-mixer specs to.
 
 Run with:  python examples/grover_large_n.py
 """
@@ -21,12 +24,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from repro import grover_mixer, simulate, state_matrix
-from repro.grover import (
-    compress_objective,
-    grover_value_and_gradient,
-    hamming_weight_spectrum,
-    simulate_grover_compressed,
-)
+from repro.grover import CompressedGroverAnsatz, compress_objective, hamming_weight_spectrum
 from repro.hpc import parallel_compress
 from repro.problems import erdos_renyi, maxcut_values
 from repro.problems.ksat import ksat_values, random_ksat
@@ -42,7 +40,7 @@ def main() -> None:
     spectrum = compress_objective(obj)
     angles = 2 * np.pi * rng.random(8)
     dense = simulate(angles, grover_mixer(n), obj).expectation()
-    compressed = simulate_grover_compressed(angles, spectrum).expectation()
+    compressed = CompressedGroverAnsatz(spectrum, 4, n=n).expectation(angles)
     print(f"[n={n} MaxCut]  dense <C> = {dense:.6f}   compressed <C> = {compressed:.6f}")
     print(f"               distinct objective values: {spectrum.num_distinct} of {spectrum.total}")
 
@@ -50,7 +48,8 @@ def main() -> None:
     n_sat = 16
     instance = random_ksat(n_sat, k=3, clause_density=6.0, seed=1)
     spectrum_sat = parallel_compress(partial(ksat_values, instance), n_sat, processes=4)
-    result = simulate_grover_compressed(2 * np.pi * rng.random(6), spectrum_sat)
+    engine_sat = CompressedGroverAnsatz(spectrum_sat, 3, n=n_sat)
+    result = engine_sat.simulate(engine_sat.random_angles(rng))
     print(
         f"[n={n_sat} 3-SAT] clauses = {instance.num_clauses}, "
         f"distinct values = {spectrum_sat.num_distinct}, "
@@ -61,15 +60,12 @@ def main() -> None:
     # --- 3. n = 100 with an analytic spectrum + compressed gradient --------
     n_big = 100
     spectrum_big = hamming_weight_spectrum(n_big, lambda w: float(min(w, n_big - w)))
-    p = 3
-
-    def loss(x):
-        value, grad = grover_value_and_gradient(x, spectrum_big)
-        return -value, -grad
-
-    x0 = 0.1 * np.ones(2 * p)
-    res = minimize(loss, x0, jac=True, method="BFGS", options={"maxiter": 60})
-    final = simulate_grover_compressed(res.x, spectrum_big)
+    engine_big = CompressedGroverAnsatz(spectrum_big, 3, n=n_big)
+    x0 = 0.1 * np.ones(engine_big.num_angles)
+    res = minimize(
+        engine_big.loss_and_gradient, x0, jac=True, method="BFGS", options={"maxiter": 60}
+    )
+    final = engine_big.simulate(res.x)
     print(f"[n={n_big}]      feasible states = 2^{n_big} (~{float(spectrum_big.total):.2e})")
     print(
         f"               optimized <C> = {final.expectation():.4f} "

@@ -68,7 +68,7 @@ def grid_search(
     as ``on_incumbent(value, angles)`` whenever a chunk improves the best.
     """
     if batch_size is None:
-        batch_size = default_eval_batch(ansatz.schedule.dim)
+        batch_size = default_eval_batch(ansatz.dim)
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
     num_angles = ansatz.num_angles

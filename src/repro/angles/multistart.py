@@ -121,7 +121,7 @@ def multistart_minimize(
         raise ValueError("maxiter must be positive")
     total = seeds.shape[0]
     if batch_size is None:
-        batch_size = default_refine_batch(ansatz.schedule.dim, ansatz.p)
+        batch_size = default_refine_batch(ansatz.dim, ansatz.p)
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
 

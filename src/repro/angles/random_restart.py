@@ -144,7 +144,7 @@ def _score_seeds(
 ) -> np.ndarray:
     """Batch-score all seeds in bounded chunks (peak scratch ~3*dim*chunk)."""
     if batch_size is None:
-        batch_size = default_eval_batch(ansatz.schedule.dim)
+        batch_size = default_eval_batch(ansatz.dim)
     if batch_size < 1:
         raise ValueError("score_batch_size must be positive")
     total = seeds.shape[0]

@@ -3,10 +3,12 @@
 One call runs the paper's whole toolchain — regenerate the problem instance,
 pre-compute its objective values, build the mixer over the feasible space,
 hand the ansatz to a registered angle strategy, and simulate the best angles
-— returning a rich :class:`SolveResult`.  The fast paths land automatically:
-strategies ride the batched evaluation engine (PR 1) and the batched
-adjoint-gradient / vectorized multi-start engine (PR 3) through the shared
-:class:`~repro.core.ansatz.QAOAAnsatz` workspaces.
+— returning a rich :class:`SolveResult`.  The spec is routed to one of three
+:class:`~repro.core.engine.Engine` subclasses (dense
+:class:`~repro.core.ansatz.QAOAAnsatz`, sharded or compressed Grover); the
+solver only talks to that common surface — batched values and gradients,
+``simulate``, ``optimum`` and ``close`` — so the strategies ride the batched
+evaluation and adjoint-gradient kernels of whichever engine was chosen.
 
 The existing free functions (``simulate``, ``grid_search``,
 ``find_angles_random``, ...) remain the low-level layer; ``solve`` is a thin,
@@ -27,6 +29,7 @@ import numpy as np
 
 from ..angles.result import AngleResult
 from ..core.ansatz import QAOAAnsatz
+from ..core.engine import Engine
 from ..core.simulator import QAOAResult
 from ..mixers.base import Mixer
 from ..portfolio.budget import Budget
@@ -246,8 +249,8 @@ class QAOASolver:
     :class:`~repro.api.routing.ExecutionPlan`); by default
     :func:`~repro.api.routing.select_execution_path` routes the spec to the
     dense, sharded or compressed engine.  Non-dense solvers never materialize
-    the feasible space — ``problem``/``mixer`` stay ``None`` and the engine
-    itself carries the optimum.  Sharded solvers own worker processes; call
+    the feasible space — ``problem``/``mixer`` stay ``None``; every engine
+    carries its own optimum.  Sharded solvers own worker processes; call
     :meth:`close` (or use ``solve()``, which does) when finished.
     """
 
@@ -307,31 +310,28 @@ class QAOASolver:
         spec: SolveSpec,
         problem: ProblemInstance | None,
         mixer: Mixer | None,
-        ansatz,
+        ansatz: Engine,
         *,
-        plan: ExecutionPlan | None = None,
+        plan: ExecutionPlan,
     ) -> "QAOASolver":
         """Wrap already-built components (the warm pool's entry) as a solver.
 
         Skips all construction work — this is how the solver service runs a
         spec on a pooled problem/mixer/ansatz without re-deriving anything.
-        ``problem``/``mixer`` are ``None`` for pooled non-dense engines.
+        ``problem``/``mixer`` are ``None`` for pooled non-dense engines, and
+        ``plan`` is the one the components were built for.
         """
         solver = cls.__new__(cls)
         solver.spec = spec
         solver.problem = problem
         solver.mixer = mixer
         solver.ansatz = ansatz
-        if plan is None:
-            plan = ExecutionPlan("dense", "pre-built components", ansatz.schedule.dim)
         solver.plan = plan
         return solver
 
     def close(self) -> None:
         """Release engine resources (shard workers); dense/compressed: no-op."""
-        closer = getattr(self.ansatz, "close", None)
-        if closer is not None:
-            closer()
+        self.ansatz.close()
 
     def find_angles(
         self,
@@ -376,10 +376,7 @@ class QAOASolver:
         simulation = self.ansatz.simulate(angle_result.angles)
         wall_time = 0.0 if started is None else time.perf_counter() - started
 
-        if self.problem is not None:
-            optimum = self.problem.optimum()
-        else:
-            optimum = float(self.ansatz.optimum)
+        optimum = float(self.ansatz.optimum)
         ratio = float(angle_result.value) / optimum if optimum > 0 else None
         spec = self.spec
         if seed is not None and seed != spec.seed:

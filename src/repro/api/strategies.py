@@ -115,6 +115,7 @@ def _basinhop(ansatz, *, rng=None, x0=None, **params):
 
 def _iterative_impl(ansatz, rng, extrapolation: str, name: str, params) -> AngleResult:
     """Shared body of the iterative/Fourier schemes: per-round build-up to ``p``."""
+    cost = ansatz.cost  # raises on the engines without a dense cost table
     mixers = set(id(m) for m in ansatz.schedule.layers)
     if len(mixers) != 1:
         raise ValueError(
@@ -124,7 +125,7 @@ def _iterative_impl(ansatz, rng, extrapolation: str, name: str, params) -> Angle
     per_round = find_angles(
         ansatz.p,
         ansatz.schedule.layers[0],
-        ansatz.cost,
+        cost,
         initial_state=ansatz.initial_state,
         maximize=ansatz.maximize,
         extrapolation=extrapolation,

@@ -1,14 +1,14 @@
-"""Pluggable array backends for the dense kernels (NumPy / PyTorch / CuPy).
+"""Pluggable array backends for the dense kernels (NumPy / PyTorch).
 
 The active backend is resolved once, at ``import repro`` time, from the
 ``REPRO_BACKEND`` environment variable — the same convention as
 ``REPRO_WORKERS`` in :func:`repro.hpc.parallel.default_workers`:
 
 * unset or ``numpy``   -> the NumPy reference backend (the default)
-* ``torch`` / ``cupy`` -> the accelerated backend, if its library imports
+* ``torch``            -> the PyTorch backend, if torch imports
 * anything invalid, or a backend whose library is missing -> a
   :class:`RuntimeWarning` and a fallback to numpy.  Import-time resolution
-  **never** raises, so ``import repro`` works on machines without torch/cupy.
+  **never** raises, so ``import repro`` works on machines without torch.
 
 :func:`get_backend` is the strict programmatic entry point: an unknown name
 raises the registry-style sorted-choices ``ValueError``, an uninstalled one
@@ -30,7 +30,6 @@ from contextlib import contextmanager
 import numpy as np
 
 from .base import ArrayBackend
-from .cupy_backend import CupyBackend
 from .numpy_backend import NumpyBackend
 from .torch_backend import TorchBackend
 
@@ -50,7 +49,6 @@ __all__ = [
 _REGISTRY: dict[str, type[ArrayBackend]] = {
     "numpy": NumpyBackend,
     "torch": TorchBackend,
-    "cupy": CupyBackend,
 }
 
 #: the valid ``REPRO_BACKEND`` values, sorted

@@ -5,8 +5,7 @@ threads or GPUs"; on our side every hot path was reduced to a handful of
 dense-algebra primitives (PRs 1/3/6): complex/real GEMMs, ``einsum``
 contractions and the blocked Walsh–Hadamard transform.  An
 :class:`ArrayBackend` packages exactly those primitives so the same kernels
-can execute on NumPy (default), PyTorch or CuPy without any algorithmic
-change.
+can execute on NumPy (default) or PyTorch without any algorithmic change.
 
 Storage policy
 --------------
@@ -135,7 +134,7 @@ class ArrayBackend(abc.ABC):
     backend is correct as soon as its GEMM is.
     """
 
-    #: canonical registry name ("numpy", "torch", "cupy")
+    #: canonical registry name ("numpy", "torch")
     name: str = "abstract"
     #: pinned statevector dtype (never down-cast)
     complex_dtype = np.complex128
@@ -158,7 +157,7 @@ class ArrayBackend(abc.ABC):
     @property
     @abc.abstractmethod
     def xp(self):
-        """The backend's native array namespace (``numpy``, ``torch``, ``cupy``)."""
+        """The backend's native array namespace (``numpy``, ``torch``)."""
 
     # ------------------------------------------------------------------
     # converters / allocation

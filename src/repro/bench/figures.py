@@ -26,8 +26,8 @@ from ..angles.random_restart import find_angles_random
 from ..baselines.circuit_qaoa import DecomposedCircuitQAOA, DenseUnitaryQAOA, GateCircuitQAOA
 from ..baselines.direct import DirectQAOA
 from ..core.ansatz import QAOAAnsatz
+from ..grover.ansatz import CompressedGroverAnsatz
 from ..grover.compress import compress_objective, hamming_weight_spectrum
-from ..grover.simulate import simulate_grover_compressed
 from ..hpc.memory import simulator_memory_estimate
 from ..mixers.grover import grover_mixer
 from ..mixers.xmixer import transverse_field_mixer
@@ -535,10 +535,9 @@ def grover_dense_rows(n: int, *, p: int = 4, repeats: int = 3) -> list[dict]:
     mixer = grover_mixer(n)
 
     ansatz = QAOAAnsatz(obj, mixer, p)
+    compressed = CompressedGroverAnsatz(spectrum, p, n=n)
     dense_stats = time_call(lambda: ansatz.expectation(angles), repeats=repeats)
-    comp_stats = time_call(
-        lambda: simulate_grover_compressed(angles, spectrum).expectation(), repeats=repeats
-    )
+    comp_stats = time_call(lambda: compressed.expectation(angles), repeats=repeats)
     return [
         {
             "figure": "grover",
@@ -563,9 +562,8 @@ def grover_large_rows(n: int, *, p: int = 4, repeats: int = 3) -> list[dict]:
     """Compressed-only timing row for one large-``n`` Hamming-weight objective."""
     angles = np.random.default_rng(6).random(2 * p)
     spectrum = hamming_weight_spectrum(n, lambda w: float(min(w, n - w)))
-    stats = time_call(
-        lambda: simulate_grover_compressed(angles, spectrum).expectation(), repeats=repeats
-    )
+    compressed = CompressedGroverAnsatz(spectrum, p, n=n)
+    stats = time_call(lambda: compressed.expectation(angles), repeats=repeats)
     return [
         {
             "figure": "grover",

@@ -52,7 +52,7 @@ def merge_backend_records(
 
     Every record gains a ``"backend"`` field; rows previously recorded under a
     *different* backend are preserved, rows for ``backend`` are replaced — so
-    one file accumulates a column per backend (numpy locally, torch/cupy from
+    one file accumulates a column per backend (numpy locally, torch from
     the CI backend matrix) without runs clobbering each other.  Returns the
     full payload that was written.
     """

@@ -1,6 +1,7 @@
 """The QAOA statevector engine: pre-computation, simulation, gradients."""
 
 from .ansatz import QAOAAnsatz
+from .engine import Engine
 from .gradients import (
     EvaluationCounter,
     finite_difference_gradient,
@@ -27,6 +28,7 @@ from .simulator import (
 from .workspace import BatchedWorkspace, Workspace
 
 __all__ = [
+    "Engine",
     "QAOAAnsatz",
     "EvaluationCounter",
     "finite_difference_gradient",

@@ -1,4 +1,4 @@
-"""High-level QAOA ansatz object.
+"""High-level QAOA ansatz object: the dense :class:`~repro.core.engine.Engine`.
 
 :class:`QAOAAnsatz` bundles everything that defines one QAOA — the
 pre-computed objective values, the mixer schedule, the initial state and the
@@ -6,7 +6,9 @@ optimization sense — behind the small callable surface the angle-finding
 optimizers need: ``expectation(angles)``, ``gradient(angles)`` and
 ``simulate(angles)``.  A single pre-allocated workspace is reused across every
 call, which is where the "functionally zero overhead" repeated evaluation of
-the paper comes from.
+the paper comes from.  The single-row calls keep their scalar kernels (the
+reference the batched adjoint is tested against); the loss wrappers,
+``random_angles`` and ``close`` come from :class:`~repro.core.engine.Engine`.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 
 from ..mixers.base import Mixer
 from ..mixers.schedules import MixerSchedule
+from .engine import Engine
 from .gradients import (
     EvaluationCounter,
     qaoa_finite_difference_gradient,
@@ -30,7 +33,7 @@ from .workspace import BatchedWorkspace, Workspace
 __all__ = ["QAOAAnsatz"]
 
 
-class QAOAAnsatz:
+class QAOAAnsatz(Engine):
     """A fixed-(cost, mixer, p) QAOA exposing value / gradient / simulate calls.
 
     Parameters
@@ -73,9 +76,9 @@ class QAOAAnsatz:
         self.schedule = schedule
 
         if isinstance(obj_vals, PrecomputedCost):
-            self.cost = obj_vals
+            self._cost = obj_vals
         else:
-            self.cost = PrecomputedCost(
+            self._cost = PrecomputedCost(
                 values=np.asarray(obj_vals, dtype=np.float64),
                 space=schedule.space,
                 maximize=maximize,
@@ -99,6 +102,10 @@ class QAOAAnsatz:
                 initial_state = initial_state / norm
         self.initial_state = initial_state
         self.maximize = bool(maximize)
+        self.dim = schedule.dim
+        self.p = schedule.p
+        self.num_angles = schedule.total_betas + schedule.p
+        self.n = schedule.space.n
         if backend is None:
             from ..backend import active_backend
 
@@ -141,25 +148,14 @@ class QAOAAnsatz:
 
     # ------------------------------------------------------------------
     @property
-    def p(self) -> int:
-        """Number of QAOA rounds."""
-        return self.schedule.p
+    def cost(self) -> PrecomputedCost:
+        """The pre-computed objective values."""
+        return self._cost
 
     @property
-    def num_angles(self) -> int:
-        """Length of the flat angle vector (betas then gammas)."""
-        return self.schedule.total_betas + self.schedule.p
-
-    @property
-    def n(self) -> int:
-        """Number of qubits."""
-        return self.schedule.space.n
-
-    def random_angles(self, rng: np.random.Generator | int | None = None) -> np.ndarray:
-        """Uniformly random angles in ``[0, 2 pi)`` with the right length."""
-        if not isinstance(rng, np.random.Generator):
-            rng = np.random.default_rng(rng)
-        return 2.0 * np.pi * rng.random(self.num_angles)
+    def optimum(self) -> float:
+        """Best objective value over the feasible space (by sense)."""
+        return self._cost.optimum
 
     # ------------------------------------------------------------------
     def expectation(self, angles: np.ndarray) -> float:
@@ -237,13 +233,6 @@ class QAOAAnsatz:
             counter=self.counter,
         )
 
-    def loss_and_gradient_batch(self, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Batched loss and gradient (signs consistent with :meth:`loss`)."""
-        values, grads = self.value_and_gradient_batch(angles)
-        if self.maximize:
-            return -values, -grads
-        return values, grads
-
     def gradient(self, angles: np.ndarray) -> np.ndarray:
         """Exact adjoint-mode gradient of ``<C>``."""
         return self.value_and_gradient(angles)[1]
@@ -270,19 +259,6 @@ class QAOAAnsatz:
             workspace=self.workspace,
             maximize=self.maximize,
         )
-
-    # -- objective wrappers for minimizers ---------------------------------
-    def loss(self, angles: np.ndarray) -> float:
-        """Scalar to *minimize*: ``-<C>`` for maximization problems, ``<C>`` otherwise."""
-        value = self.expectation(angles)
-        return -value if self.maximize else value
-
-    def loss_and_gradient(self, angles: np.ndarray) -> tuple[float, np.ndarray]:
-        """Loss and its gradient (signs handled consistently with :meth:`loss`)."""
-        value, grad = self.value_and_gradient(angles)
-        if self.maximize:
-            return -value, -grad
-        return value, grad
 
     def with_rounds(self, p: int) -> "QAOAAnsatz":
         """A new ansatz identical to this one but with ``p`` rounds.
@@ -321,6 +297,6 @@ class QAOAAnsatz:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"QAOAAnsatz(n={self.n}, dim={self.schedule.dim}, p={self.p}, "
+            f"QAOAAnsatz(n={self.n}, dim={self.dim}, p={self.p}, "
             f"maximize={self.maximize})"
         )

@@ -1,5 +1,6 @@
 """Grover-mixer compressed simulation: distinct objective values + degeneracies."""
 
+from .ansatz import CompressedGroverAnsatz, CompressedSimulation
 from .compress import (
     CompressedObjective,
     binomial_spectrum,
@@ -8,24 +9,14 @@ from .compress import (
     compress_streaming_dicke,
     hamming_weight_spectrum,
 )
-from .simulate import (
-    CompressedGroverResult,
-    amplitudes_by_value,
-    grover_expectation,
-    grover_value_and_gradient,
-    simulate_grover_compressed,
-)
 
 __all__ = [
+    "CompressedGroverAnsatz",
     "CompressedObjective",
+    "CompressedSimulation",
     "binomial_spectrum",
     "compress_objective",
     "compress_streaming",
     "compress_streaming_dicke",
     "hamming_weight_spectrum",
-    "CompressedGroverResult",
-    "amplitudes_by_value",
-    "grover_expectation",
-    "grover_value_and_gradient",
-    "simulate_grover_compressed",
 ]

@@ -1,19 +1,23 @@
-"""A first-class compressed Grover-QAOA execution engine.
+"""The compressed Grover-QAOA :class:`~repro.core.engine.Engine`.
 
-:mod:`repro.grover.simulate` holds the scalar compressed evolution (one angle
-set at a time).  This module packages it as an engine with the same calling
-surface as :class:`repro.core.ansatz.QAOAAnsatz` — ``expectation_batch``,
-``value_and_gradient_batch``, ``loss``/``loss_and_gradient``, ``simulate``,
-``random_angles``, ``counter`` — so every registered angle strategy that
-drives the dense ansatz (grid search, random-restart BFGS, the vectorized
-multi-start refiner, basinhopping, median) runs unchanged on the compressed
-representation.
+With the Grover mixer ``H_G = |psi0><psi0|`` (``|psi0>`` the uniform
+superposition over the feasible space), the amplitude of a basis state
+depends only on its objective value at every point of the evolution, so the
+state is stored as one complex amplitude per *distinct* objective value:
 
-The state is a ``(D, M)`` complex matrix of per-value-class amplitudes
-(``D`` = number of distinct objective values, ``M`` = batch size) instead of
-``(2^n, M)``; every inner product is degeneracy-weighted.  Memory and time
-per round are ``O(D * M)``, which is the paper's route to n ≈ 100
-(Sec. 2.4).
+* phase separator: ``a_v <- exp(-i gamma v) a_v``
+* Grover mixer:    ``a_v <- a_v + (e^{-i beta} - 1) <psi0|psi> / sqrt(N)``,
+  with ``<psi0|psi> = sum_v d_v a_v / sqrt(N)``
+
+where ``d_v`` are the degeneracies and ``N`` the number of feasible states.
+:class:`CompressedGroverAnsatz` evolves M angle sets at once as a ``(D, M)``
+complex matrix (``D`` = number of distinct objective values) and computes
+exact adjoint gradients with every dense inner product collapsed to a
+degeneracy-weighted reduction.  Memory and time per round are ``O(D * M)``,
+which is the paper's route to n ≈ 100 (Sec. 2.4).  The single-row calls and
+the ``loss`` family come from :class:`~repro.core.engine.Engine`, so every
+registered angle strategy that drives the dense ansatz runs unchanged on the
+compressed representation.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core.engine import Engine
 from ..core.gradients import EvaluationCounter
 from .compress import CompressedObjective
 
@@ -67,6 +72,13 @@ class CompressedSimulation:
         idx = -1 if self.maximize else 0
         return float(self.class_probabilities()[idx])
 
+    def probability_of_value(self, value: float) -> float:
+        """Probability of measuring a state whose objective equals ``value``."""
+        idx = np.flatnonzero(np.isclose(self.spectrum.values, value))
+        if idx.size == 0:
+            raise KeyError(f"objective value {value} is not in the spectrum")
+        return float(self.class_probabilities()[idx].sum())
+
     def norm(self) -> float:
         """Statevector norm (should be 1 up to round-off)."""
         return float(np.sqrt(self.class_probabilities().sum()))
@@ -101,22 +113,8 @@ class CompressedSimulation:
         return self.spectrum.values[indices]
 
 
-class _CompressedSchedule:
-    """The tiny slice of ``MixerSchedule`` the angle strategies read.
-
-    ``dim`` is the *compressed* dimension (number of distinct objective
-    values) — deliberately, since that is the size of the matrices the
-    batched strategy loops allocate against.
-    """
-
-    def __init__(self, dim: int, p: int):
-        self.dim = int(dim)
-        self.p = int(p)
-        self.total_betas = int(p)
-
-
-class CompressedGroverAnsatz:
-    """Grover-mixer QAOA over a value spectrum, on the dense-ansatz protocol.
+class CompressedGroverAnsatz(Engine):
+    """Grover-mixer QAOA over a value spectrum.
 
     Parameters
     ----------
@@ -147,54 +145,28 @@ class CompressedGroverAnsatz:
             raise ValueError("a QAOA needs at least one round")
         self.spectrum = spectrum
         self.maximize = bool(maximize)
-        self._n = int(n)
-        self.schedule = _CompressedSchedule(spectrum.num_distinct, p)
-        self.initial_state = None
+        self.dim = int(spectrum.num_distinct)
+        self.p = int(p)
+        self.num_angles = 2 * self.p
+        self.n = int(n)
         if backend is None:
             from ..backend import active_backend
 
             backend = active_backend()
         self.backend = backend
         self.counter = EvaluationCounter()
+        degs = spectrum.degeneracy_array()
         self._values = np.asarray(spectrum.values, dtype=np.float64)
-        self._degs = spectrum.degeneracy_array()
-        self._weighted_values = self._degs * self._values
-        self._sqrt_total = float(np.sqrt(float(spectrum.total)))
-
-    # ------------------------------------------------------------------
-    @property
-    def p(self) -> int:
-        """Number of QAOA rounds."""
-        return self.schedule.p
-
-    @property
-    def num_angles(self) -> int:
-        """Flat angle vector length (p betas then p gammas)."""
-        return 2 * self.schedule.p
-
-    @property
-    def n(self) -> int:
-        """Number of qubits."""
-        return self._n
+        self._weighted_values = degs * self._values
+        self._amp0 = 1.0 / float(np.sqrt(float(spectrum.total)))
+        # <psi0|psi> = bra0 @ a: the degeneracy-weighted uniform bra
+        self._bra0 = (degs * self._amp0).astype(np.complex128)
+        self._neg_j_values = -1j * self._values
 
     @property
     def optimum(self) -> float:
         """Best objective value in the spectrum (by the optimization sense)."""
         return float(self._values[-1] if self.maximize else self._values[0])
-
-    @property
-    def cost(self):
-        raise RuntimeError(
-            "the compressed Grover engine has no dense cost object; strategies "
-            "that rebuild per-round ansatze ('iterative', 'fourier') require "
-            "the dense execution path"
-        )
-
-    def random_angles(self, rng: np.random.Generator | int | None = None) -> np.ndarray:
-        """Uniformly random angles in ``[0, 2 pi)`` with the right length."""
-        if not isinstance(rng, np.random.Generator):
-            rng = np.random.default_rng(rng)
-        return 2.0 * np.pi * rng.random(self.num_angles)
 
     # ------------------------------------------------------------------
     def _split(self, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -212,18 +184,19 @@ class CompressedGroverAnsatz:
     def _evolve_batch(
         self, betas: np.ndarray, gammas: np.ndarray, M: int, *, store_layers: bool = False
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        D = self.spectrum.num_distinct
-        a = np.full((D, M), 1.0 / self._sqrt_total, dtype=np.complex128)
+        a = np.full((self.dim, M), self._amp0, dtype=np.complex128)
+        phase = np.empty_like(a)
         layers = (
-            np.empty((self.p, 2, D, M), dtype=np.complex128) if store_layers else None
+            np.empty((self.p, 2, self.dim, M), dtype=np.complex128) if store_layers else None
         )
-        neg_j_values = -1j * self._values
+        # Grover-layer update per round: a += ((e^{-i beta} - 1) / sqrt(N)) <psi0|a>
+        mixing = (np.exp(-1j * betas) - 1.0) * self._amp0
         for k in range(self.p):
-            a *= np.exp(neg_j_values[:, None] * gammas[k][None, :])
+            np.multiply.outer(self._neg_j_values, gammas[k], out=phase)
+            a *= np.exp(phase, out=phase)
             if layers is not None:
                 layers[k, 0] = a
-            overlap = self._degs @ a / self._sqrt_total  # (M,) <psi0|psi>
-            a += ((np.exp(-1j * betas[k]) - 1.0) * overlap / self._sqrt_total)[None, :]
+            a += (self._bra0 @ a) * mixing[k]
             if layers is not None:
                 layers[k, 1] = a
         return a, layers
@@ -234,10 +207,6 @@ class CompressedGroverAnsatz:
         return self._weighted_values @ probs
 
     # ------------------------------------------------------------------
-    def expectation(self, angles: np.ndarray) -> float:
-        """``<C>`` at the given angles."""
-        return float(self.expectation_batch(angles)[0])
-
     def expectation_batch(self, angles: np.ndarray) -> np.ndarray:
         """``<C>`` for every row of an ``(M, 2p)`` angle matrix."""
         betas, gammas, M = self._split(angles)
@@ -245,76 +214,46 @@ class CompressedGroverAnsatz:
         final, _ = self._evolve_batch(betas, gammas, M)
         return self._energies(final)
 
-    def value_and_gradient(self, angles: np.ndarray) -> tuple[float, np.ndarray]:
-        """Expectation value and exact adjoint-mode gradient."""
-        values, grads = self.value_and_gradient_batch(angles)
-        return float(values[0]), grads[0]
-
     def value_and_gradient_batch(self, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Batched expectation values and exact degeneracy-weighted adjoint gradients.
 
-        The batched analogue of
-        :func:`repro.grover.simulate.grover_value_and_gradient`: every dense
-        ``(dim, M)`` inner product of the adjoint recursion collapses to a
-        degeneracy-weighted ``(D, M)`` reduction.  Shapes ``(M,)`` and
-        ``(M, 2p)``.
+        The adjoint recursion of :mod:`repro.core.gradients` with every dense
+        ``(dim, M)`` inner product collapsed to a degeneracy-weighted
+        ``(D, M)`` reduction.  Shapes ``(M,)`` and ``(M, 2p)``.
         """
         betas, gammas, M = self._split(angles)
         self.counter.forward_passes += M
         final, layers = self._evolve_batch(betas, gammas, M, store_layers=True)
         energies = self._energies(final)
 
-        degs = self._degs
-        values = self._values
-        sqrt_total = self._sqrt_total
-        phi = final * values[:, None]
+        bra0 = self._bra0
+        phi = final * self._values[:, None]
+        phase = np.empty_like(phi)
+        unmixing = (np.exp(1j * betas) - 1.0) * self._amp0
         grad_betas = np.empty((self.p, M), dtype=np.float64)
         grad_gammas = np.empty((self.p, M), dtype=np.float64)
         for k in range(self.p - 1, -1, -1):
-            psi_k = layers[k, 1]
             chi_k = layers[k, 0]
-            # 2 Im <phi | H_G | psi_k> with H_G = |psi0><psi0|: both weighted
-            # sums against psi0 are plain degeneracy reductions.
-            o_psi = degs @ psi_k / sqrt_total
-            s_phi = degs @ phi
-            grad_betas[k] = 2.0 * np.imag(np.conj(s_phi) * o_psi) / sqrt_total
+            # 2 Im <phi | H_G | psi_k> with H_G = |psi0><psi0|: both overlaps
+            # with psi0 are degeneracy-weighted reductions.
+            overlap = bra0 @ phi
+            grad_betas[k] = 2.0 * np.imag(np.conj(overlap) * (bra0 @ layers[k, 1]))
             self.counter.hamiltonian_applications += M
             # phi <- exp(+i beta_k H_G) phi (the inverse Grover layer).
-            phi += ((np.exp(1j * betas[k]) - 1.0) * (s_phi / sqrt_total) / sqrt_total)[
-                None, :
-            ]
+            phi += overlap * unmixing[k]
             # 2 Im <phi | C | chi_k> with degeneracy-weighted vdots.
             grad_gammas[k] = 2.0 * (
                 self._weighted_values
                 @ (phi.real * chi_k.imag - phi.imag * chi_k.real)
             )
             if k:
-                phi *= np.exp((1j * values)[:, None] * gammas[k][None, :])
+                np.multiply.outer(self._neg_j_values, -gammas[k], out=phase)
+                phi *= np.exp(phase, out=phase)
 
         gradient = np.empty((M, self.num_angles), dtype=np.float64)
         gradient[:, : self.p] = grad_betas.T
         gradient[:, self.p :] = grad_gammas.T
         return energies, gradient
-
-    # -- objective wrappers for minimizers ---------------------------------
-    def loss(self, angles: np.ndarray) -> float:
-        """Scalar to *minimize*: ``-<C>`` for maximization problems."""
-        value = self.expectation(angles)
-        return -value if self.maximize else value
-
-    def loss_and_gradient(self, angles: np.ndarray) -> tuple[float, np.ndarray]:
-        """Loss and its gradient (signs consistent with :meth:`loss`)."""
-        value, grad = self.value_and_gradient(angles)
-        if self.maximize:
-            return -value, -grad
-        return value, grad
-
-    def loss_and_gradient_batch(self, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Batched loss and gradient (signs consistent with :meth:`loss`)."""
-        values, grads = self.value_and_gradient_batch(angles)
-        if self.maximize:
-            return -values, -grads
-        return values, grads
 
     def simulate(self, angles: np.ndarray) -> CompressedSimulation:
         """Full evolution returning a :class:`CompressedSimulation`."""
@@ -322,7 +261,7 @@ class CompressedGroverAnsatz:
         betas, gammas, M = self._split(angles)
         final, _ = self._evolve_batch(betas, gammas, M)
         return CompressedSimulation(
-            class_amplitudes=final[:, 0].copy(),
+            class_amplitudes=final[:, 0],
             spectrum=self.spectrum,
             angles=angles.copy(),
             maximize=self.maximize,

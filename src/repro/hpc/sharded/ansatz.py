@@ -1,34 +1,26 @@
-"""Protocol facade putting :class:`ShardedExecutor` on the dense-ansatz surface.
+"""The sharded :class:`~repro.core.engine.Engine`: shard workers behind the ansatz surface.
 
-:class:`ShardedAnsatz` exposes the same calling convention as
-:class:`repro.core.ansatz.QAOAAnsatz` — ``expectation_batch``,
-``value_and_gradient_batch``, the ``loss`` family, ``simulate``,
-``random_angles``, ``counter``, ``schedule`` — so the registered angle
-strategies (grid, random-restart BFGS, vectorized multi-start, basinhopping,
-median) drive a statevector they could never allocate locally.
+:class:`ShardedAnsatz` implements the batched kernels, ``simulate`` and
+``optimum`` on the shard workers and inherits the single-row calls, the
+``loss`` family, ``random_angles`` and the context-manager protocol from
+:class:`~repro.core.engine.Engine`, so the registered angle strategies (grid,
+random-restart BFGS, vectorized multi-start, basinhopping, median) drive a
+statevector they could never allocate locally.
 
-``schedule.dim`` reports the *global* dimension: batched strategies use it
-only for accounting, and the per-worker residency is what actually bounds
-batch width.
+``dim`` reports the *global* dimension: batched strategies use it only for
+accounting, and the per-worker residency is what actually bounds batch
+width.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ...core.engine import Engine
 from ...core.gradients import EvaluationCounter
 from .executor import ShardedExecutor, ShardedMixerConfig, sharded_mixer_config
 
 __all__ = ["ShardedAnsatz", "ShardedSimulation"]
-
-
-class _ShardedSchedule:
-    """The slice of ``MixerSchedule`` the angle strategies read."""
-
-    def __init__(self, dim: int, p: int, total_betas: int):
-        self.dim = int(dim)
-        self.p = int(p)
-        self.total_betas = int(total_betas)
 
 
 class ShardedSimulation:
@@ -83,8 +75,8 @@ class ShardedSimulation:
         return self._live_executor().sample(shots, rng)
 
 
-class ShardedAnsatz:
-    """Sharded QAOA engine on the dense-ansatz protocol.
+class ShardedAnsatz(Engine):
+    """Sharded QAOA engine.
 
     Parameters
     ----------
@@ -113,10 +105,11 @@ class ShardedAnsatz:
         self.executor = ShardedExecutor(structure, config, p, shards)
         self.structure = structure
         self.maximize = bool(structure.maximize)
-        self.schedule = _ShardedSchedule(
-            structure.dim, p, config.betas_per_round * p
-        )
-        self.initial_state = None
+        self.dim = int(structure.dim)
+        self.p = int(p)
+        self.n = int(structure.n)
+        self._total_betas = config.betas_per_round * self.p
+        self.num_angles = self._total_betas + self.p
         if backend is None:
             from ...backend import active_backend
 
@@ -131,81 +124,23 @@ class ShardedAnsatz:
         return self.executor.mixer
 
     @property
-    def p(self) -> int:
-        """Number of QAOA rounds."""
-        return self.schedule.p
-
-    @property
-    def num_angles(self) -> int:
-        """Flat angle vector length (betas then gammas)."""
-        return self.schedule.total_betas + self.schedule.p
-
-    @property
-    def n(self) -> int:
-        """Number of qubits."""
-        return self.executor.n
-
-    @property
     def optimum(self) -> float:
         """Best objective value over the feasible space (by sense)."""
         return self.executor.optimum
 
-    @property
-    def cost(self):
-        raise RuntimeError(
-            "the sharded engine has no dense cost object; strategies that "
-            "rebuild per-round ansatze ('iterative', 'fourier') require the "
-            "dense execution path"
-        )
-
-    def random_angles(self, rng: np.random.Generator | int | None = None) -> np.ndarray:
-        """Uniformly random angles in ``[0, 2 pi)`` with the right length."""
-        if not isinstance(rng, np.random.Generator):
-            rng = np.random.default_rng(rng)
-        return 2.0 * np.pi * rng.random(self.num_angles)
-
     # ------------------------------------------------------------------
-    def expectation(self, angles: np.ndarray) -> float:
-        """``<C>`` at the given angles."""
-        return float(self.expectation_batch(np.asarray(angles)[None, :])[0])
-
     def expectation_batch(self, angles: np.ndarray) -> np.ndarray:
         """``<C>`` for every row of an ``(M, num_angles)`` angle matrix."""
         angles = np.atleast_2d(np.asarray(angles, dtype=np.float64))
         self.counter.forward_passes += angles.shape[0]
         return self.executor.expectation_batch(angles)
 
-    def value_and_gradient(self, angles: np.ndarray) -> tuple[float, np.ndarray]:
-        """Expectation value and exact adjoint-mode gradient."""
-        values, grads = self.value_and_gradient_batch(np.asarray(angles)[None, :])
-        return float(values[0]), grads[0]
-
     def value_and_gradient_batch(self, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Batched expectations and exact sharded adjoint gradients."""
         angles = np.atleast_2d(np.asarray(angles, dtype=np.float64))
         self.counter.forward_passes += angles.shape[0]
-        self.counter.hamiltonian_applications += angles.shape[0] * self.p
+        self.counter.hamiltonian_applications += angles.shape[0] * self._total_betas
         return self.executor.value_and_gradient_batch(angles)
-
-    # -- objective wrappers for minimizers ---------------------------------
-    def loss(self, angles: np.ndarray) -> float:
-        """Scalar to *minimize*: ``-<C>`` for maximization problems."""
-        value = self.expectation(angles)
-        return -value if self.maximize else value
-
-    def loss_and_gradient(self, angles: np.ndarray) -> tuple[float, np.ndarray]:
-        """Loss and its gradient (signs consistent with :meth:`loss`)."""
-        value, grad = self.value_and_gradient(angles)
-        if self.maximize:
-            return -value, -grad
-        return value, grad
-
-    def loss_and_gradient_batch(self, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Batched loss and gradient (signs consistent with :meth:`loss`)."""
-        values, grads = self.value_and_gradient_batch(angles)
-        if self.maximize:
-            return -values, -grads
-        return values, grads
 
     def simulate(self, angles: np.ndarray) -> ShardedSimulation:
         """Full evolution returning a :class:`ShardedSimulation`."""
@@ -217,12 +152,6 @@ class ShardedAnsatz:
     def close(self) -> None:
         """Shut down the shard workers and release all shared memory."""
         self.executor.close()
-
-    def __enter__(self) -> "ShardedAnsatz":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

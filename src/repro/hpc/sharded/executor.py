@@ -50,7 +50,6 @@ import multiprocessing as mp
 import os
 import traceback
 from dataclasses import dataclass
-from itertools import combinations
 from pathlib import Path
 from typing import Callable
 
@@ -59,7 +58,7 @@ import numpy as np
 from ...backend.base import blocked_wht, hadamard_blocks
 from ...hilbert.bitops import ints_to_bit_matrix
 from ...io.locking import FileLock
-from ...mixers.xmixer import fold_x_terms, term_mask, x_mask_diagonal
+from ...mixers.xmixer import fold_x_terms, term_mask, x_mask_diagonal, x_order_terms
 from ..partition import Chunk, chunk_labels, split_dicke_space, split_full_space
 from .workspace import ShardedWorkspace, attach_segment
 
@@ -110,36 +109,24 @@ class ShardedMixerConfig:
 def sharded_mixer_config(name: str, n: int, params: dict | None = None) -> ShardedMixerConfig:
     """Resolve a mixer spec into a :class:`ShardedMixerConfig`.
 
-    Mirrors the term enumeration of :func:`repro.mixers.xmixer.mixer_x` and
-    the defaults of the mixer registry factories, without building any
-    ``2^n``-sized object.  Raises ``ValueError`` for families without a
-    sharded decomposition (the XY families need dense subspace
-    eigendecompositions).
+    Enumerates X terms with :func:`repro.mixers.xmixer.x_order_terms` (as
+    ``mixer_x`` does) and follows the defaults of the mixer registry
+    factories, without building any ``2^n``-sized object.  Raises
+    ``ValueError`` for families without a sharded decomposition (the XY
+    families need dense subspace eigendecompositions).
     """
     from ...api.mixers import MIXERS
 
     params = dict(params or {})
     canonical = MIXERS.canonical(name)
     if canonical == "x":
-        orders = list(params.pop("orders", (1,)))
+        orders = params.pop("orders", (1,))
         coefficients = params.pop("coefficients", None)
         if params:
             raise ValueError(f"unknown x-mixer parameters {sorted(params)}")
-        if not orders:
-            raise ValueError("at least one interaction order is required")
-        if coefficients is not None and len(coefficients) != len(orders):
-            raise ValueError("coefficients must match the number of orders")
-        masks: list[int] = []
-        coeffs: list[float] = []
-        for idx, order in enumerate(orders):
-            order = int(order)
-            if not 1 <= order <= n:
-                raise ValueError(f"interaction order {order} out of range for n={n}")
-            weight = 1.0 if coefficients is None else float(coefficients[idx])
-            for combo in combinations(range(n), order):
-                masks.append(term_mask(combo, n))
-                coeffs.append(weight)
-        return ShardedMixerConfig("x", tuple(masks), tuple(coeffs), 1)
+        terms, coeffs = x_order_terms(orders, n, coefficients)
+        masks = tuple(term_mask(term, n) for term in terms)
+        return ShardedMixerConfig("x", masks, tuple(coeffs), 1)
     if canonical == "multiangle_x":
         terms = params.pop("terms", None)
         if params:

@@ -42,6 +42,7 @@ __all__ = [
     "fold_x_terms",
     "x_mask_diagonal",
     "x_term_diagonal",
+    "x_order_terms",
     "XMixer",
     "mixer_x",
     "transverse_field_mixer",
@@ -288,13 +289,16 @@ class XMixer(Mixer):
         return f"XMixer_n{self.n}_{digest:x}_{body[:32]}"
 
 
-def mixer_x(orders: Sequence[int], n: int, coefficients: Sequence[float] | None = None) -> XMixer:
-    """Build an X mixer from interaction orders, mirroring the paper's ``mixer_X``.
+def x_order_terms(
+    orders: Sequence[int], n: int, coefficients: Sequence[float] | None = None
+) -> tuple[list[tuple[int, ...]], list[float]]:
+    """Terms and per-term coefficients of every ``order``-body X product on ``n`` qubits.
 
-    ``orders=[1]`` gives the transverse-field mixer ``sum_i X_i``;
-    ``orders=[1, 2]`` additionally includes all two-body ``X_i X_j`` products,
-    and so on.  ``coefficients`` optionally weights each order.
+    ``coefficients`` optionally weights each order (default 1).  Raises
+    ``ValueError`` for an empty ``orders``, a coefficient count that does
+    not match it, or an order outside ``[1, n]``.
     """
+    orders = [int(order) for order in orders]
     if not orders:
         raise ValueError("at least one interaction order is required")
     if coefficients is not None and len(coefficients) != len(orders):
@@ -308,7 +312,17 @@ def mixer_x(orders: Sequence[int], n: int, coefficients: Sequence[float] | None 
         for combo in combinations(range(n), order):
             terms.append(combo)
             coeffs.append(weight)
-    return XMixer(n, terms, coeffs)
+    return terms, coeffs
+
+
+def mixer_x(orders: Sequence[int], n: int, coefficients: Sequence[float] | None = None) -> XMixer:
+    """Build an X mixer from interaction orders, mirroring the paper's ``mixer_X``.
+
+    ``orders=[1]`` gives the transverse-field mixer ``sum_i X_i``;
+    ``orders=[1, 2]`` additionally includes all two-body ``X_i X_j`` products,
+    and so on.  ``coefficients`` optionally weights each order.
+    """
+    return XMixer(n, *x_order_terms(orders, n, coefficients))
 
 
 def transverse_field_mixer(n: int) -> XMixer:

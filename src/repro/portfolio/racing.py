@@ -156,7 +156,7 @@ def race_portfolio(
         base_seed = None if rng is None else int(rng)
 
     maximize = ansatz.maximize
-    board = IncumbentBoard(maximize=maximize, optimum=float(ansatz.cost.optimum))
+    board = IncumbentBoard(maximize=maximize, optimum=float(ansatz.optimum))
     race_budget = Budget(deadline_s, parent=budget)
 
     n = len(racer_specs)

@@ -107,7 +107,7 @@ class WarmEntry:
         workspace = self.ansatz._batched_workspace
         dense = isinstance(self.mixer, DiagonalizedMixer)
         return warm_entry_bytes(
-            self.ansatz.schedule.dim,
+            self.ansatz.dim,
             p=self.ansatz.p,
             batch_capacity=0 if workspace is None else workspace.capacity,
             dense_eigenvectors=dense,
@@ -116,14 +116,12 @@ class WarmEntry:
 
     def close(self) -> None:
         """Release engine resources (sharded workers); dense/compressed: no-op."""
-        closer = getattr(self.ansatz, "close", None)
-        if closer is not None:
-            closer()
+        self.ansatz.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"WarmEntry({self.fingerprint[:12]}..., "
-            f"dim={self.ansatz.schedule.dim}, path={self.plan.path})"
+            f"dim={self.ansatz.dim}, path={self.plan.path})"
         )
 
 

@@ -65,7 +65,7 @@ def _backend_available(name: str) -> bool:
 
 class TestBackendRegistry:
     def test_backend_names_sorted_and_complete(self):
-        assert BACKEND_NAMES == ("cupy", "numpy", "torch")
+        assert BACKEND_NAMES == ("numpy", "torch")
 
     def test_get_backend_numpy(self):
         backend = get_backend("numpy")
@@ -80,7 +80,7 @@ class TestBackendRegistry:
     def test_unknown_backend_raises_sorted_choices(self):
         with pytest.raises(ValueError, match=r"unknown array backend 'jax'"):
             get_backend("jax")
-        with pytest.raises(ValueError, match=r"\['cupy', 'numpy', 'torch'\]"):
+        with pytest.raises(ValueError, match=r"\['numpy', 'torch'\]"):
             get_backend("jax")
 
     def test_unavailable_backend_raises_typed_error(self):

@@ -9,8 +9,7 @@ import pytest
 
 from repro.angles import AngleCheckpoint, AngleResult
 from repro.core import PrecomputedCost, QAOAAnsatz, random_angles, simulate
-from repro.grover.compress import compress_objective
-from repro.grover.simulate import simulate_grover_compressed
+from repro.grover import CompressedGroverAnsatz, compress_objective
 from repro.hilbert import CustomSpace, DickeSpace, FullSpace
 from repro.mixers import GroverMixer, XMixer, mixer_clique, transverse_field_mixer
 from repro.problems import erdos_renyi, graph_from_edges, maxcut_values
@@ -27,7 +26,7 @@ class TestDegenerateProblems:
         assert np.isclose(res.ground_state_probability(), 1.0)  # every state is optimal
         spectrum = compress_objective(obj)
         assert spectrum.num_distinct == 1
-        comp = simulate_grover_compressed(random_angles(2, rng=0), spectrum)
+        comp = CompressedGroverAnsatz(spectrum, 2, n=n).simulate(random_angles(2, rng=0))
         assert np.isclose(comp.expectation(), 3.0)
 
     def test_edgeless_graph(self):

@@ -1,4 +1,8 @@
-"""Tests for compressed Grover-QAOA simulation (Sec. 2.4 of the paper)."""
+"""Tests for compressed Grover-QAOA simulation (Sec. 2.4 of the paper).
+
+Every call goes through :class:`~repro.grover.CompressedGroverAnsatz`, whose
+single-row calls are the M=1 rows of its batched kernels.
+"""
 
 from __future__ import annotations
 
@@ -6,17 +10,15 @@ import numpy as np
 import pytest
 
 from repro.core import qaoa_finite_difference_gradient, random_angles, simulate
-from repro.grover import (
-    amplitudes_by_value,
-    compress_objective,
-    grover_expectation,
-    grover_value_and_gradient,
-    hamming_weight_spectrum,
-    simulate_grover_compressed,
-)
+from repro.grover import CompressedGroverAnsatz, compress_objective, hamming_weight_spectrum
 from repro.hilbert import DickeSpace, FullSpace, state_matrix
 from repro.mixers import GroverMixer
 from repro.problems import densest_subgraph_values, erdos_renyi, maxcut_values
+
+
+def _simulate(angles, spectrum, n=7):
+    """Compressed final state at one flat angle vector of ``p`` betas then ``p`` gammas."""
+    return CompressedGroverAnsatz(spectrum, len(angles) // 2, n=n).simulate(angles)
 
 
 @pytest.fixture(scope="module")
@@ -32,14 +34,14 @@ class TestAgreementWithDenseSimulation:
         obj, spectrum, mixer = grover_setup
         angles = random_angles(p, rng=p)
         dense = simulate(angles, mixer, obj)
-        compressed = simulate_grover_compressed(angles, spectrum)
+        compressed = _simulate(angles, spectrum)
         assert np.isclose(compressed.expectation(), dense.expectation(), atol=1e-10)
 
     def test_ground_state_probability_matches_dense(self, grover_setup):
         obj, spectrum, mixer = grover_setup
         angles = random_angles(3, rng=9)
         dense = simulate(angles, mixer, obj)
-        compressed = simulate_grover_compressed(angles, spectrum)
+        compressed = _simulate(angles, spectrum)
         assert np.isclose(
             compressed.ground_state_probability(),
             dense.ground_state_probability(),
@@ -50,10 +52,9 @@ class TestAgreementWithDenseSimulation:
         obj, spectrum, mixer = grover_setup
         angles = random_angles(2, rng=10)
         dense = simulate(angles, mixer, obj)
-        compressed = simulate_grover_compressed(angles, spectrum)
-        by_value = amplitudes_by_value(compressed)
+        compressed = _simulate(angles, spectrum)
         # Every dense amplitude equals its class amplitude (fair sampling).
-        for value, amplitude in by_value.items():
+        for value, amplitude in zip(spectrum.values, compressed.class_amplitudes):
             mask = obj == value
             assert np.allclose(dense.statevector[mask], amplitude, atol=1e-10)
 
@@ -64,20 +65,20 @@ class TestAgreementWithDenseSimulation:
         mixer = GroverMixer(space)
         angles = random_angles(3, rng=11)
         dense = simulate(angles, mixer, obj)
-        compressed = simulate_grover_compressed(angles, spectrum)
+        compressed = _simulate(angles, spectrum)
         assert np.isclose(compressed.expectation(), dense.expectation(), atol=1e-10)
 
 
 class TestCompressedResult:
     def test_norm_is_one(self, grover_setup):
         _, spectrum, _ = grover_setup
-        result = simulate_grover_compressed(random_angles(4, rng=12), spectrum)
+        result = _simulate(random_angles(4, rng=12), spectrum)
         assert np.isclose(result.norm(), 1.0)
         assert np.isclose(result.class_probabilities().sum(), 1.0)
 
     def test_probability_of_value(self, grover_setup):
         _, spectrum, _ = grover_setup
-        result = simulate_grover_compressed(random_angles(2, rng=13), spectrum)
+        result = _simulate(random_angles(2, rng=13), spectrum)
         total = sum(result.probability_of_value(v) for v in spectrum.values)
         assert np.isclose(total, 1.0)
         with pytest.raises(KeyError):
@@ -85,20 +86,20 @@ class TestCompressedResult:
 
     def test_zero_angles_uniform(self, grover_setup):
         obj, spectrum, _ = grover_setup
-        result = simulate_grover_compressed(np.zeros(2), spectrum)
+        result = _simulate(np.zeros(2), spectrum)
         assert np.isclose(result.expectation(), obj.mean())
 
     def test_odd_angle_count_rejected(self, grover_setup):
         _, spectrum, _ = grover_setup
         with pytest.raises(ValueError):
-            simulate_grover_compressed(np.zeros(3), spectrum)
+            CompressedGroverAnsatz(spectrum, 1, n=7).simulate(np.zeros(3))
 
     def test_grover_expectation_helper(self, grover_setup):
         _, spectrum, _ = grover_setup
         angles = random_angles(2, rng=14)
         assert np.isclose(
-            grover_expectation(angles, spectrum),
-            simulate_grover_compressed(angles, spectrum).expectation(),
+            CompressedGroverAnsatz(spectrum, 2, n=7).expectation(angles),
+            _simulate(angles, spectrum).expectation(),
         )
 
 
@@ -107,22 +108,23 @@ class TestCompressedGradient:
     def test_matches_dense_finite_difference(self, grover_setup, p):
         obj, spectrum, mixer = grover_setup
         angles = random_angles(p, rng=20 + p)
-        value, grad = grover_value_and_gradient(angles, spectrum)
+        engine = CompressedGroverAnsatz(spectrum, p, n=7)
+        value, grad = engine.value_and_gradient(angles)
         dense_fd = qaoa_finite_difference_gradient(angles, mixer, obj)
-        assert np.isclose(value, grover_expectation(angles, spectrum))
+        assert np.isclose(value, engine.expectation(angles))
         assert np.allclose(grad, dense_fd, atol=1e-6)
 
     def test_odd_angle_count_rejected(self, grover_setup):
         _, spectrum, _ = grover_setup
         with pytest.raises(ValueError):
-            grover_value_and_gradient(np.zeros(5), spectrum)
+            CompressedGroverAnsatz(spectrum, 2, n=7).value_and_gradient(np.zeros(5))
 
 
 class TestLargeN:
     def test_n_100_simulation_runs(self):
         spectrum = hamming_weight_spectrum(100, lambda w: float(min(w, 100 - w)))
         angles = np.array([0.4, 0.1, 0.9, 1.3])
-        result = simulate_grover_compressed(angles, spectrum)
+        result = _simulate(angles, spectrum, n=100)
         assert np.isclose(result.norm(), 1.0, atol=1e-9)
         assert 0.0 <= result.expectation() <= 50.0
         assert result.spectrum.total == 2**100
@@ -139,7 +141,7 @@ class TestLargeN:
         spectrum = binomial_spectrum([0.0, 1.0], [N - 1, 1])
         # One Grover iteration corresponds to beta = gamma = pi.
         angles_1 = np.array([np.pi, np.pi])
-        result = simulate_grover_compressed(angles_1, spectrum)
+        result = _simulate(angles_1, spectrum, n=n)
         start_prob = 1.0 / N
         boosted = result.probability_of_value(1.0)
         # One iteration boosts the marked probability by roughly a factor of 9.

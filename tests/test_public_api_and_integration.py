@@ -19,7 +19,7 @@ from repro import (
 )
 from repro.analysis import normalized_approximation_ratio
 from repro.angles import find_angles
-from repro.grover import compress_objective, simulate_grover_compressed
+from repro.grover import CompressedGroverAnsatz, compress_objective
 from repro.problems import densest_subgraph, make_problem
 
 
@@ -99,18 +99,12 @@ class TestEndToEndWorkflows:
 
         problem = make_problem("ksat", 6, seed=5, clause_density=4.0)
         obj = problem.objective_values()
-        spectrum = compress_objective(obj)
-
-        from repro.grover import grover_value_and_gradient
-
-        def loss(angles):
-            value, grad = grover_value_and_gradient(angles, spectrum)
-            return -value, -grad
+        engine = CompressedGroverAnsatz(compress_objective(obj), 2, n=6)
 
         x0 = np.full(4, 0.2)
-        res = minimize(loss, x0, jac=True, method="BFGS")
-        optimized = simulate_grover_compressed(res.x, spectrum)
-        baseline = simulate_grover_compressed(x0, spectrum)
+        res = minimize(engine.loss_and_gradient, x0, jac=True, method="BFGS")
+        optimized = engine.simulate(res.x)
+        baseline = engine.simulate(x0)
         assert optimized.expectation() >= baseline.expectation()
         # Cross-check the optimized value against the dense simulator.
         dense = simulate(res.x, grover_mixer(6), obj)

@@ -274,3 +274,40 @@ def test_property_transverse_field_unitary(n, beta):
     assert np.isclose(np.linalg.norm(out), 1.0, atol=1e-10)
     # Applying the inverse angle undoes the evolution.
     assert np.allclose(mixer.apply(out, -beta), psi, atol=1e-10)
+
+
+@st.composite
+def _x_orders(draw):
+    """``(n, orders, coefficients)``: valid or not, sizes kept small."""
+    n = draw(st.integers(1, 8))
+    orders = draw(st.lists(st.integers(0, n + 1), max_size=3))
+    coefficients = draw(
+        st.none()
+        | st.lists(
+            st.floats(-2.0, 2.0, allow_nan=False),
+            min_size=max(0, len(orders) - 1),
+            max_size=len(orders) + 1,
+        )
+    )
+    return n, orders, coefficients
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_x_orders())
+def test_property_sharded_config_enumerates_the_dense_terms(case):
+    """The sharded X config and ``mixer_x`` enumerate and validate identically."""
+    from repro.hpc.sharded import sharded_mixer_config
+    from repro.mixers.xmixer import term_mask
+
+    n, orders, coefficients = case
+    params = {"orders": orders, "coefficients": coefficients}
+    try:
+        mixer = mixer_x(orders, n, coefficients)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as sharded_exc:
+            sharded_mixer_config("x", n, params)
+        assert str(sharded_exc.value) == str(exc)
+        return
+    config = sharded_mixer_config("x", n, params)
+    assert config.masks == tuple(term_mask(term, n) for term in mixer.terms)
+    assert config.coeffs == tuple(mixer.coefficients)
