@@ -6,26 +6,31 @@ cheap) and as a coarse seeding stage at ``p = 2``; the cost grows as
 ``resolution^(2p)`` so it is not a practical strategy beyond that — which is
 exactly why the iterative/extrapolation scheme exists.
 
-The grid is evaluated in chunked batches through
-:meth:`~repro.core.ansatz.QAOAAnsatz.expectation_batch`: each chunk of angle
-sets evolves as the columns of one ``(dim, M)`` matrix, so the sweep pays
-BLAS-3 batched kernels plus one Python-level iteration per chunk instead of
-per grid point.
+The grid is evaluated in chunked batches through the engine's
+``expectation_batch``: each chunk of angle sets evolves as the columns of one
+``(dim, M)`` matrix, so the sweep pays BLAS-3 batched kernels plus one
+Python-level iteration per chunk instead of per grid point.  Points are
+enumerated in evolution order — ``gamma_1``, the round-1 betas, ``gamma_2``,
+... with the angle applied last varying fastest — so consecutive points share
+their leading layers and the dense engine evolves each shared prefix once
+(see :func:`~repro.core.simulator.evolve_state_batch`).
 """
 
 from __future__ import annotations
 
-from itertools import islice, product
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from ..core.ansatz import QAOAAnsatz
+from ..core.engine import Engine
 from ..core.workspace import default_eval_batch
 from ..portfolio.budget import Budget
 from .result import AngleResult
 
 __all__ = ["grid_search", "grid_axis"]
+
+#: relative tolerance of a tie with the best value (as in ``select_best_restart``)
+_TIE_RTOL = 1e-10
 
 
 def grid_axis(resolution: int, *, low: float = 0.0, high: float = 2.0 * np.pi) -> np.ndarray:
@@ -35,8 +40,21 @@ def grid_axis(resolution: int, *, low: float = 0.0, high: float = 2.0 * np.pi) -
     return np.linspace(low, high, resolution, endpoint=False)
 
 
+def _evolution_columns(beta_counts: Sequence[int]) -> np.ndarray:
+    """Flat (betas, gammas) column of each angle in evolution order
+    (``gamma_1``, the round-1 betas, ``gamma_2``, ...)."""
+    num_betas = sum(beta_counts)
+    columns: list[int] = []
+    cursor = 0
+    for k, count in enumerate(beta_counts):
+        columns.append(num_betas + k)
+        columns.extend(range(cursor, cursor + count))
+        cursor += count
+    return np.array(columns, dtype=np.intp)
+
+
 def grid_search(
-    ansatz: QAOAAnsatz,
+    ansatz: Engine,
     resolution: int = 12,
     *,
     beta_range: tuple[float, float] = (0.0, np.pi),
@@ -58,14 +76,20 @@ def grid_search(
     dimension, capping each workspace buffer at ~64 MB so large-``n`` sweeps
     never exceed the scalar loop's memory footprint by much.
 
-    Ties resolve to the first grid point in ``itertools.product`` order, the
-    same point the scalar one-at-a-time loop returned.
+    Points are enumerated in evolution order (``gamma_1``, the round-1
+    betas, ``gamma_2``, ..., the last-applied angle varying fastest; the
+    per-round beta counts come from ``ansatz.beta_counts``) and mapped back
+    to the flat (betas, gammas) layout.  The result is the earliest point in
+    that order whose value is within ``1e-10 * (1 + |best|)`` of the best
+    value found, so near-ties that differ only by round-off resolve to the
+    same point whatever the ``batch_size``.
 
     ``budget`` (optional) is polled between chunks: an exhausted budget stops
     the sweep after the current chunk (the first chunk always evaluates, so a
-    zero-slack budget still scores grid points) and the partial-sweep best is
-    returned with ``timed_out=True``.  ``on_incumbent`` (optional) is called
-    as ``on_incumbent(value, angles)`` whenever a chunk improves the best.
+    zero-slack budget still scores grid points) and the partial-sweep result
+    is returned with ``timed_out=True``.  ``on_incumbent`` (optional) is
+    called as ``on_incumbent(value, angles)`` whenever the selected point
+    changes.
     """
     if batch_size is None:
         batch_size = default_eval_batch(ansatz.dim)
@@ -81,38 +105,50 @@ def grid_search(
     num_betas = num_angles - ansatz.p
     beta_axis = grid_axis(resolution, low=beta_range[0], high=beta_range[1])
     gamma_axis = grid_axis(resolution, low=gamma_range[0], high=gamma_range[1])
+    layout = _evolution_columns(ansatz.beta_counts)
+    shape = (resolution,) * num_angles
 
-    best_value = -np.inf if ansatz.maximize else np.inf
-    best_angles: np.ndarray | None = None
+    def points(indices: np.ndarray) -> np.ndarray:
+        digits = np.unravel_index(indices, shape)
+        angles = np.empty((len(indices), num_angles), dtype=np.float64)
+        for column, digit in zip(layout, digits):
+            angles[:, column] = (gamma_axis if column >= num_betas else beta_axis)[digit]
+        return angles
+
+    # Scores are values signed so that higher is better.  ``ties`` holds the
+    # points that can still become the selection, in enumeration order, each
+    # scoring above every earlier one (a later point never wins while an
+    # earlier one scores at least as high); its first entry is the selection.
+    sign = 1.0 if ansatz.maximize else -1.0
+    best = -np.inf
+    ties = np.empty(0, dtype=np.intp)
+    tie_scores = np.empty(0, dtype=np.float64)
+    selected = -1
     evaluations = 0
     timed_out = False
-    axes = [beta_axis] * num_betas + [gamma_axis] * ansatz.p
-    points = product(*axes)
-    while True:
-        chunk = list(islice(points, batch_size))
-        if not chunk:
-            break
-        angle_matrix = np.array(chunk, dtype=np.float64)
-        values = ansatz.expectation_batch(angle_matrix)
-        evaluations += len(chunk)
-        # argmax/argmin return the first occurrence, preserving the scalar
-        # loop's first-best-wins tie-breaking within and across chunks.
-        idx = int(np.argmax(values)) if ansatz.maximize else int(np.argmin(values))
-        value = float(values[idx])
-        better = value > best_value if ansatz.maximize else value < best_value
-        if better:
-            best_value = value
-            best_angles = angle_matrix[idx]
+    for start in range(0, total_points, batch_size):
+        indices = np.arange(start, min(start + batch_size, total_points))
+        scores = sign * np.asarray(ansatz.expectation_batch(points(indices)), dtype=np.float64)
+        evaluations += len(indices)
+        best = max(best, float(scores.max()))
+        floor = best - _TIE_RTOL * (1.0 + abs(best))
+        near = scores >= floor
+        ties = np.concatenate([ties, indices[near]])
+        tie_scores = np.concatenate([tie_scores, scores[near]])
+        keep = tie_scores >= floor
+        keep[1:] &= tie_scores[1:] > np.maximum.accumulate(tie_scores)[:-1]
+        ties, tie_scores = ties[keep], tie_scores[keep]
+        if ties[0] != selected:
+            selected = int(ties[0])
             if on_incumbent is not None:
-                on_incumbent(best_value, best_angles.copy())
+                on_incumbent(sign * float(tie_scores[0]), points(ties[:1])[0])
         if budget is not None and budget.exhausted():
             timed_out = True
             break
 
-    assert best_angles is not None
     return AngleResult(
-        angles=best_angles,
-        value=float(best_value),
+        angles=points(ties[:1])[0],
+        value=sign * float(tie_scores[0]),
         p=ansatz.p,
         evaluations=evaluations,
         strategy="grid",

@@ -104,7 +104,8 @@ class QAOAAnsatz(Engine):
         self.maximize = bool(maximize)
         self.dim = schedule.dim
         self.p = schedule.p
-        self.num_angles = schedule.total_betas + schedule.p
+        self.beta_counts = schedule.beta_counts()
+        self.num_angles = sum(self.beta_counts) + schedule.p
         self.n = schedule.space.n
         if backend is None:
             from ..backend import active_backend

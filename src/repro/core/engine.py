@@ -32,6 +32,10 @@ class Engine(abc.ABC):
         for the sharded one); batched strategies size their batches from it.
     ``p``, ``num_angles``, ``n``
         Rounds, flat angle-vector length (betas then gammas) and qubits.
+    ``beta_counts``
+        Betas each round consumes (a list of ``p`` ints: 1, or the term
+        count of a multi-angle layer); evolution-order sweeps such as
+        :func:`~repro.angles.grid.grid_search` read the flat layout from it.
     ``maximize``
         The optimization sense.
     ``backend``
@@ -44,6 +48,7 @@ class Engine(abc.ABC):
     dim: int
     p: int
     num_angles: int
+    beta_counts: list[int]
     n: int
     maximize: bool
 

@@ -223,18 +223,18 @@ class _CostPhaseFactors:
         self.sign_i = sign * 1j
         self.use_table = self.levels.size * 4 <= cost_values.size
         self.table = (
-            np.empty((self.levels.size, batch), dtype=np.complex128)
-            if self.use_table
-            else None
+            np.empty(self.levels.size * batch, dtype=np.complex128) if self.use_table else None
         )
         self.signed_i_cost = None if self.use_table else cost_values * self.sign_i
 
     def fill(self, gamma_k: np.ndarray, phases: np.ndarray) -> np.ndarray:
-        """Write this round's ``(dim, M)`` phase factors into ``phases``."""
+        """Write the ``(dim, m)`` phase factors of ``m <= M`` gammas into ``phases``."""
         if self.use_table:
-            np.multiply(self.levels[:, None], self.sign_i * gamma_k[None, :], out=self.table)
-            np.exp(self.table, out=self.table)
-            np.take(self.table, self.inverse, axis=0, out=phases)
+            table = self.table[: self.levels.size * gamma_k.size].reshape(-1, gamma_k.size)
+            np.multiply(self.levels[:, None], self.sign_i * gamma_k[None, :], out=table)
+            np.exp(table, out=table)
+            # in-range indices: an unbuffered gather straight into phases
+            np.take(table, self.inverse, axis=0, out=phases, mode="clip")
         else:
             np.multiply(self.signed_i_cost[:, None], gamma_k[None, :], out=phases)
             np.exp(phases, out=phases)
@@ -340,6 +340,42 @@ def evolve_state(
     return psi[:, 0]
 
 
+def _prefix_runs(
+    beta_rounds: Sequence[np.ndarray], gammas: np.ndarray, per_column_start: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Runs of shared angle prefixes at every evolution stage.
+
+    The stages in evolution order are ``gamma_1``, the round-1 beta block,
+    ``gamma_2``, ...; after stage ``s`` a row's state depends only on the
+    angles of stages ``0..s``, so consecutive rows that agree on them form a
+    run that shares one state.  Returns ``(fresh, runs)``, both ``(2p, M)``:
+    ``fresh[s, j]`` marks the rows that start a run at stage ``s`` and
+    ``runs[s, j]`` numbers row ``j``'s run from 0.  The runs come from one
+    compare of each row against the row before it; with per-column initial
+    states every row is its own run from the start.
+    """
+    p, batch = gammas.shape
+    if batch == 1:  # a lone row has no predecessor to share with
+        return np.ones((2 * p, 1), dtype=bool), np.zeros((2 * p, 1), dtype=np.intp)
+    blocks, stage_rows, row = [], [], 0
+    for gamma_k, beta_k in zip(gammas, beta_rounds):
+        blocks += [gamma_k[None], beta_k]
+        stage_rows += [row, row + len(beta_k)]
+        row += 1 + len(beta_k)
+    ordered = np.concatenate(blocks)
+    fresh = np.empty(ordered.shape, dtype=bool)
+    fresh[:, 0] = True
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=fresh[:, 1:])
+    if per_column_start:
+        fresh[0] = True
+    np.logical_or.accumulate(fresh, axis=0, out=fresh)
+    if row != len(stage_rows):  # multi-angle rounds: keep each block's last row
+        fresh = fresh[stage_rows]
+    runs = fresh.cumsum(axis=1)
+    runs -= 1
+    return fresh, runs
+
+
 def evolve_state_batch(
     betas: Sequence[np.ndarray] | np.ndarray,
     gammas: np.ndarray,
@@ -358,6 +394,20 @@ def evolve_state_batch(
     multiply (the phase separator, per-column gammas) followed by one batched
     mixer application (BLAS-3 GEMMs / batched transforms, per-column betas).
 
+    Shared prefixes are evolved once.  The stages run in the order
+    ``gamma_1``, round-1 betas, ``gamma_2``, ...; consecutive rows that agree
+    on every angle up to a stage form a run with one state after it (see
+    :func:`_prefix_runs`), so the evolution keeps a compact state with one
+    column per run.  A phase separator multiplies only those columns; where
+    a stage splits runs, its inputs are gathered (phase separator) or the
+    mixer is called with a ``columns`` map (see
+    :meth:`~repro.mixers.base.Mixer.apply_batch`), which transforms only the
+    distinct inputs.  A grid enumerated with the last-applied angle varying
+    fastest (:func:`~repro.angles.grid.grid_search`) shares most prefixes.
+    Once every row is its own run (always for M = 1, per-column initial
+    states or rows that differ from their predecessor in the first angle)
+    each stage runs in place on the full ``(dim, M)`` workspace batch.
+
     ``betas`` is a per-round list of ``(count_k, M)`` matrices (or a ``(p, M)``
     array for plain single-beta schedules) and ``gammas`` a ``(p, M)`` matrix.
     ``initial_state`` is a single ``(dim,)`` vector broadcast to every column
@@ -366,10 +416,10 @@ def evolve_state_batch(
     ``cost_values`` (see :meth:`PrecomputedCost.phase_levels`) so repeated
     sweep chunks skip the per-call ``np.unique``.  If ``layer_store`` (shape
     ``(p, 2, dim, M)``, see :meth:`BatchedWorkspace.ensure_layers`) is given,
-    the batch after each phase separator and after each mixer is recorded —
-    this is what the batched adjoint gradient consumes.  The returned
-    ``(dim, M)`` array is a view into the workspace's state buffer — copy it
-    to keep it across calls.
+    the full-width batch after each phase separator and after each mixer is
+    recorded — this is what the batched adjoint gradient consumes.  The
+    returned ``(dim, M)`` array is a view into the workspace's state buffer —
+    copy it to keep it across calls.
     """
     gammas = np.asarray(gammas, dtype=np.float64)
     if gammas.ndim != 2 or gammas.shape[0] != schedule.p:
@@ -398,19 +448,58 @@ def evolve_state_batch(
         )
     workspace.ensure(batch)
 
-    psi = workspace.load_states(np.asarray(initial_state, dtype=np.complex128), batch)
-    phases = workspace.phase(batch)
+    initial_state = np.asarray(initial_state, dtype=np.complex128)
+    if initial_state.shape not in ((dim,), (dim, batch)):
+        raise ValueError(
+            f"initial states have shape {initial_state.shape}, "
+            f"expected ({dim},) or ({dim}, {batch})"
+        )
+    fresh, runs = _prefix_runs(beta_rounds, gammas, initial_state.ndim == 2)
+    widths = (runs[:, -1] + 1).tolist()
+    if widths[0] == batch:
+        psi = workspace.load_states(initial_state, batch)
+    else:
+        # one shared start: its first-stage runs are copies of it
+        psi = np.empty((dim, widths[0]), dtype=np.complex128)
+        psi[:] = initial_state[:, None]
+        workspace.calls_served += 1
     if cost_levels is None:
         cost_levels = np.unique(cost_values, return_inverse=True)
     phase_factors = _CostPhaseFactors(cost_values, cost_levels, batch, sign=-1.0)
-    for round_index, (mixer, beta_k, gamma_k) in enumerate(zip(schedule, beta_rounds, gammas)):
-        psi *= phase_factors.fill(gamma_k, phases)
+    for stage in range(2 * schedule.p):
+        round_index, is_mixer = divmod(stage, 2)
+        width = widths[stage]
+        # the first row of each run carries its angles
+        rows = slice(None) if width == batch else fresh[stage]
+        columns = None
+        target = psi
+        if stage and width > widths[stage - 1]:
+            # this stage splits runs: each continues its first row's previous run
+            columns = runs[stage - 1][fresh[stage]]
+            target = (
+                workspace.state(batch)
+                if width == batch
+                else np.empty((dim, width), dtype=np.complex128)
+            )
+        if is_mixer:
+            beta_k = beta_rounds[round_index][:, rows]
+            beta_arg = beta_k[0] if beta_k.shape[0] == 1 else beta_k
+            schedule[round_index].apply_batch(
+                psi, beta_arg, out=target, workspace=workspace, columns=columns
+            )
+        else:
+            if columns is not None:
+                np.take(psi, columns, axis=1, out=target, mode="clip")
+            target *= phase_factors.fill(gammas[round_index][rows], workspace.phase(width))
+        psi = target
         if layer_store is not None:
-            layer_store[round_index, 0] = psi
-        beta_arg = beta_k[0] if beta_k.shape[0] == 1 else beta_k
-        mixer.apply_batch(psi, beta_arg, out=psi, workspace=workspace)
-        if layer_store is not None:
-            layer_store[round_index, 1] = psi
+            slot = layer_store[round_index, is_mixer]
+            if width == batch:
+                slot[...] = psi
+            else:
+                np.take(psi, runs[stage], axis=1, out=slot, mode="clip")
+    if widths[-1] < batch:
+        psi = np.take(psi, runs[-1], axis=1, out=workspace.state(batch), mode="clip")
     return psi
 
 

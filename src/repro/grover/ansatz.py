@@ -147,6 +147,7 @@ class CompressedGroverAnsatz(Engine):
         self.maximize = bool(maximize)
         self.dim = int(spectrum.num_distinct)
         self.p = int(p)
+        self.beta_counts = [1] * self.p
         self.num_angles = 2 * self.p
         self.n = int(n)
         if backend is None:

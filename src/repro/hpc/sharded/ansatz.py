@@ -108,7 +108,8 @@ class ShardedAnsatz(Engine):
         self.dim = int(structure.dim)
         self.p = int(p)
         self.n = int(structure.n)
-        self._total_betas = config.betas_per_round * self.p
+        self.beta_counts = [config.betas_per_round] * self.p
+        self._total_betas = sum(self.beta_counts)
         self.num_angles = self._total_betas + self.p
         if backend is None:
             from ...backend import active_backend

@@ -33,6 +33,29 @@ from ..hilbert.subspace import FeasibleSpace
 __all__ = ["Mixer", "DiagonalizedMixer"]
 
 
+def front_view(buffer: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """A C-contiguous ``like``-shaped view on the front of the contiguous
+    ``buffer``, or a fresh array when ``like`` needs more room."""
+    if like.size > buffer.size:
+        return np.empty_like(like)
+    return buffer.reshape(-1)[: like.size].reshape(like.shape)
+
+
+def per_input(transform, Psi: np.ndarray, out: np.ndarray, columns, free: np.ndarray):
+    """``out = transform(Psi)``, column-mapped when ``columns`` is given.
+
+    ``transform(src, dst)`` writes a layer's per-input work (a transform or
+    basis change) of ``src`` into ``dst`` and returns ``dst``.  With a column
+    map (see :meth:`Mixer.apply_batch`) it runs once on the distinct inputs,
+    into the front of the free buffer ``free``, and one unbuffered gather
+    (the map is range-checked) fans the results out to ``out``'s columns.
+    """
+    if columns is None:
+        return transform(Psi, out)
+    distinct = transform(Psi, front_view(free, Psi))
+    return np.take(distinct, columns, axis=1, out=out, mode="clip")
+
+
 class Mixer(abc.ABC):
     """Abstract base class for QAOA mixer Hamiltonians."""
 
@@ -177,6 +200,7 @@ class Mixer(abc.ABC):
         out: np.ndarray | None = None,
         *,
         workspace=None,
+        columns: np.ndarray | None = None,
     ) -> np.ndarray:
         """Return ``exp(-i beta_j H_M) |psi_j>`` for every column ``j`` of ``Psi``.
 
@@ -187,30 +211,34 @@ class Mixer(abc.ABC):
         :class:`~repro.core.workspace.BatchedWorkspace` of matching
         dimension).
 
+        ``columns`` (optional) is an integer map for inputs shared by several
+        outputs: ``Psi`` then holds only the distinct ``(dim, D)`` inputs, and
+        ``out[:, j] = exp(-i beta_j H_M) Psi[:, columns[j]]`` for the
+        ``M = len(columns)`` outputs, so ``betas`` has one angle per *output*
+        column and ``out`` must not overlap ``Psi``.  The result equals
+        ``apply_batch(Psi[:, columns], betas)``; the optimized families run
+        their per-input work (the first transform or basis change) on the D
+        distinct columns only, gather once, and apply the per-column phases
+        and the outgoing basis change at full width.
+
         This base implementation loops over columns through :meth:`apply` —
         the fallback for externally defined scalar-only mixers (e.g. the
-        Trotter baselines).  The optimized families override it with BLAS-3 /
-        fully vectorized batch kernels, which is where the batched evaluation
-        engine's throughput comes from.
+        Trotter baselines); it gathers ``columns`` first.  The optimized
+        families override it with BLAS-3 / fully vectorized batch kernels,
+        which is where the batched evaluation engine's throughput comes from.
         """
         if type(self).apply is Mixer.apply:
             raise NotImplementedError(
                 f"{type(self).__name__} implements neither apply nor apply_batch"
             )
-        Psi = np.asarray(Psi)
-        if Psi.ndim != 2 or Psi.shape[0] != self.dim:
-            raise ValueError(
-                f"batched statevectors have shape {Psi.shape}, expected "
-                f"({self.dim}, M) for {self!r}"
-            )
-        M = Psi.shape[1]
+        Psi, out, M = self._check_batch(Psi, out, columns)
+        if columns is not None:
+            Psi = np.take(Psi, columns, axis=1)
         betas = np.asarray(betas, dtype=np.float64)
         if betas.ndim == 0:
             betas = np.full(M, float(betas))
         if betas.shape[-1] != M:
             raise ValueError(f"betas have shape {betas.shape}, expected last axis of length {M}")
-        if out is None:
-            out = np.empty((self.dim, M), dtype=np.complex128)
         column = np.empty(self.dim, dtype=np.complex128)
         result = np.empty(self.dim, dtype=np.complex128)
         for j in range(M):
@@ -267,16 +295,26 @@ class Mixer(abc.ABC):
         return out
 
     def _check_batch(
-        self, Psi: np.ndarray, out: np.ndarray | None
+        self, Psi: np.ndarray, out: np.ndarray | None, columns: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Validate a batched call; returns contiguous ``(Psi, out, M)``."""
+        """Validate a batched call; returns contiguous ``(Psi, out, M)``.
+
+        ``M`` is the output width: ``Psi``'s column count, or ``len(columns)``
+        for a column-mapped call (see :meth:`apply_batch`), whose map must
+        index ``Psi``'s columns.
+        """
         Psi = np.asarray(Psi)
         if Psi.ndim != 2 or Psi.shape[0] != self.dim:
             raise ValueError(
                 f"batched statevectors have shape {Psi.shape}, expected "
                 f"({self.dim}, M) for {self!r}"
             )
-        M = Psi.shape[1]
+        if columns is None:
+            M = Psi.shape[1]
+        else:
+            M = len(columns)
+            if M and (np.min(columns) < 0 or np.max(columns) >= Psi.shape[1]):
+                raise ValueError(f"column map does not index the {Psi.shape[1]} input columns")
         if Psi.dtype != np.complex128 or not Psi.flags.c_contiguous:
             Psi = np.ascontiguousarray(Psi, dtype=np.complex128)
         if out is None:
@@ -406,9 +444,13 @@ class DiagonalizedMixer(Mixer):
         out: np.ndarray | None = None,
         *,
         workspace=None,
+        columns: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Batched layer: two GEMMs around a per-column eigenphase multiply."""
-        Psi, out, M = self._check_batch(Psi, out)
+        """Batched layer: two GEMMs around a per-column eigenphase multiply.
+
+        With a column map the ``V^†`` GEMM runs on the distinct inputs only.
+        """
+        Psi, out, M = self._check_batch(Psi, out, columns)
         betas = self._batch_angles(betas, M)
         if workspace is not None:
             coeffs = workspace.scratch(M)
@@ -418,7 +460,11 @@ class DiagonalizedMixer(Mixer):
             coeffs = np.empty((self.dim, M), dtype=np.complex128)
             phases = np.empty((self.dim, M), dtype=np.complex128)
             bk = self.backend
-        self._basis_change(self._Vdag, Psi, coeffs, bk)
+        # the phase buffer is free until the phases are formed below
+        per_input(
+            lambda src, dst: self._basis_change(self._Vdag, src, dst, bk),
+            Psi, coeffs, columns, phases,
+        )
         if M > 0 and betas.min() == betas.max():
             # Uniform batch (every column shares one angle): a single phase
             # vector broadcasts across columns, skipping the (dim, M) outer.

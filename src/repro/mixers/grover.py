@@ -54,21 +54,25 @@ class GroverMixer(Mixer):
         out: np.ndarray | None = None,
         *,
         workspace=None,
+        columns: np.ndarray | None = None,
     ) -> np.ndarray:
         """Batched rank-one update in ``O(dim * M)``.
 
-        One GEMV collects all M overlaps ``<psi0|psi_j>`` at once, then a
-        single outer-product update applies every column's phase factor — no
-        transforms or matrix products, matching the scalar path's cost per
-        statevector.
+        One GEMV collects all M overlaps ``<psi0|psi_j>`` at once (only the
+        distinct inputs' under a column map), then a single outer-product
+        update applies every column's phase factor — no transforms or matrix
+        products, matching the scalar path's cost per statevector.
         """
-        Psi, out, M = self._check_batch(Psi, out)
+        Psi, out, M = self._check_batch(Psi, out, columns)
         betas = self._batch_angles(betas, M)
         bk = workspace.backend if workspace is not None else self.backend
         overlaps = bk.matmul(self._psi0_conj, Psi)
-        factors = (np.exp(-1j * betas) - 1.0) * overlaps
-        if out is not Psi:
+        if columns is not None:
+            overlaps = overlaps[columns]
+            np.take(Psi, columns, axis=1, out=out, mode="clip")
+        elif out is not Psi:
             out[:] = Psi
+        factors = (np.exp(-1j * betas) - 1.0) * overlaps
         if workspace is not None:
             update = np.multiply(self.psi0[:, None], factors[None, :], out=workspace.scratch(M))
             out += update

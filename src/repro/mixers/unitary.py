@@ -21,7 +21,7 @@ import numpy as np
 
 from ..hilbert.subspace import FeasibleSpace, FullSpace
 from ..io.cache import cached_eigendecomposition
-from .base import DiagonalizedMixer
+from .base import DiagonalizedMixer, per_input
 
 __all__ = ["HermitianMixer", "FixedUnitaryMixer", "is_hermitian", "is_unitary"]
 
@@ -126,28 +126,32 @@ class FixedUnitaryMixer(DiagonalizedMixer):
         out: np.ndarray | None = None,
         *,
         workspace=None,
+        columns: np.ndarray | None = None,
     ) -> np.ndarray:
         """Batched layer with a ``beta = 1`` fast path.
 
         When every column uses ``beta = 1`` (the defining case: apply ``U``
         itself), the layer is a single GEMM with the stored unitary — exact by
         construction and half the work of the eigenbasis round trip through
-        ``i log(U)``.  Mixed angles fall back to the diagonalized batch path.
+        ``i log(U)``; with a column map it runs on the distinct inputs only.
+        Mixed angles fall back to the diagonalized batch path.
         """
-        Psi, out, M = self._check_batch(Psi, out)
+        Psi, out, M = self._check_batch(Psi, out, columns)
         betas = self._batch_angles(betas, M)
         if M > 0 and np.all(betas == 1.0):
             bk = workspace.backend if workspace is not None else self.backend
-            if np.may_share_memory(out, Psi):
-                if workspace is not None:
-                    result = bk.matmul(self.unitary, Psi, out=workspace.scratch(M))
-                else:
-                    result = bk.matmul(self.unitary, Psi)
-                out[:] = result
-            else:
-                bk.matmul(self.unitary, Psi, out=out)
-            return out
-        return super().apply_batch(Psi, betas, out=out, workspace=workspace)
+
+            def gemm(src, dst):
+                return bk.matmul(self.unitary, src, out=dst)
+
+            if columns is None and not np.may_share_memory(out, Psi):
+                return gemm(Psi, out)
+            free = workspace.scratch(M) if workspace is not None else np.empty_like(out)
+            if columns is None:
+                out[:] = gemm(Psi, free)
+                return out
+            return per_input(gemm, Psi, out, columns, free)
+        return super().apply_batch(Psi, betas, out=out, workspace=workspace, columns=columns)
 
     def cache_key(self) -> str:
         return f"{self.name}_dim{self.dim}"

@@ -34,7 +34,7 @@ import numpy as np
 
 from ..backend.base import blocked_wht, hadamard_blocks
 from ..hilbert.subspace import FullSpace
-from .base import Mixer
+from .base import Mixer, front_view, per_input
 
 __all__ = [
     "walsh_hadamard_transform",
@@ -75,31 +75,42 @@ def walsh_hadamard_transform(psi: np.ndarray, out: np.ndarray | None = None) -> 
     return out
 
 
-def _wht_diagonal_product(
+def _hadamard_layer(
     mixer: "Mixer",
-    diagonal: np.ndarray,
     Psi: np.ndarray,
-    out: np.ndarray | None,
+    out: np.ndarray,
+    M: int,
+    factors,
     workspace,
+    columns: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Batched ``H^{⊗n} diag(d) H^{⊗n} Psi`` via two blocked WHTs.
+    """Batched ``H^{⊗n} diag(f) H^{⊗n} Psi`` via two blocked WHTs.
 
-    The shared kernel behind every products-of-X ``apply_hamiltonian_batch``:
-    both transform normalizations are folded into the diagonal, so the product
-    costs two transforms plus one elementwise pass for all M columns.
+    The shared kernel of every products-of-X layer and Hamiltonian product,
+    called on the output of :meth:`Mixer._check_batch`.  ``factors(free)``
+    returns the elementwise factors ``f`` — ``(dim, M)``, written into the
+    free ``(dim, M)`` buffer it is handed, or a broadcastable ``(dim, 1)`` —
+    with both transforms' ``2^{-n/2}`` normalizations folded in, so the layer
+    costs two transforms plus one elementwise pass for all M columns.  Under
+    a column map (see :meth:`Mixer.apply_batch`) the first transform runs on
+    the distinct inputs only.
     """
-    Psi, out, M = mixer._check_batch(Psi, out)
     if workspace is not None:
         scratch = workspace.scratch(M)
+        free = workspace.phase(M)
         bk = workspace.backend
     else:
         scratch = np.empty((mixer.dim, M), dtype=np.complex128)
+        free = np.empty((mixer.dim, M), dtype=np.complex128)
         bk = mixer.backend
-    blocks = hadamard_blocks(mixer.n, M)
-    bk.wht_gemm(Psi, scratch, out, *blocks)
-    out *= (diagonal * (1.0 / mixer.dim))[:, None]
-    bk.wht_gemm(out, scratch, out, *blocks)
-    return out
+
+    def wht(src, dst):
+        blocks = hadamard_blocks(mixer.n, src.shape[1])
+        return bk.wht_gemm(src, front_view(scratch, src), dst, *blocks)
+
+    per_input(wht, Psi, out, columns, free)
+    out *= factors(free)
+    return wht(out, out)
 
 
 def term_mask(term: Sequence[int], n: int) -> int:
@@ -221,6 +232,7 @@ class XMixer(Mixer):
         out: np.ndarray | None = None,
         *,
         workspace=None,
+        columns: np.ndarray | None = None,
     ) -> np.ndarray:
         """Batched layer: two blocked WHTs around a per-column phase multiply.
 
@@ -229,36 +241,29 @@ class XMixer(Mixer):
         the ``2^{-n/2}`` normalizations of both transforms are folded into the
         phase factors, and the phase factors themselves come from a
         distinct-eigenvalue table — so a layer costs a few BLAS-3 calls plus
-        elementwise passes for all M angle sets.
+        elementwise passes for all M angle sets.  Under a column map the
+        first transform runs on the distinct inputs only.
         """
-        Psi, out, M = self._check_batch(Psi, out)
+        Psi, out, M = self._check_batch(Psi, out, columns)
         betas = self._batch_angles(betas, M)
-        if workspace is not None:
-            scratch = workspace.scratch(M)
-            phases = workspace.phase(M)
-            bk = workspace.backend
-        else:
-            scratch = np.empty((self.dim, M), dtype=np.complex128)
-            phases = np.empty((self.dim, M), dtype=np.complex128)
-            bk = self.backend
-        # eigenphases x (1/dim): the latter absorbs both transform norms
-        levels = self._diag_values
-        scale = 1.0 / self.dim
-        if levels.size * 4 <= self.dim:
-            table = np.empty((levels.size, M), dtype=np.complex128)
-            np.multiply(levels[:, None], -1j * betas[None, :], out=table)
-            np.exp(table, out=table)
-            table *= scale
-            np.take(table, self._diag_inverse, axis=0, out=phases)
-        else:
+
+        def phase_factors(phases):
+            # eigenphases x (1/dim): the latter absorbs both transform norms
+            levels = self._diag_values
+            scale = 1.0 / self.dim
+            if levels.size * 4 <= self.dim:
+                table = np.empty((levels.size, M), dtype=np.complex128)
+                np.multiply(levels[:, None], -1j * betas[None, :], out=table)
+                np.exp(table, out=table)
+                table *= scale
+                # in-range indices: an unbuffered gather straight into phases
+                return np.take(table, self._diag_inverse, axis=0, out=phases, mode="clip")
             np.multiply(self.diagonal[:, None], -1j * betas[None, :], out=phases)
             np.exp(phases, out=phases)
             phases *= scale
-        blocks = hadamard_blocks(self.n, M)
-        bk.wht_gemm(Psi, scratch, out, *blocks)
-        out *= phases
-        bk.wht_gemm(out, scratch, out, *blocks)
-        return out
+            return phases
+
+        return _hadamard_layer(self, Psi, out, M, phase_factors, workspace, columns)
 
     def apply_hamiltonian_batch(
         self,
@@ -267,8 +272,10 @@ class XMixer(Mixer):
         *,
         workspace=None,
     ) -> np.ndarray:
-        """Batched ``H_M`` product (see :func:`_wht_diagonal_product`)."""
-        return _wht_diagonal_product(self, self.diagonal, Psi, out, workspace)
+        """Batched ``H_M`` product (see :func:`_hadamard_layer`)."""
+        Psi, out, M = self._check_batch(Psi, out)
+        scaled = self.diagonal * (1.0 / self.dim)
+        return _hadamard_layer(self, Psi, out, M, lambda free: scaled[:, None], workspace)
 
     def matrix(self) -> np.ndarray:
         dim = self.dim
@@ -394,15 +401,17 @@ class MultiAngleXMixer(Mixer):
         out: np.ndarray | None = None,
         *,
         workspace=None,
+        columns: np.ndarray | None = None,
     ) -> np.ndarray:
         """Batched multi-angle layer.
 
         ``betas`` is a ``(num_angles, M)`` matrix — one angle per term per
         column; a ``(M,)`` vector or scalar broadcasts across terms like the
         scalar :meth:`apply`.  The per-column phase exponents are one GEMM
-        (``-i * D^T @ betas``), then the layer is two batched WHTs.
+        (``-i * D^T @ betas``), then the layer is two batched WHTs; under a
+        column map the first transform runs on the distinct inputs only.
         """
-        Psi, out, M = self._check_batch(Psi, out)
+        Psi, out, M = self._check_batch(Psi, out, columns)
         betas = np.asarray(betas, dtype=np.float64)
         if betas.ndim == 0:
             betas = np.full((self.num_angles, M), float(betas))
@@ -414,22 +423,15 @@ class MultiAngleXMixer(Mixer):
             betas = np.ascontiguousarray(np.broadcast_to(betas, (self.num_angles, M)))
         if betas.shape != (self.num_angles, M):
             raise ValueError(f"betas have shape {betas.shape}, expected ({self.num_angles}, {M})")
-        if workspace is not None:
-            scratch = workspace.scratch(M)
-            phases = workspace.phase(M)
-            bk = workspace.backend
-        else:
-            scratch = np.empty((self.dim, M), dtype=np.complex128)
-            phases = np.empty((self.dim, M), dtype=np.complex128)
-            bk = self.backend
-        bk.matmul(self._term_diag_T_negj, np.ascontiguousarray(betas), out=phases)
-        np.exp(phases, out=phases)
-        phases *= 1.0 / self.dim  # absorbs both transforms' 2^{-n/2} norms
-        blocks = hadamard_blocks(self.n, M)
-        bk.wht_gemm(Psi, scratch, out, *blocks)
-        out *= phases
-        bk.wht_gemm(out, scratch, out, *blocks)
-        return out
+        bk = workspace.backend if workspace is not None else self.backend
+
+        def phase_factors(phases):
+            bk.matmul(self._term_diag_T_negj, np.ascontiguousarray(betas), out=phases)
+            np.exp(phases, out=phases)
+            phases *= 1.0 / self.dim  # absorbs both transforms' 2^{-n/2} norms
+            return phases
+
+        return _hadamard_layer(self, Psi, out, M, phase_factors, workspace, columns)
 
     def apply_hamiltonian_batch(
         self,
@@ -438,8 +440,10 @@ class MultiAngleXMixer(Mixer):
         *,
         workspace=None,
     ) -> np.ndarray:
-        """Batched summed-Hamiltonian product (see :func:`_wht_diagonal_product`)."""
-        return _wht_diagonal_product(self, self._summed_diagonal, Psi, out, workspace)
+        """Batched summed-Hamiltonian product (see :func:`_hadamard_layer`)."""
+        Psi, out, M = self._check_batch(Psi, out)
+        scaled = self._summed_diagonal * (1.0 / self.dim)
+        return _hadamard_layer(self, Psi, out, M, lambda free: scaled[:, None], workspace)
 
     def term_gradients_batch(
         self,

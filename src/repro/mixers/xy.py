@@ -135,6 +135,7 @@ class XYMixer(DiagonalizedMixer):
         out: np.ndarray | None = None,
         *,
         workspace=None,
+        columns: np.ndarray | None = None,
     ) -> np.ndarray:
         """Batched XY layer: the two basis-change GEMMs run as real GEMMs.
 
@@ -144,7 +145,7 @@ class XYMixer(DiagonalizedMixer):
         a silent fall-back to the promoted complex path cannot creep in.
         """
         self._require_real_basis()
-        return super().apply_batch(Psi, betas, out=out, workspace=workspace)
+        return super().apply_batch(Psi, betas, out=out, workspace=workspace, columns=columns)
 
     def apply_hamiltonian_batch(
         self,

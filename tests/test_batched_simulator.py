@@ -9,11 +9,15 @@ the hot path claims.
 
 from __future__ import annotations
 
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.baselines.trotter import TrotterXYMixer
 from repro.core import (
     BatchedWorkspace,
     QAOAAnsatz,
@@ -64,14 +68,40 @@ def _mixer(kind: str):
 _ALL_KINDS = ["x", "grover-full", "grover-dicke", "clique", "ring", "hermitian"]
 
 
+def _stage_columns(beta_counts: list[int]) -> list[list[int]]:
+    """Flat (betas, gammas) columns of each evolution stage: gamma_k, then
+    the round-k betas."""
+    num_betas = sum(beta_counts)
+    stages, cursor = [], 0
+    for k, count in enumerate(beta_counts):
+        stages += [[num_betas + k], list(range(cursor, cursor + count))]
+        cursor += count
+    return stages
+
+
+def _evolution_grid(axis: np.ndarray, beta_counts: list[int]) -> np.ndarray:
+    """Every combination of ``axis`` values, enumerated in evolution order
+    (the last angle varies fastest), as rows of the flat layout."""
+    layout = [column for stage in _stage_columns(beta_counts) for column in stage]
+    rows = np.array(list(itertools.product(axis, repeat=len(layout))))
+    angles = np.empty_like(rows)
+    angles[:, layout] = rows
+    return angles
+
+
 @pytest.mark.parametrize("kind", _ALL_KINDS)
 @pytest.mark.parametrize("p", [1, 3])
-@pytest.mark.parametrize("batch", [1, 7])
+@pytest.mark.parametrize("batch", [1, 7, "grid"])
 def test_expectation_batch_matches_scalar_loop(kind, p, batch):
     mixer = _mixer(kind)
     obj = _objective(mixer.dim)
-    rng = np.random.default_rng(100 * p + batch)
-    angles = 2.0 * np.pi * rng.random((batch, 2 * p))
+    if batch == "grid":
+        # consecutive rows share their leading layers
+        angles = _evolution_grid(np.array([0.4, 1.9]), [1] * p)
+        batch = len(angles)
+    else:
+        rng = np.random.default_rng(100 * p + batch)
+        angles = 2.0 * np.pi * rng.random((batch, 2 * p))
     batched = expectation_value_batch(angles, mixer, obj, p=p)
     looped = np.array([expectation_value(angles[j], mixer, obj, p=p) for j in range(batch)])
     assert batched.shape == (batch,)
@@ -181,6 +211,124 @@ def test_uniform_beta_batch_fast_path():
         scalar = mixer.apply(np.ascontiguousarray(psi[:, j]), 0.37)
         assert np.abs(uniform[:, j] - scalar).max() <= 1e-12
     assert np.abs(uniform - general).max() <= 1e-12
+
+
+# -- shared angle prefixes ----------------------------------------------------
+
+def _trotter():
+    return TrotterXYMixer(_N, _K, [(i, (i + 1) % _N) for i in range(_N)], trotter_steps=2)
+
+
+def _fixed_unitary():
+    rng = np.random.default_rng(12)
+    mat = rng.random((16, 16)) + 1j * rng.random((16, 16))
+    eigenvalues, eigenvectors = np.linalg.eigh(mat + mat.conj().T)
+    return FixedUnitaryMixer((eigenvectors * np.exp(-1j * eigenvalues)) @ eigenvectors.conj().T)
+
+
+_SHARED_KINDS = _ALL_KINDS + ["multiangle", "unitary-beta1", "trotter"]
+
+
+def _shared_mixer(kind: str):
+    if kind == "multiangle":
+        return MultiAngleXMixer(4, [(0,), (1, 2), (3,)])
+    if kind == "unitary-beta1":
+        return _fixed_unitary()
+    if kind == "trotter":
+        return _trotter()
+    return _mixer(kind)
+
+
+def _with_shared_prefixes(angles, beta_counts, copies):
+    """Row ``j`` takes its first ``copies[j]`` evolution stages from row ``j-1``."""
+    angles = angles.copy()
+    stages = _stage_columns(beta_counts)
+    for j in range(1, len(angles)):
+        for stage in stages[: copies[j]]:
+            angles[j, stage] = angles[j - 1, stage]
+    return angles
+
+
+@st.composite
+def _shared_prefix_case(draw):
+    p = draw(st.integers(1, 3))
+    batch = draw(st.integers(1, 9))
+    copies = draw(st.lists(st.integers(0, 2 * p), min_size=batch, max_size=batch))
+    per_column_start = draw(st.booleans())
+    seed = draw(st.integers(0, 2**16))
+    return p, copies, per_column_start, seed
+
+
+@pytest.mark.parametrize("kind", _SHARED_KINDS)
+@settings(max_examples=25, deadline=None)
+@given(case=_shared_prefix_case())
+def test_property_shared_prefixes_match_row_by_row(kind, case):
+    p, copies, per_column_start, seed = case
+    mixer = _shared_mixer(kind)
+    rng = np.random.default_rng(seed)
+    beta_counts = [getattr(mixer, "num_angles", 1)] * p
+    num_betas = sum(beta_counts)
+    angles = 2.0 * np.pi * rng.random((len(copies), num_betas + p))
+    if kind == "unitary-beta1":
+        angles[:, :num_betas] = 1.0
+    angles = _with_shared_prefixes(angles, beta_counts, copies)
+    obj = _objective(mixer.dim, seed=seed)
+    init = None
+    if per_column_start:
+        init = rng.random((mixer.dim, len(copies))) + 1j * rng.random((mixer.dim, len(copies)))
+        init /= np.linalg.norm(init, axis=0, keepdims=True)
+    batched = expectation_value_batch(angles, mixer, obj, p=p, initial_state=init)
+    looped = np.array(
+        [
+            expectation_value(
+                angles[j], mixer, obj, p=p,
+                initial_state=None if init is None else init[:, j].copy(),
+            )
+            for j in range(len(copies))
+        ]
+    )
+    assert np.abs(batched - looped).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["x", "clique", "grover-dicke", "multiangle"])
+def test_value_and_gradient_batch_on_shared_prefixes(kind):
+    mixer = _shared_mixer(kind)
+    p = 2
+    ansatz = QAOAAnsatz(_objective(mixer.dim, seed=4), mixer, p)
+    beta_counts = ansatz.beta_counts
+    rng = np.random.default_rng(7)
+    angles = 2.0 * np.pi * rng.random((12, ansatz.num_angles))
+    angles = _with_shared_prefixes(angles, beta_counts, [0, 1, 2, 3, 4, 0, 2, 2, 1, 3, 4, 4])
+    values, grads = ansatz.value_and_gradient_batch(angles)
+    for j, row in enumerate(angles):
+        value, grad = ansatz.value_and_gradient(row)
+        assert abs(values[j] - value) <= 1e-10
+        assert np.abs(grads[j] - grad).max() <= 1e-10
+
+
+@pytest.mark.parametrize("kind", _SHARED_KINDS + ["unitary-mixed"])
+@pytest.mark.parametrize("with_workspace", [False, True])
+@pytest.mark.parametrize("columns", [[0, 0, 1, 1, 1, 2, 2], [2, 0]], ids=["runs", "narrower"])
+def test_apply_batch_column_map_equals_gathered_input(kind, with_workspace, columns):
+    mixer = _fixed_unitary() if kind == "unitary-mixed" else _shared_mixer(kind)
+    rng = np.random.default_rng(3)
+    Psi = rng.random((mixer.dim, 3)) + 1j * rng.random((mixer.dim, 3))
+    columns = np.array(columns)
+    if kind == "multiangle":
+        betas = rng.random((mixer.num_angles, len(columns)))
+    elif kind == "unitary-beta1":
+        betas = np.ones(len(columns))
+    else:
+        betas = rng.random(len(columns))
+    workspace = BatchedWorkspace(mixer.dim, len(columns)) if with_workspace else None
+    original = Psi.copy()
+    mapped = mixer.apply_batch(Psi, betas, workspace=workspace, columns=columns)
+    gathered = mixer.apply_batch(np.ascontiguousarray(Psi[:, columns]), betas)
+    assert mapped.shape == (mixer.dim, len(columns))
+    assert np.abs(mapped - gathered).max() <= 1e-12
+    assert np.array_equal(Psi, original)
+    with pytest.raises(ValueError):
+        mixer.apply_batch(Psi, betas, columns=columns + 1)
 
 
 class TestBatchedWorkspace:
