@@ -29,6 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ..backend.base import distinct_levels
 from ..mixers.base import Mixer
 from ..mixers.schedules import MixerSchedule
 from .precompute import PrecomputedCost
@@ -239,7 +240,7 @@ def qaoa_value_and_gradient_batch(
     if isinstance(obj_vals, PrecomputedCost):
         cost_levels = obj_vals.phase_levels()
     else:
-        cost_levels = np.unique(values, return_inverse=True)
+        cost_levels = distinct_levels(values)
 
     # Forward pass, recording per-round intermediate batches.
     psi = evolve_state_batch(

@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..backend.base import distinct_levels
 from ..hilbert.subspace import FeasibleSpace, FullSpace
 
 __all__ = ["PrecomputedCost", "precompute_cost"]
@@ -101,7 +102,7 @@ class PrecomputedCost:
         chunk.  Computed once per cost object.
         """
         if not hasattr(self, "_phase_levels"):
-            self._phase_levels = np.unique(self.values, return_inverse=True)
+            self._phase_levels = distinct_levels(self.values)
         return self._phase_levels
 
     def signed_for_minimization(self) -> np.ndarray:

@@ -25,6 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from ..backend import active_backend
+from ..backend.base import distinct_levels, level_table_pays
 from ..mixers.base import Mixer
 from ..mixers.schedules import MixerSchedule
 from .precompute import PrecomputedCost
@@ -221,7 +222,7 @@ class _CostPhaseFactors:
     ):
         self.levels, self.inverse = cost_levels
         self.sign_i = sign * 1j
-        self.use_table = self.levels.size * 4 <= cost_values.size
+        self.use_table = level_table_pays(self.levels.size, cost_values.size)
         self.table = (
             np.empty(self.levels.size * batch, dtype=np.complex128) if self.use_table else None
         )
@@ -464,7 +465,7 @@ def evolve_state_batch(
         psi[:] = initial_state[:, None]
         workspace.calls_served += 1
     if cost_levels is None:
-        cost_levels = np.unique(cost_values, return_inverse=True)
+        cost_levels = distinct_levels(cost_values)
     phase_factors = _CostPhaseFactors(cost_values, cost_levels, batch, sign=-1.0)
     for stage in range(2 * schedule.p):
         round_index, is_mixer = divmod(stage, 2)

@@ -40,6 +40,33 @@ adjoint state and the recorded forward layer are transformed once, all
 ``d``-weighted imaginary inner products reduce locally, and the inverse mixer
 ride shares the same transforms — no Hamiltonian scratch buffer exists
 anywhere.
+
+Diagonal phases
+---------------
+The phase separator and the ``x`` eigenphases exponentiate a ``(levels, m)``
+table of the chunk's distinct cost values (or mixer eigenvalues) and gather
+it into the state one row block at a time, with the ``1/dim`` of the
+transforms folded into the X table.  Each worker builds its chunk's levels
+and inverse indices (:func:`~repro.backend.base.distinct_levels`) on first
+use.  :func:`~repro.backend.base.level_table_pays` decides, as for the dense
+engine; many-level costs (float weights) keep the row-blocked exp, and
+multi-angle X exponentiates its per-column diagonal.
+
+Shared prefixes
+---------------
+Rows that agree on every angle up to an evolution stage share one state
+after it (:func:`~repro.core.simulator._prefix_runs`), so the forward pass
+keeps a compact state of one column per run at the start of each segment.
+A stage that splits runs widens it with ``gather_columns``: before the phase
+separator, between the first transform and the eigenphases of a WHT mixer
+(so that transform runs on the distinct columns only), and before the
+Grover update.  A grid chunk that shares its gamma transforms one column
+where it used to transform ``m``.  Recorded layers and the final state are
+written at full width, so reductions, sampling and gathers see one column
+per row.
+
+Every op's compute seconds (per worker) and round-trip wall time (at the
+coordinator) are summed; :meth:`ShardedExecutor.op_times` reports them.
 """
 
 from __future__ import annotations
@@ -48,6 +75,7 @@ import ctypes
 import json
 import multiprocessing as mp
 import os
+import time
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,7 +83,8 @@ from typing import Callable
 
 import numpy as np
 
-from ...backend.base import blocked_wht, hadamard_blocks
+from ...backend.base import blocked_wht, distinct_levels, hadamard_blocks, level_table_pays
+from ...core.simulator import _prefix_runs
 from ...hilbert.bitops import ints_to_bit_matrix
 from ...io.locking import FileLock
 from ...mixers.xmixer import fold_x_terms, term_mask, x_mask_diagonal, x_order_terms
@@ -207,7 +236,11 @@ class _WorkerState:
         self.layers: np.ndarray | None = None
         self.local_bits = self.local_dim.bit_length() - 1  # WHT kinds only
         self._diagonal: np.ndarray | None = None
+        #: (levels, inverse) of the cost and X-diagonal chunks (None: no table)
+        self._levels: dict[str, tuple[np.ndarray, np.ndarray] | None] = {}
         self._blas_pinned = False
+        #: compute seconds per op, summed by ``_worker_main``
+        self.seconds: dict[str, float] = {}
 
     # -- segment plumbing ------------------------------------------------
     def _close_handles(self) -> None:
@@ -226,23 +259,26 @@ class _WorkerState:
             self.layers = None
         self.batch = batch
 
-    def view(self, slot: int) -> np.ndarray:
-        entry = self._own.get(slot)
+    def _segment(self, handles: dict, key, name: str, width: int | None) -> np.ndarray:
+        entry = handles.get(key)
         if entry is None:
-            shm = attach_segment(self.names[slot][self.cfg.index])
-            arr = np.ndarray((self.local_dim, self.batch), dtype=np.complex128, buffer=shm.buf)
-            entry = (shm, arr)
-            self._own[slot] = entry
-        return entry[1]
+            shm = attach_segment(name)
+            flat = np.ndarray(self.local_dim * self.batch, dtype=np.complex128, buffer=shm.buf)
+            entry = handles[key] = (shm, flat)
+        width = self.batch if width is None else width
+        return entry[1][: self.local_dim * width].reshape(self.local_dim, width)
 
-    def partner_view(self, slot: int, shard: int) -> np.ndarray:
-        entry = self._partners.get((slot, shard))
-        if entry is None:
-            shm = attach_segment(self.names[slot][shard])
-            arr = np.ndarray((self.local_dim, self.batch), dtype=np.complex128, buffer=shm.buf)
-            entry = (shm, arr)
-            self._partners[(slot, shard)] = entry
-        return entry[1]
+    def view(self, slot: int, width: int | None = None) -> np.ndarray:
+        """The contiguous ``(local_dim, width)`` state at the start of ``slot``'s segment.
+
+        ``width`` defaults to the full batch; a narrower view holds a compact
+        state with one column per run of shared angle prefixes.
+        """
+        return self._segment(self._own, slot, self.names[slot][self.cfg.index], width)
+
+    def partner_view(self, slot: int, shard: int, width: int | None = None) -> np.ndarray:
+        """:meth:`view` of another shard's segment."""
+        return self._segment(self._partners, (slot, shard), self.names[slot][shard], width)
 
     # -- labels / diagonals ----------------------------------------------
     def _global_labels(self, lo: int, hi: int) -> np.ndarray:
@@ -266,6 +302,44 @@ class _WorkerState:
         """The index bits above the local ones, shared by this whole chunk."""
         return self.cfg.chunk.start >> self.local_bits
 
+    def _level_table(self, key: str, values: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """:func:`~repro.backend.base.distinct_levels` if a level table pays, built on first use."""
+        if key not in self._levels:
+            levels, inverse = distinct_levels(values)
+            if level_table_pays(levels.size, values.size):
+                # compact indices: one byte per state for up to 256 levels
+                self._levels[key] = (levels, inverse.astype(np.min_scalar_type(levels.size - 1)))
+            else:
+                self._levels[key] = None
+        return self._levels[key]
+
+    def _phase(self, view: np.ndarray, values: np.ndarray, level_table, angles,
+               scale: float = 1.0) -> None:
+        """``view *= scale * exp(values ⊗ angles)``, one row block at a time.
+
+        With a ``level_table`` (see :meth:`_level_table`) the exp runs over
+        ``(levels, m)`` entries and each row block is a gather of them;
+        without one each row block is exponentiated.  ``values`` may also be
+        a per-column ``(local_dim, m)`` matrix with one scalar ``angles``.
+        """
+        step = self._row_chunk()
+        block_buf = np.empty((min(step, self.local_dim), view.shape[1]), dtype=np.complex128)
+        if level_table is not None:
+            levels, inverse = level_table
+            table = np.exp(np.multiply.outer(levels, angles))
+            table *= scale
+        for lo in range(0, self.local_dim, step):
+            hi = min(lo + step, self.local_dim)
+            block = block_buf[: hi - lo]
+            if level_table is None:
+                np.exp(np.multiply.outer(values[lo:hi], angles, out=block), out=block)
+                if scale != 1.0:
+                    block *= scale
+            else:
+                # in-range indices: an unbuffered gather straight into the block
+                np.take(table, inverse[lo:hi], axis=0, out=block, mode="clip")
+            view[lo:hi] *= block
+
     # -- operations ------------------------------------------------------
     def setup(self, names: list[list[str]], batch: int) -> tuple[float, float]:
         self.remap(names, batch)
@@ -280,68 +354,68 @@ class _WorkerState:
         self.values = values
         return float(values.min()), float(values.max())
 
-    def load_uniform(self, slot: int, amplitude: complex) -> None:
-        self.view(slot)[:] = amplitude
+    def load_uniform(self, slot: int, amplitude: complex, width: int | None = None) -> None:
+        self.view(slot, width)[:] = amplitude
 
     def cost_phase(self, slot: int, gammas: np.ndarray, sign: float) -> None:
-        view = self.view(slot)
-        factor = sign * 1j
-        step = self._row_chunk()
-        for lo in range(0, self.local_dim, step):
-            hi = min(lo + step, self.local_dim)
-            view[lo:hi] *= np.exp(
-                np.multiply.outer(self.values[lo:hi], factor * gammas)
-            )
+        """Phase separator on the first ``len(gammas)`` columns of ``slot``."""
+        self._phase(
+            self.view(slot, gammas.size), self.values,
+            self._level_table("cost", self.values), sign * 1j * gammas,
+        )
 
     def diag_phase(self, slot: int, betas: np.ndarray, sign: float, scale: float) -> None:
-        view = self.view(slot)
-        factor = sign * 1j
+        """Mixer eigenphases (times ``scale``) on the first ``betas.shape[1]`` columns."""
+        view = self.view(slot, betas.shape[1])
         mixer = self.cfg.mixer
         if mixer.kind == "x":
-            d, angles = self._chunk_diagonal()[:, None], factor * betas[0]
+            d = self._chunk_diagonal()
+            self._phase(view, d, self._level_table("x", d), sign * 1j * betas[0], scale)
         else:  # multi-angle: each column's diagonal is its own angle-weighted sum
             d = x_mask_diagonal(
                 mixer.masks, mixer.coeffs, self.local_bits, high=self._chunk_high(),
                 angles=betas,
             )
-            angles = factor
-        step = self._row_chunk()
-        for lo in range(0, self.local_dim, step):
-            hi = min(lo + step, self.local_dim)
-            phases = np.exp(d[lo:hi] * angles)
-            phases *= scale
-            view[lo:hi] *= phases
+            self._phase(view, d, None, sign * 1j, scale)
 
-    def wht_local(self, slot: int, scratch: int) -> None:
+    def wht_local(self, slot: int, scratch: int, width: int | None = None) -> None:
         """Unnormalized WHT over the local index bits, in place, via ``scratch``."""
         if not self._blas_pinned:
             for set_threads in _openblas_calls("set"):
                 set_threads(1)
             self._blas_pinned = True
-        state = self.view(slot)
-        blocks = hadamard_blocks(self.local_bits, self.batch)
-        blocked_wht(state, self.view(scratch), state, blocks)
+        state = self.view(slot, width)
+        blocks = hadamard_blocks(self.local_bits, state.shape[1])
+        blocked_wht(state, self.view(scratch, width), state, blocks)
 
     def blas_threads(self) -> list[int]:
         """Thread count reported by every OpenBLAS this worker has mapped."""
         return [int(get_threads()) for get_threads in _openblas_calls("get")]
 
-    def butterfly(self, level: int, src_slot: int, dst_slot: int) -> None:
+    def butterfly(self, level: int, src_slot: int, dst_slot: int,
+                  width: int | None = None) -> None:
         bit = 1 << level
         partner = self.cfg.index ^ bit
-        own_src = self.view(src_slot)
-        partner_src = self.partner_view(src_slot, partner)
-        own_dst = self.view(dst_slot)
+        own_src = self.view(src_slot, width)
+        partner_src = self.partner_view(src_slot, partner, width)
+        own_dst = self.view(dst_slot, width)
         if self.cfg.index & bit:
             np.subtract(partner_src, own_src, out=own_dst)
         else:
             np.add(own_src, partner_src, out=own_dst)
 
-    def colsum(self, slot: int) -> np.ndarray:
-        return self.view(slot).sum(axis=0)
+    def colsum(self, slot: int, width: int | None = None) -> np.ndarray:
+        return self.view(slot, width).sum(axis=0)
 
     def grover_update(self, slot: int, factors: np.ndarray) -> None:
-        self.view(slot)[:] += factors[None, :]
+        self.view(slot, factors.size)[:] += factors[None, :]
+
+    def gather_columns(self, src: int, dst: int, columns: np.ndarray, src_width: int) -> None:
+        """Widen a compact state: ``dst`` column ``j`` is ``src`` column ``columns[j]``."""
+        np.take(
+            self.view(src, src_width), columns, axis=1,
+            out=self.view(dst, columns.size), mode="clip",
+        )
 
     def mul_values(self, slot: int) -> None:
         self.view(slot)[:] *= self.values[:, None]
@@ -385,8 +459,14 @@ class _WorkerState:
             self.layers = np.empty((p, 2, self.local_dim, self.batch), dtype=np.complex128)
         return self.layers
 
-    def store_layer(self, k: int, j: int, slot: int, p: int) -> None:
-        self._ensure_layers(p)[k, j] = self.view(slot)
+    def store_layer(self, k: int, j: int, slot: int, p: int,
+                    runs: np.ndarray | None = None) -> None:
+        """Record layer ``(k, j)`` at full width, through the run map of a compact state."""
+        layer = self._ensure_layers(p)[k, j]
+        if runs is None:
+            layer[...] = self.view(slot)
+        else:
+            np.take(self.view(slot, int(runs[-1]) + 1), runs, axis=1, out=layer, mode="clip")
 
     def load_layer(self, k: int, j: int, slot: int) -> None:
         self.view(slot)[:] = self.layers[k, j]
@@ -456,6 +536,10 @@ class _WorkerState:
             )
         self.view(slot)[:] = block
 
+    def compute_seconds(self) -> dict[str, float]:
+        """Compute seconds per op so far (this query excluded)."""
+        return dict(self.seconds)
+
     def rss(self) -> tuple[int, int]:
         current = peak = 0
         try:
@@ -487,11 +571,13 @@ def _worker_main(cfg: _WorkerConfig, conn) -> None:
             if op == "exit":
                 conn.send(("ok", None))
                 break
+            start = time.perf_counter()
             try:
                 result = state.dispatch(op, message[1:])
             except BaseException:
                 conn.send(("err", traceback.format_exc()))
                 continue
+            state.seconds[op] = state.seconds.get(op, 0.0) + time.perf_counter() - start
             conn.send(("ok", result))
     finally:
         state._close_handles()
@@ -577,6 +663,8 @@ class ShardedExecutor:
             self._procs.append(proc)
             self._conns.append(parent)
         self._closed = False
+        #: op -> [calls, coordinator wall seconds], summed by ``_command``
+        self._op_wall: dict[str, list] = {}
         try:
             extrema = self._command("setup", self.workspace.segment_names(),
                                     self.workspace.batch)
@@ -603,14 +691,18 @@ class ShardedExecutor:
         if self._closed:
             raise RuntimeError("executor is closed")
         message = (op,) + payload
+        start = time.perf_counter()
         for conn in self._conns:
-            conn.send(message)
+            try:
+                conn.send(message)
+            except OSError:  # a dead worker's pipe: its recv below reports it
+                pass
         results = []
         errors = []
         for index, conn in enumerate(self._conns):
             try:
                 status, value = conn.recv()
-            except EOFError:
+            except (EOFError, OSError):
                 errors.append(f"shard {index}: worker died")
                 continue
             if status == "ok":
@@ -622,7 +714,28 @@ class ShardedExecutor:
                 f"sharded op {op!r} failed on {len(errors)} shard(s):\n"
                 + "\n".join(errors)
             )
+        totals = self._op_wall.setdefault(op, [0, 0.0])
+        totals[0] += 1
+        totals[1] += time.perf_counter() - start
         return results
+
+    def op_times(self) -> dict[str, dict[str, float]]:
+        """Where the worker time went, per op since the executor started.
+
+        For every op: ``calls``, the coordinator's ``wall_s`` (broadcast to
+        last acknowledgement), the largest per-worker ``compute_s`` and the
+        barrier ``wait_s`` (wall minus that compute: pipes, pickling and
+        waiting for the slowest shard).  Failed calls are not counted.
+        """
+        walls = {op: tuple(totals) for op, totals in self._op_wall.items()}
+        computes = self._command("compute_seconds")
+        report = {}
+        for op, (calls, wall) in walls.items():
+            compute = max(seconds.get(op, 0.0) for seconds in computes)
+            report[op] = {
+                "calls": calls, "wall_s": wall, "compute_s": compute, "wait_s": wall - compute,
+            }
+        return report
 
     def _sync(self) -> None:
         self._command("remap", self.workspace.segment_names(), self.workspace.batch)
@@ -655,45 +768,90 @@ class ShardedExecutor:
         return beta_rounds, gammas, angles.shape[0]
 
     # -- evolution -------------------------------------------------------
-    def _transform(self, slot: int, scratch: int) -> int:
-        """Unnormalized full WHT of one batch: local transform + s exchange levels.
+    def _other(self, slot: int) -> int:
+        """The first allocated slot that is not ``slot``."""
+        return next(s for s in range(self.workspace.num_slots) if s != slot)
+
+    def _transform(self, slot: int, scratch: int, width: int | None = None) -> int:
+        """Unnormalized full WHT of ``width`` columns: local transform + s exchange levels.
 
         The local transform (low bits, in place in ``slot`` via ``scratch``)
         and the cross-shard levels (high bits) act on disjoint index bits, so
         their order is immaterial; the state ends in whichever of
         ``slot``/``scratch`` the level parity lands on.
         """
-        self._command("wht_local", slot, scratch)
+        self._command("wht_local", slot, scratch, width)
         cur, other = slot, scratch
         for level in range(self._s):
-            self._command("butterfly", level, cur, other)
+            self._command("butterfly", level, cur, other, width)
             cur, other = other, cur
         return cur
 
-    def _apply_mixer(self, slot: int, betas_k: np.ndarray, sign: float) -> int:
-        """One mixer layer with per-column angles; returns the new state slot."""
+    def _gather(self, slot: int, columns: np.ndarray, width: int) -> int:
+        """Widen ``slot``'s ``width``-column state through ``columns``; returns its new slot."""
+        dst = self._other(slot)
+        self._command("gather_columns", slot, dst, columns, width)
+        return dst
+
+    def _apply_mixer(self, slot: int, betas_k: np.ndarray, sign: float, width: int,
+                     columns: np.ndarray | None) -> int:
+        """One mixer layer with per-column angles; returns the new state slot.
+
+        ``slot`` holds ``width`` columns.  A ``columns`` map widens them to
+        the ``betas_k`` columns after the first transform (before the update
+        for Grover), so that transform runs on the distinct inputs only.
+        """
         if self.mixer.kind == "grover":
-            S = np.sum(self._command("colsum", slot), axis=0)
+            if columns is not None:
+                slot = self._gather(slot, columns, width)
+            S = np.sum(self._command("colsum", slot, betas_k.shape[1]), axis=0)
             factors = (np.exp(sign * 1j * betas_k[0]) - 1.0) * S / float(self.dim)
             self._command("grover_update", slot, factors)
             return slot
-        scratch = 1 - slot if slot in (0, 1) else 0
-        t = self._transform(slot, scratch)
+        t = self._transform(slot, self._other(slot), width)
+        if columns is not None:
+            t = self._gather(t, columns, width)
         self._command("diag_phase", t, betas_k, sign, 1.0 / self.dim)
-        t_scratch = next(s for s in (0, 1, 2) if s != t and s < self.workspace.num_slots)
-        return self._transform(t, t_scratch)
+        return self._transform(t, self._other(t), betas_k.shape[1])
 
     def _forward(self, beta_rounds, gammas, M: int, *, store_layers: bool = False) -> int:
+        """Evolve the batch; returns the slot that holds its full-width final state.
+
+        Shared angle prefixes are evolved once, as in
+        :func:`~repro.core.simulator.evolve_state_batch`: the state keeps one
+        column per run of :func:`~repro.core.simulator._prefix_runs`, a stage
+        that splits runs widens it with ``gather_columns``, and a final
+        gather restores one column per row.  Recorded layers are written at
+        full width through the run map.  When every row is its own run (M =
+        1, random rows) no gather happens.
+        """
         self.ensure_batch(M)
+        fresh, runs = _prefix_runs(beta_rounds, gammas, False)
+        widths = (runs[:, -1] + 1).tolist()
         cur = 0
-        self._command("load_uniform", cur, complex(1.0 / self._sqrt_dim))
-        for k in range(self.p):
-            self._command("cost_phase", cur, gammas[k], -1.0)
+        self._command("load_uniform", cur, complex(1.0 / self._sqrt_dim), widths[0])
+        for stage in range(2 * self.p):
+            k, is_mixer = divmod(stage, 2)
+            width = widths[stage]
+            # the first row of each run carries its angles
+            rows = slice(None) if width == M else fresh[stage]
+            columns = None
+            if stage and width > widths[stage - 1]:
+                # this stage splits runs: each continues its first row's previous run
+                columns = runs[stage - 1][fresh[stage]]
+            if is_mixer:
+                cur = self._apply_mixer(
+                    cur, beta_rounds[k][:, rows], -1.0, widths[stage - 1], columns
+                )
+            else:
+                if columns is not None:
+                    cur = self._gather(cur, columns, widths[stage - 1])
+                self._command("cost_phase", cur, gammas[k][rows], -1.0)
             if store_layers:
-                self._command("store_layer", k, 0, cur, self.p)
-            cur = self._apply_mixer(cur, beta_rounds[k], -1.0)
-            if store_layers:
-                self._command("store_layer", k, 1, cur, self.p)
+                layer_runs = None if width == M else runs[stage]
+                self._command("store_layer", k, is_mixer, cur, self.p, layer_runs)
+        if widths[-1] < M:
+            cur = self._gather(cur, runs[-1], widths[-1])
         return cur
 
     def expectation_batch(self, angles: np.ndarray) -> np.ndarray:
@@ -731,16 +889,14 @@ class ShardedExecutor:
                 factors = (np.exp(1j * betas_k[0]) - 1.0) * S_phi / float(self.dim)
                 self._command("grover_update", cur, factors)
             else:
-                scratch = next(s for s in (0, 1, 2) if s != cur)
-                phi_t = self._transform(cur, scratch)
+                phi_t = self._transform(cur, self._other(cur))
                 rem = [s for s in (0, 1, 2) if s != phi_t]
                 self._command("load_layer", k, 1, rem[0])
                 psi_t = self._transform(rem[0], rem[1])
                 partials = self._command("xgrad_part", phi_t, psi_t)
                 grad_beta_blocks[k] = 2.0 * scale * np.sum(partials, axis=0)
                 self._command("diag_phase", phi_t, betas_k, +1.0, scale)
-                t_scratch = next(s for s in (0, 1, 2) if s != phi_t)
-                cur = self._transform(phi_t, t_scratch)
+                cur = self._transform(phi_t, self._other(phi_t))
             grad_gammas[k] = 2.0 * np.sum(self._command("gamma_grad_part", cur, k), axis=0)
             if k:
                 self._command("cost_phase", cur, gammas[k], +1.0)

@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..backend.base import blocked_wht, hadamard_blocks
+from ..backend.base import blocked_wht, distinct_levels, hadamard_blocks, level_table_pays
 from ..hilbert.subspace import FullSpace
 from .base import Mixer, front_view, per_input
 
@@ -223,7 +223,7 @@ class XMixer(Mixer):
         # X-mixer spectra take few distinct values (the transverse field has
         # n + 1), so batched eigenphases are an exp over (levels, M) plus a
         # gather instead of an exp over the full (dim, M) matrix.
-        self._diag_values, self._diag_inverse = np.unique(self.diagonal, return_inverse=True)
+        self._diag_values, self._diag_inverse = distinct_levels(self.diagonal)
 
     def apply_batch(
         self,
@@ -251,7 +251,7 @@ class XMixer(Mixer):
             # eigenphases x (1/dim): the latter absorbs both transform norms
             levels = self._diag_values
             scale = 1.0 / self.dim
-            if levels.size * 4 <= self.dim:
+            if level_table_pays(levels.size, self.dim):
                 table = np.empty((levels.size, M), dtype=np.complex128)
                 np.multiply(levels[:, None], -1j * betas[None, :], out=table)
                 np.exp(table, out=table)

@@ -39,7 +39,7 @@ from repro.backend import (
     set_active_backend,
     use_backend,
 )
-from repro.backend.base import hadamard_blocks
+from repro.backend.base import distinct_levels, hadamard_blocks
 from repro.core import BatchedWorkspace, QAOAAnsatz, qaoa_value_and_gradient_batch
 from repro.mixers import (
     MultiAngleXMixer,
@@ -277,6 +277,29 @@ def test_wht_gemm_any_block_split(bits, M):
     src, via = X.copy(), np.empty_like(X)
     active_backend().wht_gemm(src, via, src, *blocks)
     assert np.abs(src - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(
+            st.integers(-40, 40).map(float),  # integer spaced: the lookup path
+            st.integers(-8, 8).map(lambda v: v + 0.5),
+            st.floats(-1e3, 1e3, allow_nan=False),  # arbitrary: the sort path
+            st.sampled_from([np.inf, -np.inf, -0.0]),
+        ),
+        max_size=40,
+    ),
+)
+@example(values=[0.1, 1.1, 2.1, 0.1])  # offsets that round off an integer
+@example(values=[0.0, 1e6])  # integer offsets wider than the value count
+def test_distinct_levels_equals_unique_with_inverse(values):
+    values = np.array(values, dtype=np.float64)
+    levels, inverse = distinct_levels(values)
+    expected_levels, expected_inverse = np.unique(values, return_inverse=True)
+    np.testing.assert_array_equal(levels, expected_levels)
+    np.testing.assert_array_equal(inverse, expected_inverse)
+    assert inverse.dtype == expected_inverse.dtype
 
 # ---------------------------------------------------------------------------
 # numpy-vs-torch equivalence (runs under the CI backend matrix)

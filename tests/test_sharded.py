@@ -2,19 +2,30 @@
 
 from __future__ import annotations
 
+import os
+import signal
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.angles.grid import _evolution_columns, grid_search
 from repro.api.mixers import make_mixer
 from repro.core.ansatz import QAOAAnsatz
+from repro.hilbert import state_matrix
+from repro.hpc.partition import split_full_space
 from repro.hpc.sharded import (
     ShardedAnsatz,
+    ShardedExecutionError,
     ShardedExecutor,
     ShardedWorkspace,
     sharded_mixer_config,
 )
-from repro.hpc.sharded.executor import _openblas_calls
-from repro.problems.registry import make_problem, make_problem_structure
+from repro.hpc.sharded.executor import _openblas_calls, _WorkerConfig, _WorkerState
+from repro.problems.registry import ProblemStructure, make_problem, make_problem_structure
+from repro.problems.weighted import random_weighted_graph, weighted_maxcut_values
 
 
 def _dense(name, n, mixer, p, *, k=None, mixer_params=None):
@@ -186,6 +197,31 @@ class TestShardedWorkerKernels:
         finally:
             sharded.close()
 
+    @pytest.mark.parametrize("key", ["cost", "x"])
+    def test_table_phase_equals_full_exp(self, key):
+        n, batch = 10, 3
+        structure = make_problem_structure("maxcut", n, seed=3)
+        chunk = split_full_space(n, 2)[1]
+        state = _WorkerState(_WorkerConfig(
+            index=chunk.index, chunk=chunk, n=n, k=None, shards=2,
+            cost_vectorized=structure.cost_vectorized, mixer=sharded_mixer_config("x", n),
+        ))
+        state.setup([], batch)  # fills the chunk's cost values; maps no segment
+        state._row_chunk = lambda: 100  # several row blocks, the last one short
+        values = state.values if key == "cost" else state._chunk_diagonal()
+        levels = state._level_table(key, values)
+        assert levels is not None and levels[0].size * 4 <= chunk.size
+        rng = np.random.default_rng(2)
+        psi = rng.random((chunk.size, batch)) + 1j * rng.random((chunk.size, batch))
+        angles = rng.random(batch)
+        for sign in (-1.0, 1.0):
+            for scale in (1.0, 1.0 / (1 << n)):
+                expected = psi * scale * np.exp(sign * 1j * np.multiply.outer(values, angles))
+                for table in (levels, None):
+                    view = psi.copy()
+                    state._phase(view, values, table, sign * 1j * angles, scale)
+                    np.testing.assert_allclose(view, expected, rtol=0, atol=1e-12)
+
     def test_worker_pins_blas_at_first_transform(self):
         coordinator = [int(get_threads()) for get_threads in _openblas_calls("get")]
         if not coordinator:
@@ -199,6 +235,146 @@ class TestShardedWorkerKernels:
             assert executor._command("blas_threads") == [[1] * len(coordinator)] * 2
         finally:
             sharded.close()
+
+
+def _weighted_maxcut_structure(n, seed):
+    graph = random_weighted_graph(n, 0.5, seed=seed)
+    return ProblemStructure(
+        name="weighted_maxcut", n=n, k=None,
+        cost=lambda x: float(weighted_maxcut_values(graph, np.atleast_2d(x))[0]),
+        cost_vectorized=partial(weighted_maxcut_values, graph),
+    )
+
+
+class TestShardedPhaseTables:
+    @pytest.mark.parametrize("weighted", [False, True], ids=["table", "exp"])
+    def test_both_branches_match_dense(self, weighted):
+        n, p = 8, 2
+        if weighted:  # distinct float weights: too many levels for a table
+            structure = _weighted_maxcut_structure(n, seed=5)
+        else:
+            structure = make_problem_structure("maxcut", n, seed=5)
+        obj = structure.cost_vectorized(state_matrix(n))
+        dense = QAOAAnsatz(obj, make_mixer("x", structure.build_space()), p)
+        sharded = ShardedAnsatz(structure, "x", p, 2)
+        try:
+            rng = np.random.default_rng(8)
+            angles = 2 * np.pi * rng.random((4, dense.num_angles))
+            angles = np.concatenate([angles, angles[1:2]])  # a repeated row
+            np.testing.assert_allclose(
+                sharded.expectation_batch(angles), dense.expectation_batch(angles),
+                rtol=0, atol=1e-10,
+            )
+            values_d, grads_d = dense.value_and_gradient_batch(angles)
+            values_s, grads_s = sharded.value_and_gradient_batch(angles)
+            np.testing.assert_allclose(values_s, values_d, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(grads_s, grads_d, rtol=0, atol=1e-10)
+            cost_tables = sharded.executor._command("_level_table", "cost", None)
+            assert all((table is None) == weighted for table in cost_tables)
+        finally:
+            sharded.close()
+
+
+_PREFIX_ENGINES = {
+    # (mixer, space) -> (problem, n, k, shards)
+    ("x", "full"): ("maxcut", 6, None, 2),
+    ("multiangle_x", "full"): ("maxcut", 6, None, 4),
+    ("grover", "full"): ("maxcut", 6, None, 3),
+    ("grover", "dicke"): ("densest_subgraph", 7, 3, 2),
+}
+
+
+@pytest.fixture(
+    params=[(mixer, space, p) for (mixer, space) in _PREFIX_ENGINES for p in (1, 2, 3)],
+    ids=lambda param: "-".join(map(str, param)),
+)
+def prefix_engines(request):
+    mixer, space, p = request.param
+    problem, n, k, shards = _PREFIX_ENGINES[mixer, space]
+    _, dense = _dense(problem, n, mixer, p, k=k)
+    sharded = _sharded(problem, n, mixer, p, shards, k=k)
+    yield dense, sharded
+    sharded.close()
+
+
+@settings(
+    max_examples=12, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],  # one engine pair per case
+)
+@given(data=st.data())
+def test_property_shared_prefixes_match_dense(prefix_engines, data):
+    dense, sharded = prefix_engines
+    order = _evolution_columns(sharded.beta_counts)
+    # row j copies the first keeps[j - 1] evolution-order angles of row j - 1;
+    # one full copy makes the final width smaller than M
+    keeps = data.draw(st.lists(st.integers(0, len(order)), min_size=1, max_size=6))
+    keeps.insert(data.draw(st.integers(0, len(keeps))), len(order))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    angles = 2 * np.pi * rng.random((len(keeps) + 1, sharded.num_angles))
+    for j, keep in enumerate(keeps, start=1):
+        angles[j, order[:keep]] = angles[j - 1, order[:keep]]
+
+    values = sharded.expectation_batch(angles)
+    for j, row in enumerate(angles):
+        reference = dense.simulate(row)
+        assert abs(values[j] - reference.expectation()) <= 1e-10
+        np.testing.assert_allclose(
+            sharded.executor.gather_state(col=j), reference.statevector, rtol=0, atol=1e-10
+        )
+    values, grads = sharded.value_and_gradient_batch(angles)
+    for j, row in enumerate(angles):
+        value, grad = dense.value_and_gradient(row)
+        assert abs(values[j] - value) <= 1e-10
+        np.testing.assert_allclose(grads[j], grad, rtol=0, atol=1e-10)
+
+
+class TestShardedOpTimes:
+    def test_one_expectation_batch(self):
+        sharded = _sharded("maxcut", 6, "x", 1, 2)
+        try:
+            angles = 2 * np.pi * np.random.default_rng(1).random((3, sharded.num_angles))
+            sharded.expectation_batch(angles)
+            times = sharded.executor.op_times()
+            assert {op: row["calls"] for op, row in times.items()} == {
+                "setup": 1, "remap": 1, "load_uniform": 1, "cost_phase": 1,
+                "wht_local": 2, "butterfly": 2, "diag_phase": 1, "expectation_part": 1,
+            }
+            for row in times.values():
+                assert 0.0 < row["compute_s"] <= row["wall_s"]
+                assert row["wait_s"] == pytest.approx(row["wall_s"] - row["compute_s"])
+            # a grid chunk that shares its gamma splits once, at the mixer
+            angles[:, 1] = angles[0, 1]
+            sharded.expectation_batch(angles)
+            times = sharded.executor.op_times()
+            assert times["gather_columns"]["calls"] == 1
+            assert times["wht_local"]["calls"] == 4
+        finally:
+            sharded.close()
+
+
+class TestShardedFaults:
+    def test_killed_worker_fails_the_solve_and_releases_everything(self):
+        if not os.path.isdir("/dev/shm"):
+            pytest.skip("no /dev/shm on this platform")
+        sharded = _sharded("maxcut", 8, "x", 1, 2)
+        executor = sharded.executor
+        names = []
+
+        def kill_a_worker(value, angles):
+            if not names:
+                names.extend(n for slot in executor.workspace.segment_names() for n in slot)
+                victim = executor._procs[1]
+                os.kill(victim.pid, signal.SIGKILL)
+                victim.join()
+
+        try:
+            with pytest.raises(ShardedExecutionError, match="worker died"):
+                grid_search(sharded, resolution=4, batch_size=4, on_incumbent=kill_a_worker)
+        finally:
+            sharded.close()
+        assert names
+        assert not any(proc.is_alive() for proc in executor._procs)
+        assert not set(names) & set(os.listdir("/dev/shm"))
 
 
 class TestShardedLifecycle:
