@@ -109,6 +109,12 @@ class SolveResult:
         Canonical name of the strategy that produced the angles.
     wall_time_s:
         Wall-clock seconds for the angle search plus the final simulation.
+    setup_s:
+        Seconds the solver spent on construction (problem, objective values,
+        mixer, engine) before this result's search.  ``solve()`` reports
+        it, as does the first result of a warm-pool entry; a re-run of a
+        live :class:`QAOASolver`, a reused warm-pool entry and a cache hit
+        report 0.0, since they built nothing.
     angle_result:
         The strategy's full normalized :class:`AngleResult` (history included),
         or ``None`` on a result reconstructed from a cached row.
@@ -141,6 +147,7 @@ class SolveResult:
     cached: bool = False
     execution: str = "dense"
     timed_out: bool = False
+    setup_s: float = 0.0
 
     def probabilities(self) -> np.ndarray:
         """Sampling probabilities over the feasible space at the best angles."""
@@ -176,7 +183,9 @@ class SolveResult:
         this is how a result-cache hit materializes without any simulation.
         ``wall_time_s`` overrides the stored timing — a cache hit passes the
         (tiny) time it took to *answer*, so every result row carries the wall
-        time this response actually cost, never a stale copy.
+        time this response actually cost, never a stale copy.  A ``cached``
+        result built nothing, so its ``setup_s`` is 0.0; otherwise the stored
+        construction time is kept.
         """
         ratio = row.get("approximation_ratio")
         return cls(
@@ -194,6 +203,7 @@ class SolveResult:
             cached=cached,
             execution=str(row.get("execution", "dense")),
             timed_out=bool(row.get("timed_out", False)),
+            setup_s=0.0 if cached else float(row.get("setup_s", 0.0)),
         )
 
     def to_row(self) -> dict:
@@ -228,6 +238,7 @@ class SolveResult:
             "wall_time_s": float(self.wall_time_s),
             "execution": self.execution,
             "timed_out": bool(self.timed_out),
+            "setup_s": float(self.setup_s),
         }
 
 
@@ -252,6 +263,9 @@ class QAOASolver:
     the feasible space — ``problem``/``mixer`` stay ``None``; every engine
     carries its own optimum.  Sharded solvers own worker processes; call
     :meth:`close` (or use ``solve()``, which does) when finished.
+
+    The construction seconds are reported once, as ``setup_s`` of the first
+    result this solver produces.
     """
 
     def __init__(
@@ -261,6 +275,7 @@ class QAOASolver:
         backend=None,
         plan: ExecutionPlan | None = None,
     ):
+        started = time.perf_counter()
         if not isinstance(spec, SolveSpec):
             spec = SolveSpec.from_dict(spec)
         self.spec = spec
@@ -303,6 +318,8 @@ class QAOASolver:
             self.ansatz = QAOAAnsatz.from_problem(
                 self.problem, self.mixer, spec.p, backend=backend
             )
+        #: construction seconds not yet reported by a result
+        self._unreported_setup_s = time.perf_counter() - started
 
     @classmethod
     def from_components(
@@ -313,13 +330,16 @@ class QAOASolver:
         ansatz: Engine,
         *,
         plan: ExecutionPlan,
+        setup_s: float = 0.0,
     ) -> "QAOASolver":
         """Wrap already-built components (the warm pool's entry) as a solver.
 
         Skips all construction work — this is how the solver service runs a
         spec on a pooled problem/mixer/ansatz without re-deriving anything.
         ``problem``/``mixer`` are ``None`` for pooled non-dense engines, and
-        ``plan`` is the one the components were built for.
+        ``plan`` is the one the components were built for.  ``setup_s`` is
+        the components' construction time not yet reported by any result;
+        the solver's first result reports it.
         """
         solver = cls.__new__(cls)
         solver.spec = spec
@@ -327,6 +347,7 @@ class QAOASolver:
         solver.mixer = mixer
         solver.ansatz = ansatz
         solver.plan = plan
+        solver._unreported_setup_s = setup_s
         return solver
 
     def close(self) -> None:
@@ -375,6 +396,7 @@ class QAOASolver:
         """
         simulation = self.ansatz.simulate(angle_result.angles)
         wall_time = 0.0 if started is None else time.perf_counter() - started
+        setup_s, self._unreported_setup_s = self._unreported_setup_s, 0.0
 
         optimum = float(self.ansatz.optimum)
         ratio = float(angle_result.value) / optimum if optimum > 0 else None
@@ -401,6 +423,7 @@ class QAOASolver:
             simulation=simulation,
             execution=self.plan.path,
             timed_out=bool(angle_result.timed_out),
+            setup_s=setup_s,
         )
 
     def run(

@@ -473,6 +473,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     print(f"  P(optimal state)         : {row['ground_state_probability']:.6f}")
     print(f"  strategy evaluations     : {row['evaluations']}")
     print(f"  wall time                : {row['wall_time_s']:.3f}s")
+    print(f"  construction             : {row['setup_s']:.3f}s")
     if row.get("timed_out"):
         print("  timed out                : yes (best-so-far angles reported)")
     print(f"  angles (betas, gammas)   : {np.array2string(result.angles, precision=6)}")

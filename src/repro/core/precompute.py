@@ -7,6 +7,12 @@ the bookkeeping the rest of the package wants alongside it: which feasible
 space it refers to, whether the problem is a maximization, and an optional
 offset (the paper notes that objective values of mixed sign should be shifted
 to a single sign before angle finding).
+
+:func:`precompute_cost` evaluates a user's callable over the space's bit
+matrix.  Registry problems do not come through here: their values come from
+:func:`repro.problems.registry.objective_on_labels`, which evaluates the
+quadratic families straight from integer labels with a split-half kernel
+(:mod:`repro.problems.quadratic`).
 """
 
 from __future__ import annotations

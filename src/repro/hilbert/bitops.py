@@ -98,10 +98,17 @@ def int_to_bits(label: int, n: int) -> np.ndarray:
 
 
 def ints_to_bit_matrix(labels: np.ndarray, n: int) -> np.ndarray:
-    """Convert an array of integer labels to a ``(len(labels), n)`` 0/1 matrix."""
-    arr = np.asarray(labels, dtype=np.uint64)
-    shifts = np.arange(n, dtype=np.uint64)
-    return ((arr[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.int8)
+    """Convert an array of integer labels to a ``(len(labels), n)`` 0/1 matrix.
+
+    Returns a C-contiguous ``int8`` array.  The bits come from unpacking each
+    label's eight little-endian bytes, which never forms a ``(m, n)`` uint64
+    temporary.
+    """
+    arr = np.ascontiguousarray(np.asarray(labels, dtype=np.uint64), dtype="<u8")
+    bits = np.unpackbits(
+        arr.view(np.uint8).reshape(-1, 8), axis=1, count=n, bitorder="little"
+    )
+    return bits.view(np.int8)
 
 
 def bit_matrix_to_ints(bits: np.ndarray) -> np.ndarray:

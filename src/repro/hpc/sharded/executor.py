@@ -41,6 +41,11 @@ adjoint state and the recorded forward layer are transformed once, all
 ride shares the same transforms — no Hamiltonian scratch buffer exists
 anywhere.
 
+Each worker evaluates its chunk's objective once, at setup, with
+:func:`~repro.problems.registry.objective_on_labels` (the same function as
+dense construction): quadratic families run the split-half kernel on the
+chunk's labels, the others a bit matrix of them.
+
 Diagonal phases
 ---------------
 The phase separator and the ``x`` eigenphases exponentiate a ``(levels, m)``
@@ -79,15 +84,14 @@ import time
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
 from ...backend.base import blocked_wht, distinct_levels, hadamard_blocks, level_table_pays
 from ...core.simulator import _prefix_runs
-from ...hilbert.bitops import ints_to_bit_matrix
 from ...io.locking import FileLock
 from ...mixers.xmixer import fold_x_terms, term_mask, x_mask_diagonal, x_order_terms
+from ...problems.registry import ProblemStructure, objective_on_labels
 from ..partition import Chunk, chunk_labels, split_dicke_space, split_full_space
 from .workspace import ShardedWorkspace, attach_segment
 
@@ -187,7 +191,7 @@ class _WorkerConfig:
     n: int
     k: int | None
     shards: int
-    cost_vectorized: Callable[[np.ndarray], np.ndarray]
+    problem: ProblemStructure
     mixer: ShardedMixerConfig
     value_chunk: int = 1 << 16
 
@@ -349,8 +353,7 @@ class _WorkerState:
         step = self.cfg.value_chunk
         for lo in range(0, self.local_dim, step):
             hi = min(lo + step, self.local_dim)
-            bits = ints_to_bit_matrix(self._global_labels(lo, hi), self.cfg.n)
-            values[lo:hi] = self.cfg.cost_vectorized(bits)
+            values[lo:hi] = objective_on_labels(self.cfg.problem, self._global_labels(lo, hi))
         self.values = values
         return float(values.min()), float(values.max())
 
@@ -654,7 +657,7 @@ class ShardedExecutor:
                 n=self.n,
                 k=self.k,
                 shards=self.shards,
-                cost_vectorized=structure.cost_vectorized,
+                problem=structure,
                 mixer=mixer,
             )
             proc = ctx.Process(target=_worker_main, args=(cfg, child), daemon=True)

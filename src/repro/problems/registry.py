@@ -15,6 +15,20 @@ therefore exposes the *space-free* half of the construction — the cost
 callables, the optimization sense and the (n, k) geometry — as a
 :class:`ProblemStructure`; :func:`make_problem` is now a thin wrapper that
 attaches the eager space on top.
+
+Evaluating the objective over the feasible space is the one large
+construction cost.  ``maxcut``, ``densest_subgraph``, ``vertex_cover``,
+``max_independent_set``, ``ising`` and ``qubo`` are degree-2 polynomials of
+the bits, so their structures carry a
+:class:`~repro.problems.quadratic.QuadraticForm` (for
+``max_independent_set``, a :class:`~repro.problems.quadratic.PenalizedForm`
+of two), and :func:`objective_on_labels` evaluates it on integer labels with
+one split-half kernel, with no ``(dim, n)`` bit matrix.  ``ksat``,
+``number_partition`` and ``hamming`` run ``cost_vectorized`` on the labels'
+bit matrix.  Dense construction (:meth:`ProblemInstance.objective_values`)
+and the shard workers both go through :func:`objective_on_labels`.  The
+public ``*_values(graph, bits)`` functions stay the bit-matrix API and the
+reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -26,6 +40,7 @@ from typing import Callable
 import networkx as nx  # noqa: F401  (re-exported context for metadata graphs)
 import numpy as np
 
+from ..hilbert.bitops import ints_to_bit_matrix
 from ..hilbert.subspace import DickeSpace, FeasibleSpace, FullSpace
 from .densest_subgraph import densest_subgraph as _densest_subgraph
 from .densest_subgraph import densest_subgraph_values as _densest_subgraph_values
@@ -43,6 +58,7 @@ from .ksat import ksat_values as _ksat_values
 from .ksat import random_ksat as _random_ksat
 from .maxcut import maxcut as _maxcut
 from .maxcut import maxcut_values as _maxcut_values
+from .quadratic import PenalizedForm, QuadraticForm, graph_form, ising_form, qubo_form
 from .vertex_cover import vertex_cover as _vertex_cover
 from .vertex_cover import vertex_cover_values as _vertex_cover_values
 
@@ -51,6 +67,7 @@ __all__ = [
     "ProblemStructure",
     "make_problem",
     "make_problem_structure",
+    "objective_on_labels",
     "PROBLEM_NAMES",
 ]
 
@@ -94,6 +111,11 @@ class ProblemStructure:
         value spectrum (distinct values + binomial degeneracies) is known in
         closed form for *any* n — the key that unlocks compressed Grover
         simulation far beyond enumerable dimensions.
+    quadratic:
+        The objective's :class:`~repro.problems.quadratic.QuadraticForm` (or
+        :class:`~repro.problems.quadratic.PenalizedForm`) when it is a
+        degree-2 polynomial of the bits (``None`` otherwise);
+        :func:`objective_on_labels` then evaluates it without a bit matrix.
     """
 
     name: str
@@ -104,6 +126,7 @@ class ProblemStructure:
     maximize: bool = True
     metadata: dict = field(default_factory=dict)
     value_of_weight: Callable[[int], float] | None = None
+    quadratic: QuadraticForm | PenalizedForm | None = None
 
     @property
     def dim(self) -> int:
@@ -137,6 +160,8 @@ class ProblemInstance:
         Whether the objective is to be maximized (all paper problems are).
     metadata:
         Free-form description of the instance (graph, clauses, seed, ...).
+    quadratic:
+        As on :class:`ProblemStructure`.
     """
 
     name: str
@@ -146,6 +171,7 @@ class ProblemInstance:
     maximize: bool = True
     metadata: dict = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, repr=False)
+    quadratic: QuadraticForm | PenalizedForm | None = None
 
     @property
     def n(self) -> int:
@@ -155,7 +181,7 @@ class ProblemInstance:
     def objective_values(self) -> np.ndarray:
         """Objective values across the feasible space (cached)."""
         if "obj_vals" not in self._cache:
-            self._cache["obj_vals"] = self.space.evaluate_vectorized(self.cost_vectorized)
+            self._cache["obj_vals"] = objective_on_labels(self, self.space.labels)
         return self._cache["obj_vals"]
 
     def optimum(self) -> float:
@@ -175,6 +201,31 @@ class ProblemInstance:
         if opt == 0:
             raise ZeroDivisionError("optimum is zero; approximation ratio undefined")
         return float(expectation) / opt
+
+
+def objective_on_labels(
+    problem: ProblemStructure | ProblemInstance, labels: np.ndarray
+) -> np.ndarray:
+    """``problem``'s objective at strictly ascending full-space ``labels``.
+
+    This is the one place that decides how an objective is evaluated: a
+    problem with quadratic coefficients runs their split-half kernel on the
+    labels, and any other runs ``cost_vectorized``
+    on their bit matrix.  Dense construction
+    (:meth:`ProblemInstance.objective_values`) and the shard workers both
+    call it.
+    """
+    if problem.quadratic is not None:
+        return problem.quadratic.values(labels)
+    labels = np.asarray(labels)
+    values = np.asarray(
+        problem.cost_vectorized(ints_to_bit_matrix(labels, problem.n)), dtype=np.float64
+    )
+    if values.shape != labels.shape:
+        raise ValueError(
+            f"vectorized cost returned shape {values.shape}, expected {labels.shape}"
+        )
+    return values
 
 
 def make_problem_structure(
@@ -207,6 +258,7 @@ def make_problem_structure(
             cost=lambda x, g=graph: _maxcut(g, x),
             cost_vectorized=lambda bits, g=graph: _maxcut_values(g, bits),
             metadata={"graph": graph, "seed": seed, "edge_probability": edge_probability},
+            quadratic=graph_form(graph, edge_linear=1.0, edge_pair=-2.0),
         )
 
     if name == "ksat":
@@ -241,6 +293,9 @@ def make_problem_structure(
                 "penalty": penalty,
                 "edge_probability": edge_probability,
             },
+            quadratic=PenalizedForm(
+                graph_form(graph, node_linear=1.0), graph_form(graph, edge_pair=1.0), penalty
+            ),
         )
 
     if name == "number_partition":
@@ -267,6 +322,7 @@ def make_problem_structure(
             cost_vectorized=lambda bits, hh=h, jj=J: _ising_energy_values(hh, jj, bits),
             maximize=False,  # the classical convention: minimize the energy
             metadata={"h": h, "J": J, "seed": seed},
+            quadratic=ising_form(h, J),
         )
 
     if name == "qubo":
@@ -280,6 +336,7 @@ def make_problem_structure(
             cost=lambda x, q=Q: _qubo_value(q, x),
             cost_vectorized=lambda bits, q=Q: _qubo_values(q, bits),
             metadata={"Q": Q, "seed": seed},
+            quadratic=qubo_form(Q),
         )
 
     if name == "hamming":
@@ -311,6 +368,7 @@ def make_problem_structure(
             cost=lambda x, g=graph: _densest_subgraph(g, x),
             cost_vectorized=lambda bits, g=graph: _densest_subgraph_values(g, bits),
             metadata={"graph": graph, "seed": seed, "k": k, "edge_probability": edge_probability},
+            quadratic=graph_form(graph, edge_pair=1.0),
         )
 
     # vertex_cover
@@ -322,6 +380,7 @@ def make_problem_structure(
         cost=lambda x, g=graph: _vertex_cover(g, x),
         cost_vectorized=lambda bits, g=graph: _vertex_cover_values(g, bits),
         metadata={"graph": graph, "seed": seed, "k": k, "edge_probability": edge_probability},
+        quadratic=graph_form(graph, edge_linear=1.0, edge_pair=-1.0),
     )
 
 
@@ -382,4 +441,5 @@ def make_problem(
         cost_vectorized=structure.cost_vectorized,
         maximize=structure.maximize,
         metadata=structure.metadata,
+        quadratic=structure.quadratic,
     )

@@ -64,7 +64,8 @@ class WarmEntry:
     worker processes and shared-memory segments), so at most one request
     group may execute on it at a time — callers hold :attr:`lock` around
     strategy runs and simulations.  ``hits`` counts how many requests the
-    entry served.
+    entry served.  The entry's construction seconds are reported once, by
+    the first solver :meth:`solver_for` hands out.
     """
 
     def __init__(self, fingerprint: str, spec: SolveSpec):
@@ -75,13 +76,15 @@ class WarmEntry:
         self.problem = solver.problem  # None for non-dense plans
         self.mixer = solver.mixer  # None for non-dense plans
         self.ansatz = solver.ansatz
+        self._unreported_setup_s = solver._unreported_setup_s
         self.lock = threading.Lock()
         self.hits = 0
 
     def solver_for(self, spec: SolveSpec) -> QAOASolver:
         """A :class:`QAOASolver` for ``spec`` running on this entry's components."""
+        setup_s, self._unreported_setup_s = self._unreported_setup_s, 0.0
         return QAOASolver.from_components(
-            spec, self.problem, self.mixer, self.ansatz, plan=self.plan
+            spec, self.problem, self.mixer, self.ansatz, plan=self.plan, setup_s=setup_s
         )
 
     @property

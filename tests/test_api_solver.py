@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from repro import PROBLEM_NAMES, QAOASolver, SolveSpec, solve
+from repro import PROBLEM_NAMES, QAOASolver, SolveResult, SolveSpec, solve
 from repro.angles import basinhop, find_angles_random, grid_search, multistart_minimize
 from repro.api import MixerSpec, ProblemSpec, StrategySpec
 from repro.cli import main as cli_main
@@ -150,6 +150,21 @@ class TestSolverObject:
         assert a.spec.seed == 1 and c.spec.seed == 2
         assert not np.array_equal(a.angles, c.angles)
 
+    def test_setup_seconds_are_reported_once(self):
+        spec = SolveSpec(problem=ProblemSpec("maxcut", 6, seed=2), strategy=CHEAP_RANDOM, p=1)
+        result = solve(spec)
+        assert result.setup_s > 0
+        row = result.to_row()
+        assert row["setup_s"] == result.setup_s
+        rebuilt = SolveResult.from_row(spec, json.loads(json.dumps(row)), cached=False)
+        assert rebuilt.setup_s == result.setup_s
+        # a cache hit built nothing
+        assert SolveResult.from_row(spec, row).setup_s == 0.0
+        # a live solver built once reports its construction with its first result only
+        solver = QAOASolver(spec)
+        assert solver.run().setup_s > 0
+        assert solver.run().setup_s == 0.0
+
     def test_solver_accepts_dict_spec(self):
         spec = SolveSpec(problem=ProblemSpec("maxcut", 4, seed=0), strategy=CHEAP_RANDOM)
         result = QAOASolver(spec.to_dict()).run()
@@ -199,6 +214,7 @@ class TestSolveCli:
         payload = json.loads(out.read_text())
         assert payload["result"]["strategy"] == "random"
         assert payload["spec"]["strategy"]["params"] == {"iters": 2}
+        assert payload["result"]["setup_s"] > 0
         # the CLI run is the same solve the API performs
         api = solve(SolveSpec.from_dict(payload["spec"]))
         assert api.value == payload["result"]["value"]

@@ -14,6 +14,7 @@ from repro.experiments.tasks import (
     execute_task,
     get_experiment,
 )
+from repro.service import reset_default_service
 
 TINY_GRID = {
     "problems": ["maxcut"],
@@ -44,15 +45,20 @@ class TestSolveTasks:
         assert len(tasks) == 2  # 1 problem x 1 mixer x 1 strategy x 2 seeds
         assert tasks[0].task_id == "problem=maxcut/mixer=x/strategy=random/n=4/p=1/seed=0"
 
-    def test_execute_task_matches_direct_solve(self):
+    def test_execute_task_matches_direct_solve(self, monkeypatch):
+        monkeypatch.delenv("REPRO_RESULT_CACHE", raising=False)
+        reset_default_service()  # a cold service builds this row's warm entry
         task = enumerate_tasks("solve", TINY_GRID)[0]
         rows = execute_task(task)
+        reset_default_service()
         assert len(rows) == 1
         direct = solve(SolveSpec.from_dict(task.params["spec"])).to_row()
         row = dict(rows[0])
-        # wall time is the only nondeterministic column
+        # the timings are the only nondeterministic columns
         assert row.pop("wall_time_s") > 0
         direct.pop("wall_time_s")
+        assert row.pop("setup_s") > 0
+        assert direct.pop("setup_s") > 0
         assert row == direct
 
     def test_explicit_spec_list(self):

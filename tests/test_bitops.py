@@ -114,6 +114,21 @@ class TestBitConversions:
         bits = ints_to_bit_matrix(np.array([label]), n)
         assert int(bit_matrix_to_ints(bits)[0]) == label
 
+    @given(
+        st.integers(min_value=0, max_value=63),
+        st.lists(st.integers(min_value=0, max_value=2**63 - 1), max_size=20),
+    )
+    @settings(max_examples=100)
+    def test_property_matrix_equals_shift_form(self, n, values):
+        labels = np.array(values, dtype=np.int64) & ((1 << n) - 1)
+        shifts = np.arange(n, dtype=np.uint64)
+        expected = (
+            (labels.astype(np.uint64)[:, None] >> shifts[None, :]) & np.uint64(1)
+        ).astype(np.int8)
+        bits = ints_to_bit_matrix(labels, n)
+        assert bits.dtype == np.int8 and bits.flags.c_contiguous
+        assert np.array_equal(bits, expected)
+
 
 class TestGosper:
     def test_first_and_last(self):

@@ -48,10 +48,14 @@ def _spec(seed=0, *, problem="maxcut", n=6, mixer="x", strategy="random",
     )
 
 
+#: the nondeterministic row fields: wall time and construction time
+_TIMINGS = ("wall_time_s", "setup_s")
+
+
 def _rows_equal(a: dict, b: dict) -> bool:
-    """Row equality ignoring wall time (the only nondeterministic field)."""
-    a = {key: value for key, value in a.items() if key != "wall_time_s"}
-    b = {key: value for key, value in b.items() if key != "wall_time_s"}
+    """Row equality ignoring the timings (the only nondeterministic fields)."""
+    a = {key: value for key, value in a.items() if key not in _TIMINGS}
+    b = {key: value for key, value in b.items() if key not in _TIMINGS}
     return a == b
 
 
@@ -166,11 +170,11 @@ class TestResultCache:
         cache = ResultCache(tmp_path / "results")
         spec = _spec(2)
         first = SolverService(result_cache=cache).solve(spec)
-        assert not first.cached
+        assert not first.cached and first.setup_s > 0
 
         fresh = SolverService(result_cache=cache)
         hit = fresh.solve(spec)
-        assert hit.cached
+        assert hit.cached and hit.setup_s == 0.0
         assert fresh.cache_hits == 1
         assert fresh.solved == 0
         # Zero simulator work: nothing was ever built into the warm pool.
@@ -232,6 +236,14 @@ class TestWarmPool:
         assert pool.stats()["hits"] == 1
         assert pool.stats()["misses"] == 1
         assert first.ansatz is second.ansatz
+
+    def test_entry_reports_its_construction_once(self):
+        service = SolverService(result_cache=None)
+        first, second = service.solve_many([_spec(0), _spec(1)])  # one entry
+        third = service.solve(_spec(2))
+        assert len(service.pool) == 1
+        assert first.setup_s > 0
+        assert second.setup_s == 0.0 and third.setup_s == 0.0
 
     def test_entry_count_lru(self):
         pool = WarmPool(max_entries=2)

@@ -100,6 +100,8 @@ CASES = [
     ("maxcut", 6, None, "grover", 2, 4, None),
     ("maxcut", 7, None, "grover", 1, 3, None),  # non-power-of-two shards
     ("densest_subgraph", 7, 3, "grover", 2, 4, None),  # Dicke subspace
+    ("ising", 6, None, "x", 2, 2, None),  # float couplings, aligned label ranges
+    ("densest_subgraph", 8, 4, "grover", 1, 3, None),  # Dicke labels, gathered
 ]
 
 
@@ -122,6 +124,17 @@ class TestShardedMatchesDense:
             values_s, grads_s = sharded.value_and_gradient_batch(angles)
             np.testing.assert_allclose(values_s, values_d, rtol=0, atol=1e-10)
             np.testing.assert_allclose(grads_s, grads_d, rtol=0, atol=1e-10)
+        finally:
+            sharded.close()
+
+    @pytest.mark.parametrize("problem,n,k,mixer,p,shards,params", CASES)
+    def test_worker_values_equal_dense_objective(self, problem, n, k, mixer, p, shards, params):
+        dense_problem, _ = _dense(problem, n, mixer, p, k=k, mixer_params=params)
+        sharded = _sharded(problem, n, mixer, p, shards, k=k, mixer_params=params)
+        try:
+            # every worker's chunk of the objective, in shard order
+            chunks = sharded.executor._command("__getattribute__", "values")
+            assert np.array_equal(np.concatenate(chunks), dense_problem.objective_values())
         finally:
             sharded.close()
 
@@ -204,7 +217,7 @@ class TestShardedWorkerKernels:
         chunk = split_full_space(n, 2)[1]
         state = _WorkerState(_WorkerConfig(
             index=chunk.index, chunk=chunk, n=n, k=None, shards=2,
-            cost_vectorized=structure.cost_vectorized, mixer=sharded_mixer_config("x", n),
+            problem=structure, mixer=sharded_mixer_config("x", n),
         ))
         state.setup([], batch)  # fills the chunk's cost values; maps no segment
         state._row_chunk = lambda: 100  # several row blocks, the last one short
