@@ -39,7 +39,7 @@ def x_mixer_state():
 def test_x_mixer_walsh_hadamard(benchmark, x_mixer_state):
     """The paper's O(n 2^n) X-mixer layer via Walsh–Hadamard transforms."""
     mixer = transverse_field_mixer(_N_X)
-    out = benchmark(lambda: mixer.apply(x_mixer_state, 0.4))
+    out = benchmark(lambda: mixer.apply_batch(x_mixer_state[:, None], 0.4))
     assert np.isclose(np.linalg.norm(out), 1.0)
 
 
@@ -63,7 +63,7 @@ def test_x_mixer_speedup_shape(benchmark, x_mixer_state):
     psi /= np.linalg.norm(psi)
     mixer = transverse_field_mixer(n)
     dense_h = mixer.matrix()
-    fast = time_call(lambda: mixer.apply(psi, 0.4), repeats=3)
+    fast = time_call(lambda: mixer.apply_batch(psi[:, None], 0.4), repeats=3)
     slow = time_call(lambda: sla.expm(-1j * 0.4 * dense_h) @ psi, repeats=3)
     print(
         f"\n  ablation x-mixer n={n}: "
@@ -90,7 +90,7 @@ def test_clique_exact_layer(benchmark, constrained_workload):
     n, k, obj = constrained_workload
     mixer = CliqueMixer(n, k)
     psi = mixer.initial_state()
-    out = benchmark(lambda: mixer.apply(psi, 0.3))
+    out = benchmark(lambda: mixer.apply_batch(psi[:, None], 0.3))
     assert np.isclose(np.linalg.norm(out), 1.0)
 
 
@@ -99,7 +99,7 @@ def test_clique_trotter_layer(benchmark, constrained_workload):
     n, k, obj = constrained_workload
     mixer = trotter_clique_mixer(n, k, trotter_steps=1)
     psi = mixer.initial_state()
-    out = benchmark(lambda: mixer.apply(psi, 0.3))
+    out = benchmark(lambda: mixer.apply_batch(psi[:, None], 0.3))
     assert np.isclose(np.linalg.norm(out), 1.0)
 
 

@@ -60,14 +60,9 @@ from .core import (
     PrecomputedCost,
     QAOAAnsatz,
     QAOAResult,
-    Workspace,
-    expectation_value,
     expectation_value_batch,
     get_exp_value,
     precompute_cost,
-    qaoa_finite_difference_gradient,
-    qaoa_gradient,
-    qaoa_value_and_gradient,
     qaoa_value_and_gradient_batch,
     random_angles,
     simulate,
@@ -146,14 +141,9 @@ __all__ = [
     "PrecomputedCost",
     "QAOAAnsatz",
     "QAOAResult",
-    "Workspace",
-    "expectation_value",
     "expectation_value_batch",
     "get_exp_value",
     "precompute_cost",
-    "qaoa_finite_difference_gradient",
-    "qaoa_gradient",
-    "qaoa_value_and_gradient",
     "qaoa_value_and_gradient_batch",
     "random_angles",
     "simulate",

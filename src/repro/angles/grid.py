@@ -74,7 +74,7 @@ def grid_search(
     scratch memory — ``3 * dim * batch_size`` complex values — against
     per-chunk overhead).  The default scales the batch down with the space
     dimension, capping each workspace buffer at ~64 MB so large-``n`` sweeps
-    never exceed the scalar loop's memory footprint by much.
+    stay within a few such buffers.
 
     Points are enumerated in evolution order (``gamma_1``, the round-1
     betas, ``gamma_2``, ..., the last-applied angle varying fastest; the

@@ -2,7 +2,7 @@
 
 The dominant cost of the Lotshaw-style random-restart baseline (Fig. 3) and
 of every ``repro run`` sweep that refines seeds is M independent BFGS local
-searches, each hammering the scalar value-and-gradient call.  This module
+searches, each hammering the single-row value-and-gradient call.  This module
 advances all M restarts *in lock-step* instead: every iteration evaluates the
 batched adjoint kernel (:meth:`~repro.core.ansatz.QAOAAnsatz.loss_and_gradient_batch`)
 once for the whole active batch, applies per-column quasi-Newton steps, and

@@ -3,7 +3,7 @@
 Every spec-driven solve runs through exactly one of three engines:
 
 * **dense** — the in-process :class:`~repro.core.ansatz.QAOAAnsatz`
-  (scalar + batched kernels).  Default whenever the statevector comfortably
+  (batched kernels; a single row is M=1).  Default whenever the statevector comfortably
   fits one process.
 * **sharded** — :class:`~repro.hpc.sharded.ShardedAnsatz`: the statevector
   distributed across shard worker processes in shared memory.  Selected when

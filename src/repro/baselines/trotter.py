@@ -10,9 +10,11 @@ avoids the expensive eigendecomposition.
 
 :class:`TrotterXYMixer` implements that product directly on the Dicke
 subspace (each pair term is a Givens rotation between the two states related
-by swapping the pair's bits), conforming to the :class:`~repro.mixers.base.Mixer`
-interface so it can be dropped into ``simulate`` and compared head-to-head
-with the exact :class:`~repro.mixers.xy.CliqueMixer` / ``RingMixer``.
+by swapping the pair's bits).  The rotations index rows, so one call updates
+a whole ``(dim, M)`` batch; the mixer implements the two batched kernels of
+the :class:`~repro.mixers.base.Mixer` interface and can be dropped into
+``simulate`` and compared head-to-head with the exact
+:class:`~repro.mixers.xy.CliqueMixer` / ``RingMixer``.
 """
 
 from __future__ import annotations
@@ -82,38 +84,48 @@ class TrotterXYMixer(Mixer):
                 (np.asarray(lows, dtype=np.int64), np.asarray(highs, dtype=np.int64))
             )
 
-    def apply(self, psi: np.ndarray, beta: float, out: np.ndarray | None = None) -> np.ndarray:
-        psi = self._check_state(psi)
-        if out is None:
-            out = psi.astype(np.complex128, copy=True)
-        elif out is not psi:
-            out[:] = psi
-        step_angle = float(beta) / self.trotter_steps
-        cos = np.cos(2.0 * step_angle)
-        sin = np.sin(2.0 * step_angle)
+    def apply_batch(
+        self,
+        Psi: np.ndarray,
+        betas: np.ndarray,
+        out: np.ndarray | None = None,
+        *,
+        workspace=None,
+        columns: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """The Trotterized layer on every column: each pair term is a Givens
+        rotation of two rows, applied to all M columns at once."""
+        Psi, out, M = self._check_batch(Psi, out, columns)
+        betas = self._batch_angles(betas, M)
+        if columns is not None:
+            np.take(Psi, columns, axis=1, out=out)
+        elif out is not Psi:
+            out[:] = Psi
+        # exp(-i theta (XX+YY)) restricted to the {|01>, |10>} pair is a
+        # Givens-like rotation with mixing angle 2 theta.
+        step_angles = 2.0 * betas / self.trotter_steps
+        cos, sin = np.cos(step_angles), -1j * np.sin(step_angles)
         for _ in range(self.trotter_steps):
             for lows, highs in self._couplings:
-                if lows.size == 0:
-                    continue
                 a = out[lows]
                 b = out[highs]
-                # exp(-i theta (XX+YY)) restricted to the {|01>, |10>} pair is a
-                # Givens-like rotation with mixing angle 2 theta.
-                out[lows] = cos * a - 1j * sin * b
-                out[highs] = cos * b - 1j * sin * a
+                out[lows] = cos * a + sin * b
+                out[highs] = cos * b + sin * a
         return out
 
-    def apply_hamiltonian(self, psi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``H_M |psi>`` for the *exact* XY Hamiltonian (gradients remain exact)."""
-        psi = self._check_state(psi)
-        result = np.zeros_like(psi, dtype=np.complex128)
+    def apply_hamiltonian_batch(
+        self,
+        Psi: np.ndarray,
+        out: np.ndarray | None = None,
+        *,
+        workspace=None,
+    ) -> np.ndarray:
+        """``H_M |psi_j>`` for the *exact* XY Hamiltonian (gradients remain exact)."""
+        Psi, out, M = self._check_batch(Psi, out)
+        result = np.zeros((self.dim, M), dtype=np.complex128)
         for lows, highs in self._couplings:
-            if lows.size == 0:
-                continue
-            result[lows] += 2.0 * psi[highs]
-            result[highs] += 2.0 * psi[lows]
-        if out is None:
-            return result
+            result[lows] += 2.0 * Psi[highs]
+            result[highs] += 2.0 * Psi[lows]
         out[:] = result
         return out
 
@@ -126,13 +138,7 @@ class TrotterXYMixer(Mixer):
         from scipy.linalg import expm
 
         exact = expm(-1j * beta * self.matrix())
-        dim = self.dim
-        approx = np.empty((dim, dim), dtype=np.complex128)
-        basis = np.zeros(dim, dtype=np.complex128)
-        for j in range(dim):
-            basis[:] = 0.0
-            basis[j] = 1.0
-            approx[:, j] = self.apply(basis, beta)
+        approx = self.apply_batch(np.eye(self.dim, dtype=np.complex128), beta)
         return float(np.linalg.norm(exact - approx, ord=2))
 
     def cache_key(self) -> str:

@@ -247,7 +247,7 @@ def sweep_instance(point: Mapping, *, contenders: Sequence[Mapping] = CONTENDERS
     return {
         "n": n,
         "k": k,
-        "dim": ansatz.workspace.dim,
+        "dim": ansatz.dim,
         "seed": seed,
         "best_final": best_final,
         "quality_threshold": threshold,

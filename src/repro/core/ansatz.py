@@ -4,11 +4,12 @@
 pre-computed objective values, the mixer schedule, the initial state and the
 optimization sense — behind the small callable surface the angle-finding
 optimizers need: ``expectation(angles)``, ``gradient(angles)`` and
-``simulate(angles)``.  A single pre-allocated workspace is reused across every
-call, which is where the "functionally zero overhead" repeated evaluation of
-the paper comes from.  The single-row calls keep their scalar kernels (the
-reference the batched adjoint is tested against); the loss wrappers,
-``random_angles`` and ``close`` come from :class:`~repro.core.engine.Engine`.
+``simulate(angles)``.  A single pre-allocated
+:class:`~repro.core.workspace.BatchedWorkspace` is reused across every call,
+which is where the "functionally zero overhead" repeated evaluation of the
+paper comes from.  The ansatz implements the batched kernels; the single-row
+calls (M=1 rows of them), the loss wrappers, ``random_angles`` and ``close``
+come from :class:`~repro.core.engine.Engine`.
 """
 
 from __future__ import annotations
@@ -18,17 +19,12 @@ from typing import Sequence
 import numpy as np
 
 from ..mixers.base import Mixer
-from ..mixers.schedules import MixerSchedule
+from ..mixers.schedules import MixerSchedule, as_schedule
 from .engine import Engine
-from .gradients import (
-    EvaluationCounter,
-    qaoa_finite_difference_gradient,
-    qaoa_value_and_gradient,
-    qaoa_value_and_gradient_batch,
-)
+from .gradients import EvaluationCounter, qaoa_value_and_gradient_batch
 from .precompute import PrecomputedCost
-from .simulator import QAOAResult, expectation_value, expectation_value_batch, simulate
-from .workspace import BatchedWorkspace, Workspace
+from .simulator import QAOAResult, expectation_value_batch, simulate
+from .workspace import BatchedWorkspace
 
 __all__ = ["QAOAAnsatz"]
 
@@ -65,15 +61,9 @@ class QAOAAnsatz(Engine):
         maximize: bool = True,
         backend=None,
     ):
-        if isinstance(mixer, MixerSchedule):
-            schedule = mixer
-        elif isinstance(mixer, Mixer):
-            if p is None:
-                raise ValueError("p must be given when a single mixer is supplied")
-            schedule = MixerSchedule(mixer, rounds=p)
-        else:
-            schedule = MixerSchedule(mixer, rounds=p)
-        self.schedule = schedule
+        if isinstance(mixer, Mixer) and p is None:
+            raise ValueError("p must be given when a single mixer is supplied")
+        self.schedule = schedule = as_schedule(mixer, p)
 
         if isinstance(obj_vals, PrecomputedCost):
             self._cost = obj_vals
@@ -112,9 +102,8 @@ class QAOAAnsatz(Engine):
 
             backend = active_backend()
         self.backend = backend
-        self.workspace = Workspace(schedule.dim, backend=backend)
-        # Lazily created on the first expectation_batch call; grown (never
-        # shrunk) to the largest batch seen, then reused across every sweep.
+        # Lazily created on the first kernel call; grown (never shrunk) to
+        # the largest batch seen, then reused across every call.
         self._batched_workspace: BatchedWorkspace | None = None
         #: evaluation bookkeeping shared by value and gradient calls
         self.counter = EvaluationCounter()
@@ -159,17 +148,6 @@ class QAOAAnsatz(Engine):
         return self._cost.optimum
 
     # ------------------------------------------------------------------
-    def expectation(self, angles: np.ndarray) -> float:
-        """``<C>`` at the given angles."""
-        self.counter.forward_passes += 1
-        return expectation_value(
-            angles,
-            self.schedule,
-            self.cost.values,
-            initial_state=self.initial_state,
-            workspace=self.workspace,
-        )
-
     def _ensure_batched_workspace(self, batch: int) -> BatchedWorkspace:
         if self._batched_workspace is None:
             self._batched_workspace = BatchedWorkspace(
@@ -200,17 +178,6 @@ class QAOAAnsatz(Engine):
             workspace=workspace,
         )
 
-    def value_and_gradient(self, angles: np.ndarray) -> tuple[float, np.ndarray]:
-        """Expectation value and exact adjoint-mode gradient."""
-        return qaoa_value_and_gradient(
-            angles,
-            self.schedule,
-            self.cost.values,
-            initial_state=self.initial_state,
-            workspace=self.workspace,
-            counter=self.counter,
-        )
-
     def value_and_gradient_batch(self, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Expectation values and exact adjoint gradients for M angle sets at once.
 
@@ -234,22 +201,6 @@ class QAOAAnsatz(Engine):
             counter=self.counter,
         )
 
-    def gradient(self, angles: np.ndarray) -> np.ndarray:
-        """Exact adjoint-mode gradient of ``<C>``."""
-        return self.value_and_gradient(angles)[1]
-
-    def finite_difference_gradient(self, angles: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-        """Finite-difference gradient (the slow baseline of Fig. 5)."""
-        return qaoa_finite_difference_gradient(
-            angles,
-            self.schedule,
-            self.cost.values,
-            initial_state=self.initial_state,
-            workspace=self.workspace,
-            eps=eps,
-            counter=self.counter,
-        )
-
     def simulate(self, angles: np.ndarray) -> QAOAResult:
         """Full simulation returning a :class:`~repro.core.simulator.QAOAResult`."""
         return simulate(
@@ -257,7 +208,7 @@ class QAOAAnsatz(Engine):
             self.schedule,
             self.cost,
             initial_state=self.initial_state,
-            workspace=self.workspace,
+            workspace=self._ensure_batched_workspace(1),
             maximize=self.maximize,
         )
 

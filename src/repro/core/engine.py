@@ -7,9 +7,10 @@ The dense :class:`~repro.core.ansatz.QAOAAnsatz`, the sharded
 :class:`~repro.grover.ansatz.CompressedGroverAnsatz` all present that surface
 to the angle strategies.  Each implements the batched kernels
 (``expectation_batch``, ``value_and_gradient_batch``), ``simulate`` and
-``optimum``; everything derived from them — the single-row calls, the
-minimizer losses, ``random_angles`` and the resource-release protocol — is
-written here once.
+``optimum``; everything derived from them — the single-row calls (M=1 rows
+of the batched kernels), the finite-difference baseline, the minimizer
+losses, ``random_angles`` and the resource-release protocol — is written
+here once.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from __future__ import annotations
 import abc
 
 import numpy as np
+
+from .gradients import finite_difference_gradient
 
 __all__ = ["Engine"]
 
@@ -86,6 +89,16 @@ class Engine(abc.ABC):
         """Expectation value and exact adjoint-mode gradient."""
         values, grads = self.value_and_gradient_batch(np.asarray(angles)[None, :])
         return float(values[0]), grads[0]
+
+    def gradient(self, angles: np.ndarray) -> np.ndarray:
+        """Exact adjoint-mode gradient of ``<C>``."""
+        return self.value_and_gradient(angles)[1]
+
+    def finite_difference_gradient(self, angles: np.ndarray, eps: float = 1e-6) -> np.ndarray:
+        """Central finite-difference gradient: ``2 * num_angles`` expectation
+        calls, the ``O(p)`` baseline of Fig. 5."""
+        angles = np.asarray(angles, dtype=np.float64).ravel()
+        return finite_difference_gradient(self.expectation, angles, eps=eps)
 
     # -- objective wrappers for minimizers ----------------------------------
     def loss(self, angles: np.ndarray) -> float:

@@ -18,8 +18,12 @@ through the inverse unitaries,
     |phi_{k-1}> = e^{+i gamma_k C} |phi'_k> .
 
 The total work is one forward pass, one backward pass and one Hamiltonian
-mat-vec per round — independent of ``p`` relative to the cost of an
+product per round — independent of ``p`` relative to the cost of an
 expectation value, which is the property Figure 5 measures.
+:func:`qaoa_value_and_gradient_batch` runs the recursion on M angle sets at
+once as ``(dim, M)`` matrices; :func:`finite_difference_gradient` is the
+generic ``O(p)`` baseline that
+:meth:`~repro.core.engine.Engine.finite_difference_gradient` drives.
 """
 
 from __future__ import annotations
@@ -31,24 +35,15 @@ import numpy as np
 
 from ..backend.base import distinct_levels
 from ..mixers.base import Mixer
-from ..mixers.schedules import MixerSchedule
+from ..mixers.schedules import MixerSchedule, as_schedule
 from .precompute import PrecomputedCost
-from .simulator import (
-    _CostPhaseFactors,
-    evolve_state,
-    evolve_state_batch,
-    split_angles,
-    split_angles_batch,
-)
-from .workspace import BatchedWorkspace, Workspace
+from .simulator import _CostPhaseFactors, evolve_state_batch, split_angles_batch
+from .workspace import BatchedWorkspace
 
 __all__ = [
     "EvaluationCounter",
-    "qaoa_gradient",
-    "qaoa_value_and_gradient",
     "qaoa_value_and_gradient_batch",
     "finite_difference_gradient",
-    "qaoa_finite_difference_gradient",
 ]
 
 
@@ -70,110 +65,6 @@ class EvaluationCounter:
         """Zero all counters."""
         self.forward_passes = 0
         self.hamiltonian_applications = 0
-
-
-def _prepare(mixer, obj_vals, p, angles):
-    if isinstance(mixer, MixerSchedule):
-        schedule = mixer
-    elif isinstance(mixer, Mixer):
-        if p is None:
-            p = np.asarray(angles).size // 2
-        schedule = MixerSchedule(mixer, rounds=p)
-    else:
-        schedule = MixerSchedule(mixer, rounds=p)
-    values = obj_vals.values if isinstance(obj_vals, PrecomputedCost) else np.asarray(
-        obj_vals, dtype=np.float64
-    )
-    if values.shape != (schedule.dim,):
-        raise ValueError(f"objective values have shape {values.shape}, expected ({schedule.dim},)")
-    return schedule, values
-
-
-def qaoa_value_and_gradient(
-    angles: np.ndarray,
-    mixer: Mixer | Sequence[Mixer] | MixerSchedule,
-    obj_vals: np.ndarray | PrecomputedCost,
-    *,
-    p: int | None = None,
-    initial_state: np.ndarray | None = None,
-    workspace: Workspace | None = None,
-    counter: EvaluationCounter | None = None,
-) -> tuple[float, np.ndarray]:
-    """Expectation value and its exact gradient in one adjoint-mode pass.
-
-    The gradient is returned in the same flat (betas, gammas) layout as the
-    input angles.  Multi-angle layers are supported: each per-term beta gets
-    its own derivative component.
-    """
-    angles = np.asarray(angles, dtype=np.float64).ravel()
-    schedule, values = _prepare(mixer, obj_vals, p, angles)
-    betas, gammas = split_angles(angles, schedule)
-    dim = schedule.dim
-
-    if workspace is None:
-        workspace = Workspace(dim)
-    layer_store = workspace.ensure_layers(schedule.p)
-
-    if initial_state is None:
-        initial_state = schedule.initial_state()
-
-    # Forward pass, recording per-round intermediate states.
-    psi = evolve_state(
-        betas, gammas, schedule, values, initial_state,
-        workspace=workspace, layer_store=layer_store,
-    )
-    if counter is not None:
-        counter.forward_passes += 1
-    energy = float(np.real(np.vdot(psi, values * psi)))
-
-    # Backward (adjoint) pass.
-    from ..mixers.xmixer import MultiAngleXMixer
-
-    phi = values * psi  # C |psi_p>
-    grad_betas: list[np.ndarray] = [None] * schedule.p  # type: ignore[list-item]
-    grad_gammas = np.empty(schedule.p, dtype=np.float64)
-
-    for k in range(schedule.p - 1, -1, -1):
-        mixer_k = schedule[k]
-        psi_k = layer_store[k, 1, :]
-        chi_k = layer_store[k, 0, :]
-        beta_k = betas[k]
-
-        if isinstance(mixer_k, MultiAngleXMixer):
-            grads = np.empty(mixer_k.num_angles, dtype=np.float64)
-            for t in range(mixer_k.num_angles):
-                h_psi = mixer_k.apply_hamiltonian_term(psi_k, t)
-                grads[t] = 2.0 * float(np.imag(np.vdot(phi, h_psi)))
-                if counter is not None:
-                    counter.hamiltonian_applications += 1
-            grad_betas[k] = grads
-            phi = mixer_k.apply(phi, -np.asarray(beta_k))
-        else:
-            h_psi = mixer_k.apply_hamiltonian(psi_k)
-            if counter is not None:
-                counter.hamiltonian_applications += 1
-            grad_betas[k] = np.array([2.0 * float(np.imag(np.vdot(phi, h_psi)))])
-            phi = mixer_k.apply(phi, -float(beta_k[0]))
-
-        # Gamma derivative uses the adjoint state *before* the mixer.
-        grad_gammas[k] = 2.0 * float(np.imag(np.vdot(phi, values * chi_k)))
-        if k:
-            # Undo the phase separator to obtain phi_{k-1}; phi_{-1} is
-            # never read, so the last round skips it.
-            phi = phi * np.exp(1j * gammas[k] * values)
-
-    gradient = np.concatenate([np.concatenate(grad_betas), grad_gammas])
-    return energy, gradient
-
-
-def qaoa_gradient(
-    angles: np.ndarray,
-    mixer: Mixer | Sequence[Mixer] | MixerSchedule,
-    obj_vals: np.ndarray | PrecomputedCost,
-    **kwargs,
-) -> np.ndarray:
-    """Exact gradient of the expectation value (see :func:`qaoa_value_and_gradient`)."""
-    return qaoa_value_and_gradient(angles, mixer, obj_vals, **kwargs)[1]
 
 
 def _batched_imag_vdot(a: np.ndarray, b: np.ndarray, backend=None) -> np.ndarray:
@@ -204,17 +95,15 @@ def qaoa_value_and_gradient_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Expectation values and exact adjoint gradients for M angle sets at once.
 
-    The batched analogue of :func:`qaoa_value_and_gradient`: ``angles`` is an
-    ``(M, num_angles)`` matrix whose rows are flat (betas, gammas) vectors.
-    One ``(dim, M)`` forward pass records the per-round intermediate batches
-    in the workspace's layer store, then one batched backward pass walks the
-    adjoint recursion with the same BLAS-3 mixer kernels
-    (:meth:`~repro.mixers.base.Mixer.apply_batch` with negated betas and
-    :meth:`~repro.mixers.base.Mixer.apply_hamiltonian_batch`), so the
-    per-angle-set cost matches the batched evaluation engine's rather than the
-    scalar adjoint loop's.  Returns ``(values, gradients)`` with shapes
-    ``(M,)`` and ``(M, num_angles)``; rows agree with the scalar path to
-    ~1e-12.
+    ``angles`` is an ``(M, num_angles)`` matrix whose rows are flat (betas,
+    gammas) vectors; a single flat vector is one row (the M=1 call every
+    single-row gradient is).  One ``(dim, M)`` forward pass records the
+    per-round intermediate batches in the workspace's layer store, then one
+    batched backward pass walks the adjoint recursion with the same BLAS-3
+    mixer kernels (:meth:`~repro.mixers.base.Mixer.apply_batch` with negated
+    betas and :meth:`~repro.mixers.base.Mixer.apply_hamiltonian_batch`).
+    Multi-angle layers get one derivative per term.  Returns ``(values,
+    gradients)`` with shapes ``(M,)`` and ``(M, num_angles)``.
 
     Memory: the layer store holds ``p * 2 * dim * M`` complex128 values —
     chunk large batches (as the vectorized multi-start refiner does) to bound
@@ -225,7 +114,12 @@ def qaoa_value_and_gradient_batch(
     angles = np.asarray(angles, dtype=np.float64)
     if angles.ndim == 1:
         angles = angles[None, :]
-    schedule, values = _prepare(mixer, obj_vals, p, angles[0])
+    schedule = as_schedule(mixer, p, angles.shape[1])
+    values = obj_vals.values if isinstance(obj_vals, PrecomputedCost) else np.asarray(
+        obj_vals, dtype=np.float64
+    )
+    if values.shape != (schedule.dim,):
+        raise ValueError(f"objective values have shape {values.shape}, expected ({schedule.dim},)")
     beta_rounds, gammas = split_angles_batch(angles, schedule)
     M = angles.shape[0]
     dim = schedule.dim
@@ -345,37 +239,3 @@ def finite_difference_gradient(
         raise ValueError(f"unknown finite-difference scheme {scheme!r}")
     return grad
 
-
-def qaoa_finite_difference_gradient(
-    angles: np.ndarray,
-    mixer: Mixer | Sequence[Mixer] | MixerSchedule,
-    obj_vals: np.ndarray | PrecomputedCost,
-    *,
-    p: int | None = None,
-    initial_state: np.ndarray | None = None,
-    workspace: Workspace | None = None,
-    eps: float = 1e-6,
-    scheme: str = "central",
-    counter: EvaluationCounter | None = None,
-) -> np.ndarray:
-    """Finite-difference gradient of the expectation value (the Fig. 5 baseline).
-
-    Requires ``2 * len(angles)`` expectation evaluations with the central
-    scheme (``len(angles) + 1`` with the forward scheme), i.e. ``O(p)`` full
-    state evolutions versus the adjoint method's two.
-    """
-    from .simulator import expectation_value
-
-    angles = np.asarray(angles, dtype=np.float64).ravel()
-    schedule, values = _prepare(mixer, obj_vals, p, angles)
-    if workspace is None:
-        workspace = Workspace(schedule.dim)
-
-    def func(a: np.ndarray) -> float:
-        if counter is not None:
-            counter.forward_passes += 1
-        return expectation_value(
-            a, schedule, values, initial_state=initial_state, workspace=workspace
-        )
-
-    return finite_difference_gradient(func, angles, eps=eps, scheme=scheme)

@@ -12,9 +12,11 @@ amplitudes and the probability of measuring an optimal state, mirroring the
 ``simulate`` / ``get_exp_value`` API of the paper's Listing 1.
 
 Each round is a diagonal phase multiply (the phase separator never needs a
-matrix) followed by one mixer application; all buffers can be supplied through
-a :class:`~repro.core.workspace.Workspace` so that repeated calls inside the
-angle-finding loop allocate nothing.
+matrix) followed by one mixer application.  There is one evolution kernel,
+:func:`evolve_state_batch`, which evolves M angle sets as the columns of a
+``(dim, M)`` matrix; a single simulation is its M=1 call.  All buffers can be
+supplied through a :class:`~repro.core.workspace.BatchedWorkspace` so that
+repeated calls inside the angle-finding loop allocate nothing.
 """
 
 from __future__ import annotations
@@ -27,20 +29,17 @@ import numpy as np
 from ..backend import active_backend
 from ..backend.base import distinct_levels, level_table_pays
 from ..mixers.base import Mixer
-from ..mixers.schedules import MixerSchedule
+from ..mixers.schedules import MixerSchedule, as_schedule
 from .precompute import PrecomputedCost
-from .workspace import BatchedWorkspace, Workspace
+from .workspace import BatchedWorkspace
 
 __all__ = [
     "QAOAResult",
-    "split_angles",
     "split_angles_batch",
-    "evolve_state",
     "evolve_state_batch",
     "simulate",
     "simulate_batch",
     "get_exp_value",
-    "expectation_value",
     "expectation_value_batch",
     "random_angles",
 ]
@@ -50,37 +49,17 @@ __all__ = [
 # angles layout
 # ---------------------------------------------------------------------------
 
-def split_angles(
-    angles: np.ndarray, schedule: MixerSchedule
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Split a flat angle vector into per-round betas and the gamma vector.
-
-    The layout follows the paper's Listing 1: the first block holds the mixer
-    angles (betas), the second block the phase-separator angles (gammas).  For
-    plain mixers the beta block has length ``p``; multi-angle layers consume
-    one beta per term.
-    """
-    angles = np.asarray(angles, dtype=np.float64).ravel()
-    total = schedule.total_betas + schedule.p
-    if angles.size != total:
-        raise ValueError(
-            f"expected {total} angles ({schedule.total_betas} betas + {schedule.p} gammas), "
-            f"got {angles.size}"
-        )
-    betas = schedule.split_betas(angles[: schedule.total_betas])
-    gammas = angles[schedule.total_betas :]
-    return betas, gammas
-
-
 def split_angles_batch(
     angles: np.ndarray, schedule: MixerSchedule
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Split an ``(M, num_angles)`` matrix of flat angle vectors column-wise.
 
-    Each row of ``angles`` is one flat angle set in the layout of
-    :func:`split_angles`.  Returns a per-round list of ``(count_k, M)`` beta
-    matrices and the ``(p, M)`` gamma matrix — one column per angle set, which
-    is the layout the batched evolution consumes.
+    Each row of ``angles`` is one flat angle set: the mixer angles (betas)
+    first, then the phase-separator angles (gammas), as in the paper's
+    Listing 1; a multi-angle layer consumes one beta per term.  Returns a
+    per-round list of ``(count_k, M)`` beta matrices and the ``(p, M)`` gamma
+    matrix — one column per angle set, which is the layout the batched
+    evolution consumes.
     """
     angles = np.asarray(angles, dtype=np.float64)
     if angles.ndim == 1:
@@ -240,105 +219,6 @@ class _CostPhaseFactors:
             np.multiply(self.signed_i_cost[:, None], gamma_k[None, :], out=phases)
             np.exp(phases, out=phases)
         return phases
-
-
-def _as_schedule(mixer: Mixer | Sequence[Mixer] | MixerSchedule, p: int) -> MixerSchedule:
-    if isinstance(mixer, MixerSchedule):
-        return mixer
-    return MixerSchedule(mixer, rounds=p)
-
-
-def _as_cost(obj_vals, space) -> PrecomputedCost:
-    if isinstance(obj_vals, PrecomputedCost):
-        return obj_vals
-    return PrecomputedCost(values=np.asarray(obj_vals, dtype=np.float64), space=space)
-
-
-def _dim_of(mixer: Mixer | Sequence[Mixer] | MixerSchedule) -> int:
-    """Simulation dimension of a mixer / mixer list / schedule argument."""
-    if isinstance(mixer, (MixerSchedule, Mixer)):
-        return mixer.dim
-    return next(iter(mixer)).dim
-
-
-def _scalar_call_workspace(
-    workspace: Workspace | BatchedWorkspace | None, dim: int
-) -> BatchedWorkspace | None:
-    """Adapt a scalar entry point's workspace argument for the batched engine.
-
-    A :class:`Workspace` is checked against ``dim``, counted as served, and
-    swapped for its cached single-column companion; a ``BatchedWorkspace``
-    passes straight through (the batched engine re-validates it); ``None``
-    stays ``None``.
-    """
-    if workspace is None or isinstance(workspace, BatchedWorkspace):
-        return workspace
-    if not workspace.compatible_with(dim):
-        raise ValueError(
-            f"workspace dimension {workspace.dim} does not match simulation dimension {dim}"
-        )
-    workspace.calls_served += 1
-    return workspace.batched()
-
-
-def evolve_state(
-    betas: Sequence[np.ndarray] | np.ndarray,
-    gammas: np.ndarray,
-    schedule: MixerSchedule,
-    cost_values: np.ndarray,
-    initial_state: np.ndarray,
-    *,
-    workspace: Workspace | None = None,
-    layer_store: np.ndarray | None = None,
-) -> np.ndarray:
-    """Apply ``p`` QAOA rounds to ``initial_state`` and return the final state.
-
-    ``betas`` is a per-round list (each entry a scalar array, or a vector for
-    multi-angle layers); ``gammas`` is the length-``p`` phase-separator angle
-    vector.  If ``layer_store`` (shape ``(p, 2, dim)``) is given, the state
-    after each phase separator and after each mixer is recorded — this is what
-    the analytic gradient consumes.
-
-    This is the M=1 column call of :func:`evolve_state_batch` (there is
-    exactly one evolution code path per mixer family); the single-column
-    buffers come from the workspace's cached
-    :meth:`~repro.core.workspace.Workspace.batched` companion, so repeated
-    calls still allocate nothing.  The returned ``(dim,)`` state is a view
-    into that companion's state buffer — copy it to keep it across calls.
-    """
-    gammas = np.asarray(gammas, dtype=np.float64).ravel()
-    if len(gammas) != schedule.p:
-        raise ValueError(f"expected {schedule.p} gamma angles, got {len(gammas)}")
-    if isinstance(betas, np.ndarray) and betas.ndim == 1 and len(betas) == schedule.p:
-        betas = [np.atleast_1d(b) for b in betas]
-    if len(betas) != schedule.p:
-        raise ValueError(f"expected {schedule.p} beta entries, got {len(betas)}")
-
-    dim = schedule.dim
-    cost_values = np.asarray(cost_values, dtype=np.float64)
-    if cost_values.shape != (dim,):
-        raise ValueError(f"objective values have shape {cost_values.shape}, expected ({dim},)")
-
-    batched = _scalar_call_workspace(workspace, dim)
-
-    beta_cols = [
-        np.atleast_1d(np.asarray(beta_k, dtype=np.float64)).reshape(-1, 1) for beta_k in betas
-    ]
-    store = (
-        None
-        if layer_store is None
-        else layer_store[: schedule.p].reshape(schedule.p, 2, dim, 1)
-    )
-    psi = evolve_state_batch(
-        beta_cols,
-        gammas.reshape(-1, 1),
-        schedule,
-        cost_values,
-        initial_state,
-        workspace=batched,
-        layer_store=store,
-    )
-    return psi[:, 0]
 
 
 def _prefix_runs(
@@ -511,7 +391,7 @@ def simulate(
     *,
     p: int | None = None,
     initial_state: np.ndarray | None = None,
-    workspace: Workspace | None = None,
+    workspace: BatchedWorkspace | None = None,
     maximize: bool = True,
 ) -> QAOAResult:
     """Simulate a ``p``-round QAOA and return a :class:`QAOAResult`.
@@ -534,27 +414,23 @@ def simulate(
         Optional initial statevector (defaults to the mixer's uniform
         superposition over the feasible space; pass e.g. a warm start here).
     workspace:
-        Optional pre-allocated :class:`~repro.core.workspace.Workspace`.
+        Optional pre-allocated
+        :class:`~repro.core.workspace.BatchedWorkspace`.
     maximize:
         Recorded on the result's cost object (used for optimal-state queries).
 
-    The M=1 row call of :func:`simulate_batch` — one simulation code path per
-    mixer family, shared by the scalar and batched engines.
+    The M=1 row call of :func:`simulate_batch`.
     """
     angles = np.asarray(angles, dtype=np.float64).ravel()
-    if isinstance(mixer, Mixer) and p is None and angles.size % 2:
-        raise ValueError("cannot infer p from an odd-length angle vector; pass p explicitly")
-    batched = _scalar_call_workspace(workspace, _dim_of(mixer))
-    results = simulate_batch(
+    return simulate_batch(
         angles[None, :],
         mixer,
         obj_vals,
         p=p,
         initial_state=initial_state,
-        workspace=batched,
+        workspace=workspace,
         maximize=maximize,
-    )
-    return results[0]
+    )[0]
 
 
 def simulate_batch(
@@ -572,23 +448,12 @@ def simulate_batch(
     ``angles`` is an ``(M, num_angles)`` matrix whose rows are flat angle
     vectors in the layout of :func:`simulate`.  All M simulations share one
     evolution over a ``(dim, M)`` state matrix, so the per-angle-set cost is
-    that of the batched BLAS-3 kernels rather than M scalar evolutions.
+    that of the batched BLAS-3 kernels rather than M separate evolutions.
     """
     angles = np.asarray(angles, dtype=np.float64)
     if angles.ndim == 1:
         angles = angles[None, :]
-    if isinstance(mixer, MixerSchedule):
-        schedule = mixer
-    elif isinstance(mixer, Mixer):
-        if p is None:
-            if angles.shape[1] % 2:
-                raise ValueError(
-                    "cannot infer p from an odd-length angle vector; pass p explicitly"
-                )
-            p = angles.shape[1] // 2
-        schedule = MixerSchedule(mixer, rounds=p)
-    else:
-        schedule = MixerSchedule(mixer, rounds=p)
+    schedule = as_schedule(mixer, p, angles.shape[1])
 
     if isinstance(obj_vals, PrecomputedCost):
         cost = obj_vals
@@ -626,33 +491,6 @@ def get_exp_value(result: QAOAResult) -> float:
     return result.expectation()
 
 
-def expectation_value(
-    angles: np.ndarray,
-    mixer: Mixer | Sequence[Mixer] | MixerSchedule,
-    obj_vals: np.ndarray | PrecomputedCost,
-    *,
-    p: int | None = None,
-    initial_state: np.ndarray | None = None,
-    workspace: Workspace | None = None,
-) -> float:
-    """Fast path returning only ``<C>`` (what the angle-finding inner loop calls).
-
-    The M=1 row call of :func:`expectation_value_batch` — one evaluation code
-    path per mixer family, shared by the scalar and batched engines.
-    """
-    angles = np.asarray(angles, dtype=np.float64).ravel()
-    batched = _scalar_call_workspace(workspace, _dim_of(mixer))
-    values = expectation_value_batch(
-        angles[None, :],
-        mixer,
-        obj_vals,
-        p=p,
-        initial_state=initial_state,
-        workspace=batched,
-    )
-    return float(values[0])
-
-
 def expectation_value_batch(
     angles: np.ndarray,
     mixer: Mixer | Sequence[Mixer] | MixerSchedule,
@@ -667,19 +505,11 @@ def expectation_value_batch(
     This is what batched angle-finding loops (grid search, random-restart
     seeding) call: M angle sets are evolved as the columns of one ``(dim, M)``
     matrix and the M expectation values come back as a ``(M,)`` float array.
-    Agrees with a loop over :func:`expectation_value` to ~1e-12.
     """
     angles = np.asarray(angles, dtype=np.float64)
     if angles.ndim == 1:
         angles = angles[None, :]
-    if isinstance(mixer, MixerSchedule):
-        schedule = mixer
-    elif isinstance(mixer, Mixer):
-        if p is None:
-            p = angles.shape[1] // 2
-        schedule = MixerSchedule(mixer, rounds=p)
-    else:
-        schedule = MixerSchedule(mixer, rounds=p)
+    schedule = as_schedule(mixer, p, angles.shape[1])
     if isinstance(obj_vals, PrecomputedCost):
         values = obj_vals.values
         cost_levels = obj_vals.phase_levels()

@@ -2,17 +2,14 @@
 
 The paper emphasizes (Sec. 2.2) that the statevector simulation pre-allocates
 and re-uses memory so that repeated expectation-value evaluations inside the
-angle-finding loop have "functionally zero overhead".  :class:`Workspace`
-holds the complex buffers one simulation needs (the evolving state, a scratch
-vector for basis changes, and the per-layer storage the adjoint gradient
-wants) and hands them out without re-allocating across calls.
-
-:class:`BatchedWorkspace` is the ``(dim, M)`` analogue used by the batched
-evaluation engine: M statevectors evolve side by side as the columns of one
-matrix, so mixer layers become BLAS-3 GEMMs instead of M separate GEMVs.  Its
-buffers are backed by flat arrays and handed out as prefix-reshaped views, so
-every view is C-contiguous regardless of the requested batch size; capacity
-only ever grows.
+angle-finding loop have "functionally zero overhead".
+:class:`BatchedWorkspace` holds the ``(dim, M)`` buffers of the evolution
+kernel (M statevectors evolve side by side as the columns of one matrix, so
+mixer layers become BLAS-3 GEMMs; a single simulation is M=1) plus the
+per-layer storage the adjoint gradient wants, and hands them out without
+re-allocating across calls.  Its buffers are backed by flat arrays and
+handed out as prefix-reshaped views, so every view is C-contiguous
+regardless of the requested batch size; capacity only ever grows.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ import numpy as np
 
 from ..backend import active_backend
 
-__all__ = ["Workspace", "BatchedWorkspace", "default_eval_batch"]
+__all__ = ["BatchedWorkspace", "default_eval_batch"]
 
 
 def default_eval_batch(dim: int, *, budget_elems: int = 1 << 22) -> int:
@@ -30,77 +27,11 @@ def default_eval_batch(dim: int, *, budget_elems: int = 1 << 22) -> int:
     capped at 256 columns.
 
     The shared chunking policy of the batched sweep consumers (grid search,
-    random-restart seed scoring): large-``n`` sweeps never exceed the scalar
-    loop's memory footprint by much, while small spaces still amortize the
+    random-restart seed scoring): large-``n`` sweeps stay within the budget
+    (down to one column), while small spaces still amortize the
     per-chunk Python overhead over hundreds of columns.
     """
     return max(1, min(256, budget_elems // max(1, dim)))
-
-
-class Workspace:
-    """Reusable complex buffers for statevector simulation of a fixed dimension."""
-
-    def __init__(self, dim: int, store_layers: int = 0, *, backend=None):
-        if dim < 1:
-            raise ValueError("workspace dimension must be positive")
-        self.dim = int(dim)
-        #: the array backend this workspace's simulations run on (captured at
-        #: construction; a later process-wide switch doesn't retarget it)
-        self.backend = backend if backend is not None else active_backend()
-        self._batched: BatchedWorkspace | None = None
-        #: the evolving statevector
-        self.state = np.empty(self.dim, dtype=np.complex128)
-        #: scratch buffer used by mixers and the adjoint pass
-        self.scratch = np.empty(self.dim, dtype=np.complex128)
-        #: second scratch buffer (adjoint state in gradient computation)
-        self.adjoint = np.empty(self.dim, dtype=np.complex128)
-        self._layer_store: np.ndarray | None = None
-        if store_layers:
-            self.ensure_layers(store_layers)
-        #: number of simulator calls served by this workspace (for tests/benchmarks)
-        self.calls_served = 0
-
-    def ensure_layers(self, layers: int) -> np.ndarray:
-        """Return a ``(layers, 2, dim)`` buffer for per-layer forward states.
-
-        Slot ``[k, 0]`` stores the state after the phase separator of round
-        ``k`` and slot ``[k, 1]`` the state after the mixer of round ``k``;
-        both are needed by the analytic gradient.  The buffer is grown (never
-        shrunk) as needed and reused across calls.
-        """
-        if layers < 0:
-            raise ValueError("layer count must be non-negative")
-        if self._layer_store is None or self._layer_store.shape[0] < layers:
-            self._layer_store = np.empty((layers, 2, self.dim), dtype=np.complex128)
-        return self._layer_store
-
-    def load_state(self, psi: np.ndarray) -> np.ndarray:
-        """Copy ``psi`` into the workspace's state buffer and return the buffer."""
-        psi = np.asarray(psi)
-        if psi.shape != (self.dim,):
-            raise ValueError(f"state has shape {psi.shape}, expected ({self.dim},)")
-        self.state[:] = psi
-        self.calls_served += 1
-        return self.state
-
-    def compatible_with(self, dim: int) -> bool:
-        """Whether this workspace can serve a simulation of dimension ``dim``."""
-        return self.dim == int(dim)
-
-    def batched(self) -> "BatchedWorkspace":
-        """This workspace's cached single-column :class:`BatchedWorkspace`.
-
-        The scalar simulator entry points are M=1 wrappers around the batched
-        kernels; this companion gives them pre-allocated ``(dim, 1)`` buffers
-        so the wrapping stays allocation-free across repeated calls.
-        """
-        if self._batched is None:
-            self._batched = BatchedWorkspace(self.dim, 1, backend=self.backend)
-        return self._batched
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        stored = 0 if self._layer_store is None else self._layer_store.shape[0]
-        return f"Workspace(dim={self.dim}, layer_slots={stored}, calls_served={self.calls_served})"
 
 
 class BatchedWorkspace:
@@ -194,8 +125,7 @@ class BatchedWorkspace:
     def ensure_layers(self, layers: int, batch: int) -> np.ndarray:
         """Return a ``(layers, 2, dim, batch)`` buffer for per-layer forward states.
 
-        The batched analogue of :meth:`Workspace.ensure_layers`: slot
-        ``[k, 0]`` stores the batch after the phase separator of round ``k``
+        Slot ``[k, 0]`` stores the batch after the phase separator of round ``k``
         and slot ``[k, 1]`` the batch after the mixer — both consumed by the
         batched adjoint gradient.  The backing allocation is flat and grown
         (never shrunk) on demand; the returned prefix view is C-contiguous,

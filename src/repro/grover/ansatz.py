@@ -162,6 +162,8 @@ class CompressedGroverAnsatz(Engine):
         self._amp0 = 1.0 / float(np.sqrt(float(spectrum.total)))
         # <psi0|psi> = bra0 @ a: the degeneracy-weighted uniform bra
         self._bra0 = (degs * self._amp0).astype(np.complex128)
+        # the Grover-layer update weights, bra0 / sqrt(N)
+        self._mix_bra = self._bra0 * self._amp0
         self._neg_j_values = -1j * self._values
 
     @property
@@ -185,19 +187,24 @@ class CompressedGroverAnsatz(Engine):
     def _evolve_batch(
         self, betas: np.ndarray, gammas: np.ndarray, M: int, *, store_layers: bool = False
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        a = np.full((self.dim, M), self._amp0, dtype=np.complex128)
-        phase = np.empty_like(a)
+        # Every round's separator phases in one exp, as (p, D, M); the state
+        # starts as the first round's phases times the uniform amplitude.
+        phases = gammas[:, None, :] * self._neg_j_values[:, None]
+        np.exp(phases, out=phases)
         layers = (
             np.empty((self.p, 2, self.dim, M), dtype=np.complex128) if store_layers else None
         )
-        # Grover-layer update per round: a += ((e^{-i beta} - 1) / sqrt(N)) <psi0|a>
-        mixing = (np.exp(-1j * betas) - 1.0) * self._amp0
+        # Grover-layer update per round: a += (e^{-i beta} - 1) <psi0|a> / sqrt(N)
+        mixing = np.exp(-1j * betas)
+        mixing -= 1.0
+        a = phases[0]
+        a *= self._amp0
         for k in range(self.p):
-            np.multiply.outer(self._neg_j_values, gammas[k], out=phase)
-            a *= np.exp(phase, out=phase)
+            if k:
+                a *= phases[k]
             if layers is not None:
                 layers[k, 0] = a
-            a += (self._bra0 @ a) * mixing[k]
+            a += (self._mix_bra @ a) * mixing[k]
             if layers is not None:
                 layers[k, 1] = a
         return a, layers

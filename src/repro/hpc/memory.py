@@ -137,12 +137,11 @@ def warm_entry_bytes(
     ``kind`` selects the execution engine the entry holds:
 
     * ``"dense"`` — sums the components a kept-alive ``(problem, mixer, p)``
-      entry pins in memory: the objective values, the scalar
-      :class:`Workspace` (three statevectors plus the ``p``-layer adjoint
-      store), the three core ``(dim, M)`` matrices of a
-      :class:`BatchedWorkspace` grown to ``batch_capacity`` columns (plus its
-      adjoint layer store and aux matrix when gradients ran), and — for
-      diagonalized mixer families — the dense eigendecomposition.
+      entry pins in memory: the objective values, the three core
+      ``(dim, M)`` matrices of a :class:`BatchedWorkspace` grown to
+      ``batch_capacity`` columns (plus its adjoint layer store and aux
+      matrix when gradients ran), and — for diagonalized mixer families —
+      the dense eigendecomposition.
     * ``"sharded"`` — the node-wide total across all ``shards`` workers:
       per-shard state segments and values
       (:func:`sharded_state_bytes`, 3 slots once gradients ran) plus each
@@ -164,8 +163,6 @@ def warm_entry_bytes(
         if dim < 1:
             raise ValueError("dimension must be positive")
         total = dim * _FLOAT_BYTES  # objective values
-        total += 3 * statevector_bytes(dim)  # scalar workspace: state/scratch/adjoint
-        total += p * 2 * statevector_bytes(dim)  # scalar per-layer adjoint store
         if batch_capacity:
             per_matrix = statevector_bytes(dim) * batch_capacity
             total += 3 * per_matrix  # state/scratch/phase

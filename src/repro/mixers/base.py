@@ -1,13 +1,15 @@
 """Mixer interface.
 
 A mixer in this package is a Hermitian operator ``H_M`` acting on a feasible
-space, exposed through exactly the operations the QAOA engine needs:
+space, exposed through exactly the operations the QAOA engine needs.  Both
+kernels act on a ``(dim, M)`` batch of statevectors (one column per angle
+set; a single state is M=1):
 
-* ``apply(psi, beta)`` — the unitary evolution ``exp(-i beta H_M) |psi>``,
-  implemented without ever forming the matrix exponential (the paper's core
-  trick: diagonalize once, then only diagonal phases plus basis changes are
-  needed per layer),
-* ``apply_hamiltonian(psi)`` — the plain matrix-vector product ``H_M |psi>``,
+* ``apply_batch(Psi, betas)`` — the unitary evolution
+  ``exp(-i beta_j H_M) |psi_j>`` of every column, implemented without ever
+  forming the matrix exponential (the paper's core trick: diagonalize once,
+  then only diagonal phases plus basis changes are needed per layer),
+* ``apply_hamiltonian_batch(Psi)`` — the plain product ``H_M |psi_j>``,
   needed by the analytic (autodiff-equivalent) gradients,
 * ``initial_state()`` — the canonical QAOA starting state for this mixer
   (uniform superposition over the feasible space, i.e. ``|+>^n`` or a Dicke
@@ -67,10 +69,6 @@ class Mixer(abc.ABC):
         #: the array backend the mixer's dense kernels dispatch through when no
         #: workspace (which carries its own backend) is supplied
         self.backend = backend if backend is not None else active_backend()
-        # Per-thread M=1 workspace backing the scalar entry points (which are
-        # single-column calls of the batched kernels); thread-local because
-        # concurrent angle scans may share one mixer.
-        self._scalar_store = threading.local()
 
     # ------------------------------------------------------------------
     # geometry
@@ -88,111 +86,7 @@ class Mixer(abc.ABC):
     # ------------------------------------------------------------------
     # required operations
     # ------------------------------------------------------------------
-    # A mixer family implements EITHER the scalar pair (apply /
-    # apply_hamiltonian) OR the batched pair (apply_batch /
-    # apply_hamiltonian_batch); the base class derives the other direction.
-    # The optimized families implement only the batched kernels — the scalar
-    # entry points below are their M=1 column calls, so there is exactly one
-    # code path per family and one place to port per array backend.
-
-    def _scalar_workspace(self):
-        """This thread's cached ``(dim, 1)`` workspace for the M=1 wrappers."""
-        store = self._scalar_store
-        workspace = getattr(store, "workspace", None)
-        if workspace is None:
-            from ..core.workspace import BatchedWorkspace
-
-            workspace = store.workspace = BatchedWorkspace(self.dim, 1, backend=self.backend)
-        return workspace
-
-    def _scalar_via_batch(self, kernel, psi: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-        """Run a batched kernel on ``psi`` as a single-column batch.
-
-        ``kernel(Psi, out, workspace)`` receives C-contiguous complex128
-        ``(dim, 1)`` views; non-conforming ``psi``/``out`` buffers are staged
-        through copies so the caller-visible contract (``out`` may alias
-        ``psi``; ``psi`` is untouched otherwise) is preserved.
-        """
-        psi = self._check_state(psi)
-        if psi.dtype != np.complex128 or not psi.flags.c_contiguous:
-            psi = np.ascontiguousarray(psi, dtype=np.complex128)
-        if out is None:
-            out = np.empty(self.dim, dtype=np.complex128)
-        elif out.shape != (self.dim,):
-            raise ValueError(f"out has shape {out.shape}, expected ({self.dim},)")
-        if out.dtype == np.complex128 and out.flags.c_contiguous:
-            target = out
-        else:
-            target = np.empty(self.dim, dtype=np.complex128)
-        kernel(psi.reshape(self.dim, 1), target.reshape(self.dim, 1), self._scalar_workspace())
-        if target is not out:
-            out[:] = target
-        return out
-
-    def apply(
-        self,
-        psi: np.ndarray,
-        beta: float,
-        out: np.ndarray | None = None,
-        *,
-        scratch: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Return ``exp(-i beta H_M) |psi>``.
-
-        ``psi`` is a complex statevector of length :attr:`dim` in the feasible
-        space's canonical basis order.  If ``out`` is given it is used as the
-        destination buffer (it may alias ``psi``); otherwise a new array is
-        returned.  ``psi`` itself is never modified unless it aliases ``out``.
-
-        This base implementation is the M=1 column call of
-        :meth:`apply_batch`, served from a cached per-thread workspace so it
-        allocates nothing when ``out`` is supplied.  ``scratch`` is accepted
-        for backward compatibility and ignored — scratch now comes from that
-        workspace.
-        """
-        del scratch  # superseded by the per-thread M=1 workspace
-        if type(self).apply_batch is Mixer.apply_batch:
-            raise NotImplementedError(
-                f"{type(self).__name__} implements neither apply nor apply_batch"
-            )
-        betas = np.atleast_1d(np.asarray(beta, dtype=np.float64))
-        return self._scalar_via_batch(
-            lambda Psi, target, workspace: self.apply_batch(
-                Psi, betas, out=target, workspace=workspace
-            ),
-            psi,
-            out,
-        )
-
-    def apply_hamiltonian(
-        self,
-        psi: np.ndarray,
-        out: np.ndarray | None = None,
-        *,
-        scratch: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Return ``H_M |psi>`` (used by analytic gradients).
-
-        The M=1 column call of :meth:`apply_hamiltonian_batch`; see
-        :meth:`apply` for the buffer contract.
-        """
-        del scratch  # superseded by the per-thread M=1 workspace
-        if type(self).apply_hamiltonian_batch is Mixer.apply_hamiltonian_batch:
-            raise NotImplementedError(
-                f"{type(self).__name__} implements neither apply_hamiltonian "
-                f"nor apply_hamiltonian_batch"
-            )
-        return self._scalar_via_batch(
-            lambda Psi, target, workspace: self.apply_hamiltonian_batch(
-                Psi, out=target, workspace=workspace
-            ),
-            psi,
-            out,
-        )
-
-    # ------------------------------------------------------------------
-    # batched evaluation
-    # ------------------------------------------------------------------
+    @abc.abstractmethod
     def apply_batch(
         self,
         Psi: np.ndarray,
@@ -220,34 +114,9 @@ class Mixer(abc.ABC):
         their per-input work (the first transform or basis change) on the D
         distinct columns only, gather once, and apply the per-column phases
         and the outgoing basis change at full width.
-
-        This base implementation loops over columns through :meth:`apply` —
-        the fallback for externally defined scalar-only mixers (e.g. the
-        Trotter baselines); it gathers ``columns`` first.  The optimized
-        families override it with BLAS-3 / fully vectorized batch kernels,
-        which is where the batched evaluation engine's throughput comes from.
         """
-        if type(self).apply is Mixer.apply:
-            raise NotImplementedError(
-                f"{type(self).__name__} implements neither apply nor apply_batch"
-            )
-        Psi, out, M = self._check_batch(Psi, out, columns)
-        if columns is not None:
-            Psi = np.take(Psi, columns, axis=1)
-        betas = np.asarray(betas, dtype=np.float64)
-        if betas.ndim == 0:
-            betas = np.full(M, float(betas))
-        if betas.shape[-1] != M:
-            raise ValueError(f"betas have shape {betas.shape}, expected last axis of length {M}")
-        column = np.empty(self.dim, dtype=np.complex128)
-        result = np.empty(self.dim, dtype=np.complex128)
-        for j in range(M):
-            column[:] = Psi[:, j]
-            beta_j = betas[..., j]
-            self.apply(column, float(beta_j) if beta_j.ndim == 0 else beta_j, out=result)
-            out[:, j] = result
-        return out
 
+    @abc.abstractmethod
     def apply_hamiltonian_batch(
         self,
         Psi: np.ndarray,
@@ -257,42 +126,14 @@ class Mixer(abc.ABC):
     ) -> np.ndarray:
         """Return ``H_M |psi_j>`` for every column ``j`` of the ``(dim, M)`` batch.
 
-        The batched analogue of :meth:`apply_hamiltonian` and the contract the
-        batched adjoint-gradient engine relies on: one call produces the
-        mixer-Hamiltonian product for all M statevectors at once, so each
-        backward-pass round costs one batched kernel instead of M mat-vecs.
-        ``out`` may alias ``Psi``; ``workspace`` optionally supplies
-        pre-allocated scratch (a
-        :class:`~repro.core.workspace.BatchedWorkspace` of matching
-        dimension) so repeated calls allocate nothing.  ``Psi`` is never
-        modified unless it aliases ``out``.
-
-        This base implementation loops over columns through
-        :meth:`apply_hamiltonian` (the scalar-only-mixer fallback); the
-        optimized families override it with the same BLAS-3 / fully
-        vectorized kernels as their :meth:`apply_batch`.
+        The contract the batched adjoint-gradient engine relies on: one call
+        produces the mixer-Hamiltonian product for all M statevectors at
+        once, so each backward-pass round costs one batched kernel.  ``out``
+        may alias ``Psi``; ``workspace`` optionally supplies pre-allocated
+        scratch (a :class:`~repro.core.workspace.BatchedWorkspace` of
+        matching dimension) so repeated calls allocate nothing.  ``Psi`` is
+        never modified unless it aliases ``out``.
         """
-        if type(self).apply_hamiltonian is Mixer.apply_hamiltonian:
-            raise NotImplementedError(
-                f"{type(self).__name__} implements neither apply_hamiltonian "
-                f"nor apply_hamiltonian_batch"
-            )
-        Psi = np.asarray(Psi)
-        if Psi.ndim != 2 or Psi.shape[0] != self.dim:
-            raise ValueError(
-                f"batched statevectors have shape {Psi.shape}, expected "
-                f"({self.dim}, M) for {self!r}"
-            )
-        M = Psi.shape[1]
-        if out is None:
-            out = np.empty((self.dim, M), dtype=np.complex128)
-        column = np.empty(self.dim, dtype=np.complex128)
-        result = np.empty(self.dim, dtype=np.complex128)
-        for j in range(M):
-            column[:] = Psi[:, j]
-            self.apply_hamiltonian(column, out=result)
-            out[:, j] = result
-        return out
 
     def _check_batch(
         self, Psi: np.ndarray, out: np.ndarray | None, columns: np.ndarray | None = None
@@ -344,23 +185,9 @@ class Mixer(abc.ABC):
         """Default QAOA initial state: uniform superposition over the space."""
         return self.space.initial_state(dtype=dtype)
 
-    def apply_inverse(
-        self, psi: np.ndarray, beta: float, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Return ``exp(+i beta H_M) |psi>`` (the inverse evolution)."""
-        return self.apply(psi, -beta, out=out)
-
     def cache_key(self) -> str:
         """A string identifying the mixer's pre-computed data for disk caching."""
         return f"{type(self).__name__}_n{self.n}_{self.space.name}"
-
-    def _check_state(self, psi: np.ndarray) -> np.ndarray:
-        psi = np.asarray(psi)
-        if psi.shape != (self.dim,):
-            raise ValueError(
-                f"statevector has shape {psi.shape}, expected ({self.dim},) for {self!r}"
-            )
-        return psi
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(n={self.n}, dim={self.dim})"
@@ -409,15 +236,12 @@ class DiagonalizedMixer(Mixer):
         # scratch and corrupt results.
         self._scratch_store = threading.local()
 
-    def _scratches(self) -> tuple[np.ndarray, np.ndarray]:
-        """This thread's (coeff, phase) scratch vectors, allocated on first use."""
+    def _phase_scratch(self) -> np.ndarray:
+        """This thread's uniform-batch phase vector, allocated on first use."""
         store = self._scratch_store
-        try:
-            return store.coeff, store.phase
-        except AttributeError:
-            store.coeff = np.empty(self.dim, dtype=np.complex128)
+        if not hasattr(store, "phase"):
             store.phase = np.empty(self.dim, dtype=np.complex128)
-            return store.coeff, store.phase
+        return store.phase
 
     def _basis_change(
         self, factor: np.ndarray, src: np.ndarray, out: np.ndarray, backend=None
@@ -468,7 +292,7 @@ class DiagonalizedMixer(Mixer):
         if M > 0 and betas.min() == betas.max():
             # Uniform batch (every column shares one angle): a single phase
             # vector broadcasts across columns, skipping the (dim, M) outer.
-            phase_vec = self._scratches()[1]
+            phase_vec = self._phase_scratch()
             np.multiply(self.eigenvalues, -1j * float(betas[0]), out=phase_vec)
             np.exp(phase_vec, out=phase_vec)
             coeffs *= phase_vec[:, None]

@@ -61,7 +61,7 @@ class GroverMixer(Mixer):
         One GEMV collects all M overlaps ``<psi0|psi_j>`` at once (only the
         distinct inputs' under a column map), then a single outer-product
         update applies every column's phase factor — no transforms or matrix
-        products, matching the scalar path's cost per statevector.
+        products, ``O(dim)`` per statevector.
         """
         Psi, out, M = self._check_batch(Psi, out, columns)
         betas = self._batch_angles(betas, M)

@@ -16,7 +16,7 @@ import numpy as np
 from .base import Mixer
 from .xmixer import MultiAngleXMixer
 
-__all__ = ["MixerSchedule"]
+__all__ = ["MixerSchedule", "as_schedule"]
 
 
 class MixerSchedule:
@@ -111,3 +111,22 @@ class MixerSchedule:
 
     def __getitem__(self, index: int) -> Mixer:
         return self.layers[index]
+
+
+def as_schedule(
+    mixer: Mixer | Sequence[Mixer] | MixerSchedule,
+    p: int | None = None,
+    num_angles: int | None = None,
+) -> MixerSchedule:
+    """A mixer, per-round mixer list or schedule as a :class:`MixerSchedule`.
+
+    A single mixer without ``p`` runs ``num_angles // 2`` rounds (one beta
+    and one gamma each); an odd ``num_angles`` cannot be split that way.
+    """
+    if isinstance(mixer, MixerSchedule):
+        return mixer
+    if isinstance(mixer, Mixer) and p is None and num_angles is not None:
+        if num_angles % 2:
+            raise ValueError("cannot infer p from an odd-length angle vector; pass p explicitly")
+        p = num_angles // 2
+    return MixerSchedule(mixer, rounds=p)

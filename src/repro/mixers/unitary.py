@@ -85,7 +85,7 @@ class HermitianMixer(DiagonalizedMixer):
 
 
 class FixedUnitaryMixer(DiagonalizedMixer):
-    """Mixer defined by a fixed unitary ``U``; ``apply(psi, beta)`` gives ``U^beta |psi>``.
+    """Mixer defined by a fixed unitary ``U``; a layer at angle ``beta`` applies ``U^beta``.
 
     The effective Hamiltonian is ``H = i log(U)`` computed from the unitary's
     eigendecomposition: ``U = W diag(e^{i phi}) W^†`` gives eigenvalues

@@ -342,8 +342,8 @@ class MultiAngleXMixer(Mixer):
 
     All products of X operators commute, so a layer with per-term angles
     ``beta_t`` is exactly ``H^{⊗n} exp(-i sum_t beta_t d_t) H^{⊗n}`` where
-    ``d_t`` is the Hadamard-basis diagonal of term ``t``.  ``apply`` therefore
-    takes a vector of angles of length ``num_terms``.
+    ``d_t`` is the Hadamard-basis diagonal of term ``t``.  ``apply_batch``
+    therefore takes ``num_terms`` angles per column.
     """
 
     def __init__(self, n: int, terms: Iterable[Sequence[int]]):
@@ -363,37 +363,6 @@ class MultiAngleXMixer(Mixer):
         """Number of independent angles in one layer."""
         return len(self.terms)
 
-    def apply(
-        self,
-        psi: np.ndarray,
-        beta,
-        out: np.ndarray | None = None,
-        *,
-        scratch: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """One multi-angle layer; ``beta`` is a ``(num_angles,)`` vector.
-
-        A scalar (or length-1) ``beta`` broadcasts across all terms.  The
-        generic M=1 wrapper can't normalize a multi-angle vector, so this
-        override reshapes it to a ``(num_angles, 1)`` batch and defers to
-        :meth:`apply_batch` like every other scalar entry point.
-        """
-        del scratch  # superseded by the per-thread M=1 workspace
-        betas = np.atleast_1d(np.asarray(beta, dtype=np.float64))
-        if betas.shape == (1,) and self.num_angles > 1:
-            betas = np.full(self.num_angles, betas[0])
-        if betas.shape != (self.num_angles,):
-            raise ValueError(
-                f"expected {self.num_angles} angles for a multi-angle layer, got {betas.shape}"
-            )
-        return self._scalar_via_batch(
-            lambda Psi, target, workspace: self.apply_batch(
-                Psi, betas[:, None], out=target, workspace=workspace
-            ),
-            psi,
-            out,
-        )
-
     def apply_batch(
         self,
         Psi: np.ndarray,
@@ -406,10 +375,10 @@ class MultiAngleXMixer(Mixer):
         """Batched multi-angle layer.
 
         ``betas`` is a ``(num_angles, M)`` matrix — one angle per term per
-        column; a ``(M,)`` vector or scalar broadcasts across terms like the
-        scalar :meth:`apply`.  The per-column phase exponents are one GEMM
-        (``-i * D^T @ betas``), then the layer is two batched WHTs; under a
-        column map the first transform runs on the distinct inputs only.
+        column; a ``(M,)`` vector or scalar broadcasts across terms.  The
+        per-column phase exponents are one GEMM (``-i * D^T @ betas``), then
+        the layer is two batched WHTs; under a column map the first
+        transform runs on the distinct inputs only.
         """
         Psi, out, M = self._check_batch(Psi, out, columns)
         betas = np.asarray(betas, dtype=np.float64)
@@ -458,8 +427,8 @@ class MultiAngleXMixer(Mixer):
         batch, shape ``(num_angles, M)``.  Because every ``H_t`` is diagonal
         in the Hadamard basis, both batches are transformed once and all
         ``num_angles * M`` inner products collapse into a single real GEMM
-        with the stacked term diagonals — instead of the scalar path's
-        ``num_angles`` separate Hamiltonian products per column.  ``Phi`` and
+        with the stacked term diagonals — instead of ``num_angles`` separate
+        Hamiltonian products per column.  ``Phi`` and
         ``Psi`` must be C-contiguous complex ``(dim, M)`` matrices; neither is
         modified.
         """
@@ -494,13 +463,6 @@ class MultiAngleXMixer(Mixer):
             self.term_diagonals, wphi.view(np.float64).reshape(self.dim, 2 * M)
         )
         return (2.0 / self.dim) * products[:, 1::2]
-
-    def apply_hamiltonian_term(self, psi: np.ndarray, term_index: int) -> np.ndarray:
-        """``(prod_{i in t} X_i) |psi>`` for a single term (per-angle gradients)."""
-        psi = self._check_state(psi)
-        scratch = walsh_hadamard_transform(psi)
-        scratch *= self.term_diagonals[term_index]
-        return walsh_hadamard_transform(scratch)
 
     def matrix(self) -> np.ndarray:
         dim = self.dim

@@ -94,10 +94,15 @@ class TestEvaluation:
 
     def test_workspace_shared_across_calls(self, maxcut_obj, tf_mixer_6):
         ansatz = QAOAAnsatz(maxcut_obj, tf_mixer_6, 2)
-        before = ansatz.workspace.calls_served
+        ansatz.expectation(ansatz.random_angles(0))
+        workspace = ansatz._batched_workspace
+        before = workspace.calls_served
         for seed in range(4):
             ansatz.expectation(ansatz.random_angles(seed))
-        assert ansatz.workspace.calls_served == before + 4
+        ansatz.gradient(ansatz.random_angles(5))
+        ansatz.simulate(ansatz.random_angles(6))
+        assert ansatz._batched_workspace is workspace
+        assert workspace.calls_served == before + 6
 
 
 class TestWithRounds:

@@ -1,30 +1,26 @@
-"""Batched-vs-scalar equivalence for the adjoint-gradient engine.
+"""The batched adjoint-gradient engine against an independent reference.
 
 The batched gradient kernel evolves M angle sets as one ``(dim, M)`` matrix
 through a recorded forward pass and a batched adjoint backward pass; these
-tests pin it to the scalar one-angle-set-at-a-time path across every mixer
-family (including mixed multi-angle schedules), pin every mixer's
-``apply_hamiltonian_batch`` to a column loop over ``apply_hamiltonian``, and
-check that the vectorized multi-start refiner reaches scipy-BFGS-quality
-optima on the tier-1 problems.
+tests pin every row to the one-angle-set-at-a-time ``expm`` adjoint of
+``qaoa_reference`` across every mixer family (including mixed multi-angle
+schedules), pin every mixer's ``apply_hamiltonian_batch`` to dense matrix
+products, and check that the vectorized multi-start refiner reaches
+scipy-BFGS-quality optima on the tier-1 problems.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from qaoa_reference import reference_value_and_gradient, term_matrices
 
 from repro.angles import (
     find_angles_random,
     local_minimize,
     multistart_minimize,
 )
-from repro.core import (
-    BatchedWorkspace,
-    QAOAAnsatz,
-    qaoa_value_and_gradient,
-    qaoa_value_and_gradient_batch,
-)
+from repro.core import BatchedWorkspace, QAOAAnsatz, qaoa_value_and_gradient_batch
 from repro.core.gradients import finite_difference_gradient
 from repro.hilbert import state_matrix
 from repro.mixers import (
@@ -70,7 +66,7 @@ _ALL_KINDS = ["x", "grover-full", "grover-dicke", "clique", "ring", "hermitian"]
 
 
 # ---------------------------------------------------------------------------
-# batched value-and-gradient vs scalar adjoint
+# batched value-and-gradient vs the reference adjoint
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("kind", _ALL_KINDS)
@@ -85,7 +81,7 @@ def test_value_and_gradient_batch_matches_scalar(kind, p, batch):
     assert values.shape == (batch,)
     assert grads.shape == (batch, 2 * p)
     for j in range(batch):
-        value, grad = qaoa_value_and_gradient(angles[j], mixer, obj, p=p)
+        value, grad = reference_value_and_gradient(angles[j], mixer, obj, p=p)
         assert abs(values[j] - value) <= 1e-10
         assert np.abs(grads[j] - grad).max() <= 1e-10
 
@@ -100,7 +96,7 @@ def test_multiangle_value_and_gradient_batch():
     values, grads = qaoa_value_and_gradient_batch(angles, schedule, obj)
     assert grads.shape == (6, num_angles)
     for j in range(6):
-        value, grad = qaoa_value_and_gradient(angles[j], schedule, obj)
+        value, grad = reference_value_and_gradient(angles[j], schedule, obj)
         assert abs(values[j] - value) <= 1e-10
         assert np.abs(grads[j] - grad).max() <= 1e-10
 
@@ -116,7 +112,7 @@ def test_mixed_schedule_value_and_gradient_batch():
     angles = rng.uniform(-np.pi, np.pi, size=(5, num_angles))
     values, grads = qaoa_value_and_gradient_batch(angles, schedule, obj)
     for j in range(5):
-        value, grad = qaoa_value_and_gradient(angles[j], schedule, obj)
+        value, grad = reference_value_and_gradient(angles[j], schedule, obj)
         assert abs(values[j] - value) <= 1e-10
         assert np.abs(grads[j] - grad).max() <= 1e-10
 
@@ -130,7 +126,7 @@ def test_batch_gradient_with_initial_state():
     angles = 2.0 * np.pi * rng.random((4, 4))
     values, grads = qaoa_value_and_gradient_batch(angles, mixer, obj, p=2, initial_state=init)
     for j in range(4):
-        value, grad = qaoa_value_and_gradient(angles[j], mixer, obj, p=2, initial_state=init)
+        value, grad = reference_value_and_gradient(angles[j], mixer, obj, p=2, initial_state=init)
         assert abs(values[j] - value) <= 1e-10
         assert np.abs(grads[j] - grad).max() <= 1e-10
 
@@ -142,13 +138,13 @@ def test_single_flat_angle_vector_is_one_row():
     values, grads = qaoa_value_and_gradient_batch(angles, mixer, obj, p=2)
     assert values.shape == (1,)
     assert grads.shape == (1, 4)
-    value, grad = qaoa_value_and_gradient(angles, mixer, obj, p=2)
+    value, grad = reference_value_and_gradient(angles, mixer, obj, p=2)
     assert abs(values[0] - value) <= 1e-12
     assert np.abs(grads[0] - grad).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
-# apply_hamiltonian_batch vs column-looped apply_hamiltonian
+# apply_hamiltonian_batch vs dense matrix products
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("kind", _ALL_KINDS)
@@ -158,8 +154,9 @@ def test_apply_hamiltonian_batch_matches_column_loop(kind):
     Psi = rng.random((mixer.dim, 5)) + 1j * rng.random((mixer.dim, 5))
     Psi = np.ascontiguousarray(Psi)
     batched = mixer.apply_hamiltonian_batch(Psi)
+    matrix = mixer.matrix()
     for j in range(5):
-        looped = mixer.apply_hamiltonian(np.ascontiguousarray(Psi[:, j]))
+        looped = matrix @ Psi[:, j]
         assert np.abs(batched[:, j] - looped).max() <= 1e-10
 
 
@@ -168,8 +165,9 @@ def test_apply_hamiltonian_batch_multiangle():
     rng = np.random.default_rng(2)
     Psi = np.ascontiguousarray(rng.random((16, 3)) + 1j * rng.random((16, 3)))
     batched = mixer.apply_hamiltonian_batch(Psi)
+    summed = sum(term_matrices(mixer))
     for j in range(3):
-        looped = mixer.apply_hamiltonian(np.ascontiguousarray(Psi[:, j]))
+        looped = summed @ Psi[:, j]
         assert np.abs(batched[:, j] - looped).max() <= 1e-10
 
 
@@ -184,30 +182,15 @@ def test_apply_hamiltonian_batch_out_aliases_and_workspace():
     assert np.abs(inplace - expected).max() <= 1e-12
 
 
-def test_base_class_column_loop_fallback():
-    """A mixer without a batched override still satisfies the batch contract."""
+def test_mixer_without_batch_kernels_is_abstract():
+    """The batched kernels are the mixer interface: no column-loop fallback."""
 
-    class LoopedMixer(Mixer):
-        def __init__(self, inner):
-            super().__init__(inner.space)
-            self.inner = inner
-
-        def apply(self, psi, beta, out=None):
-            return self.inner.apply(psi, beta, out=out)
-
-        def apply_hamiltonian(self, psi, out=None):
-            return self.inner.apply_hamiltonian(psi, out=out)
-
+    class MatrixOnlyMixer(Mixer):
         def matrix(self):
-            return self.inner.matrix()
+            return np.eye(self.dim)
 
-    inner = transverse_field_mixer(4)
-    looped = LoopedMixer(inner)
-    rng = np.random.default_rng(3)
-    Psi = np.ascontiguousarray(rng.random((16, 3)) + 1j * rng.random((16, 3)))
-    assert np.abs(
-        looped.apply_hamiltonian_batch(Psi) - inner.apply_hamiltonian_batch(Psi)
-    ).max() <= 1e-12
+    with pytest.raises(TypeError, match="apply_batch"):
+        MatrixOnlyMixer(transverse_field_mixer(2).space)
 
 
 def test_term_gradients_batch_matches_per_term_products():
@@ -217,9 +200,9 @@ def test_term_gradients_batch_matches_per_term_products():
     Psi = np.ascontiguousarray(rng.random((16, 4)) + 1j * rng.random((16, 4)))
     grads = mixer.term_gradients_batch(Phi, Psi)
     assert grads.shape == (3, 4)
-    for t in range(3):
+    for t, term in enumerate(term_matrices(mixer)):
         for j in range(4):
-            h_psi = mixer.apply_hamiltonian_term(np.ascontiguousarray(Psi[:, j]), t)
+            h_psi = term @ Psi[:, j]
             expected = 2.0 * float(np.imag(np.vdot(Phi[:, j], h_psi)))
             assert abs(grads[t, j] - expected) <= 1e-10
 
@@ -371,13 +354,18 @@ class TestFindAnglesRandomRewire:
         assert all(entry["seed_value"] is None for entry in result.history)
 
     def test_no_prune_skips_scoring_scalar_path_too(self, monkeypatch):
+        # the per-seed scipy loop evaluates single rows through
+        # expectation_batch, so the scorer itself is what must not run
+        from repro.angles import random_restart
+
         ansatz = _maxcut_ansatz(p=1)
 
         def forbid(*args, **kwargs):  # pragma: no cover - failure path
             raise AssertionError("seed scoring must be skipped when nothing is pruned")
 
-        monkeypatch.setattr(ansatz, "expectation_batch", forbid)
-        find_angles_random(ansatz, iters=3, rng=0, gradient="numeric", vectorized=False)
+        monkeypatch.setattr(random_restart, "_score_seeds", forbid)
+        result = find_angles_random(ansatz, iters=3, rng=0, gradient="numeric", vectorized=False)
+        assert all(entry["seed_value"] is None for entry in result.history)
 
     def test_scoring_is_chunked(self, monkeypatch):
         ansatz = _maxcut_ansatz(p=1)

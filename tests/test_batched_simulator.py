@@ -1,10 +1,11 @@
-"""Batched-vs-scalar equivalence for the batched evaluation engine.
+"""The batched evaluation engine against an independent reference.
 
 The batched engine evolves M angle sets as the columns of one ``(dim, M)``
-matrix; these tests pin it to the scalar one-statevector-at-a-time path across
-every mixer family, round count, feasible space, batch size (including M = 1)
-and non-uniform initial states — plus the allocation and caching guarantees
-the hot path claims.
+matrix; these tests pin it to the one-statevector-at-a-time ``expm``
+reference of ``qaoa_reference`` across every mixer family, round count,
+feasible space, batch size (including M = 1) and non-uniform initial states,
+pin shared-prefix batches to their rows evaluated one at a time — plus the
+allocation and caching guarantees the hot path claims.
 """
 
 from __future__ import annotations
@@ -16,17 +17,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from qaoa_reference import reference_expectation
+from scipy.linalg import expm
 
 from repro.baselines.trotter import TrotterXYMixer
 from repro.core import (
     BatchedWorkspace,
     QAOAAnsatz,
-    expectation_value,
     expectation_value_batch,
     simulate,
     simulate_batch,
 )
-from repro.core.workspace import Workspace
 from repro.hilbert import state_matrix
 from repro.mixers import (
     MultiAngleXMixer,
@@ -103,7 +104,7 @@ def test_expectation_batch_matches_scalar_loop(kind, p, batch):
         rng = np.random.default_rng(100 * p + batch)
         angles = 2.0 * np.pi * rng.random((batch, 2 * p))
     batched = expectation_value_batch(angles, mixer, obj, p=p)
-    looped = np.array([expectation_value(angles[j], mixer, obj, p=p) for j in range(batch)])
+    looped = np.array([reference_expectation(angles[j], mixer, obj, p=p) for j in range(batch)])
     assert batched.shape == (batch,)
     assert np.abs(batched - looped).max() <= 1e-10
 
@@ -135,7 +136,7 @@ def test_non_uniform_initial_state(kind):
     batched = expectation_value_batch(angles, mixer, obj, p=2, initial_state=init)
     looped = np.array(
         [
-            expectation_value(angles[j], mixer, obj, p=2, initial_state=init)
+            reference_expectation(angles[j], mixer, obj, p=2, initial_state=init)
             for j in range(4)
         ]
     )
@@ -152,7 +153,7 @@ def test_per_column_initial_states():
     batched = expectation_value_batch(angles, mixer, obj, p=1, initial_state=inits)
     looped = np.array(
         [
-            expectation_value(angles[j], mixer, obj, p=1, initial_state=inits[:, j].copy())
+            reference_expectation(angles[j], mixer, obj, p=1, initial_state=inits[:, j].copy())
             for j in range(3)
         ]
     )
@@ -167,7 +168,7 @@ def test_multiangle_batched_equivalence():
     rng = np.random.default_rng(4)
     angles = 2.0 * np.pi * rng.random((6, num_angles))
     batched = expectation_value_batch(angles, mixer, obj, p=p)
-    looped = np.array([expectation_value(angles[j], mixer, obj, p=p) for j in range(6)])
+    looped = np.array([reference_expectation(angles[j], mixer, obj, p=p) for j in range(6)])
     assert np.abs(batched - looped).max() <= 1e-10
 
 
@@ -183,11 +184,12 @@ def test_fixed_unitary_beta_one_fast_path():
     # beta = 1 must reproduce U @ psi exactly (single-GEMM fast path)
     out = mixer.apply_batch(psi.copy(), np.ones(5))
     assert np.abs(out - unitary @ psi).max() <= 1e-12
-    # mixed angles fall back to the eigenbasis path and match the scalar apply
+    # mixed angles fall back to the eigenbasis path and match U^beta
     betas = rng.random(5)
     out = mixer.apply_batch(psi.copy(), betas)
     for j in range(5):
-        assert np.abs(out[:, j] - mixer.apply(psi[:, j].copy(), betas[j])).max() <= 1e-12
+        expected = expm(-1j * betas[j] * mixer.matrix()) @ psi[:, j]
+        assert np.abs(out[:, j] - expected).max() <= 1e-12
 
 
 def test_apply_batch_out_aliases_input():
@@ -207,9 +209,9 @@ def test_uniform_beta_batch_fast_path():
     psi = rng.random((mixer.dim, 5)) + 1j * rng.random((mixer.dim, 5))
     uniform = mixer.apply_batch(psi.copy(), np.full(5, 0.37))
     general = mixer.apply_batch(psi.copy(), np.array([0.37, 0.37, 0.37, 0.37, 0.37 + 1e-16]))
+    layer = expm(-0.37j * mixer.matrix())
     for j in range(5):
-        scalar = mixer.apply(np.ascontiguousarray(psi[:, j]), 0.37)
-        assert np.abs(uniform[:, j] - scalar).max() <= 1e-12
+        assert np.abs(uniform[:, j] - layer @ psi[:, j]).max() <= 1e-12
     assert np.abs(uniform - general).max() <= 1e-12
 
 
@@ -278,10 +280,10 @@ def test_property_shared_prefixes_match_row_by_row(kind, case):
         init = rng.random((mixer.dim, len(copies))) + 1j * rng.random((mixer.dim, len(copies)))
         init /= np.linalg.norm(init, axis=0, keepdims=True)
     batched = expectation_value_batch(angles, mixer, obj, p=p, initial_state=init)
-    looped = np.array(
+    looped = np.concatenate(
         [
-            expectation_value(
-                angles[j], mixer, obj, p=p,
+            expectation_value_batch(
+                angles[j : j + 1], mixer, obj, p=p,
                 initial_state=None if init is None else init[:, j].copy(),
             )
             for j in range(len(copies))
@@ -365,20 +367,21 @@ class TestBatchedWorkspace:
 
 
 class TestDiagonalizedAllocationFree:
-    """The satellite fix: DiagonalizedMixer.apply must allocate nothing when
-    given an ``out`` buffer (the module's "allocate nothing" claim)."""
+    """A DiagonalizedMixer layer must allocate nothing when given an ``out``
+    buffer and a workspace (the module's "allocate nothing" claim)."""
 
     def test_apply_zero_allocation_growth(self):
         mixer = mixer_clique(8, 4)  # dim = 70, real eigenbasis
-        psi = mixer.initial_state()
+        psi = mixer.initial_state()[:, None]
         out = np.empty_like(psi)
+        ws = BatchedWorkspace(mixer.dim, 1)
         for _ in range(5):
-            mixer.apply(psi, 0.3, out=out)
+            mixer.apply_batch(psi, 0.3, out=out, workspace=ws)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             for _ in range(200):
-                mixer.apply(psi, 0.3, out=out)
+                mixer.apply_batch(psi, 0.3, out=out, workspace=ws)
             growth = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -386,11 +389,12 @@ class TestDiagonalizedAllocationFree:
 
     def test_apply_with_external_scratch(self):
         mixer = mixer_clique(_N, _K)
-        ws = Workspace(mixer.dim)
-        psi = mixer.initial_state()
-        expected = mixer.apply(psi, 0.8)
-        got = mixer.apply(psi, 0.8, out=ws.state, scratch=ws.scratch)
-        assert got is ws.state
+        ws = BatchedWorkspace(mixer.dim, 1)
+        psi = mixer.initial_state()[:, None]
+        expected = mixer.apply_batch(psi, 0.8)
+        out = ws.state(1)
+        got = mixer.apply_batch(psi, 0.8, out=out, workspace=ws)
+        assert got is out
         assert np.abs(got - expected).max() <= 1e-12
 
 

@@ -6,6 +6,7 @@ import json
 
 import numpy as np
 import pytest
+from qaoa_reference import apply_mixer
 
 from repro.angles import AngleCheckpoint, AngleResult
 from repro.core import PrecomputedCost, QAOAAnsatz, random_angles, simulate
@@ -99,21 +100,21 @@ class TestMixerEdgeCases:
         """Weight-n subspace has a single state: the mixer acts trivially."""
         mixer = mixer_clique(4, 4)
         assert mixer.dim == 1
-        out = mixer.apply(np.array([1.0 + 0j]), 0.7)
+        out = apply_mixer(mixer, np.array([1.0 + 0j]), 0.7)
         assert np.isclose(np.abs(out[0]), 1.0)
 
     def test_large_beta_periodicity_grover(self):
         mixer = GroverMixer(FullSpace(4))
         psi = mixer.initial_state()
-        a = mixer.apply(psi, 0.3)
-        b = mixer.apply(psi, 0.3 + 2 * np.pi)
+        a = apply_mixer(mixer, psi, 0.3)
+        b = apply_mixer(mixer, psi, 0.3 + 2 * np.pi)
         assert np.allclose(a, b, atol=1e-10)
 
     def test_zero_coefficient_term_is_identity_contribution(self, rng):
         mixer = XMixer(3, [(0,), (1,)], [1.0, 0.0])
         reference = XMixer(3, [(0,)], [1.0])
         psi = rng.normal(size=8) + 1j * rng.normal(size=8)
-        assert np.allclose(mixer.apply(psi, 0.4), reference.apply(psi, 0.4))
+        assert np.allclose(apply_mixer(mixer, psi, 0.4), apply_mixer(reference, psi, 0.4))
 
 
 class TestNumericalStability:

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.angles import local_minimize
 from repro.api.routing import ExecutionPlan
 from repro.api.solver import QAOASolver, memoized_problem
 from repro.api.spec import SolveSpec
@@ -122,6 +123,28 @@ def test_loss_signs_follow_the_sense(engines, data):
     losses, loss_grads = engine.loss_and_gradient_batch(batch)
     np.testing.assert_allclose(losses, sign * values, atol=TOL)
     np.testing.assert_allclose(loss_grads, sign * grads, atol=TOL)
+
+
+def test_finite_difference_gradient_matches_adjoint(engines):
+    engine, _, _ = engines
+    angles = engine.random_angles(11)
+    _, grad = engine.value_and_gradient(angles)
+    engine.counter.reset()
+    fd = engine.finite_difference_gradient(angles)
+    assert fd.shape == (engine.num_angles,)
+    assert np.max(np.abs(fd - grad)) <= 1e-6
+    # central differences: two expectation evaluations per angle
+    assert engine.counter.forward_passes == 2 * engine.num_angles
+
+
+def test_local_minimize_with_finite_differences(engines):
+    engine, _, _ = engines
+    seed = engine.random_angles(12)
+    start = engine.expectation(seed)
+    result = local_minimize(engine, seed, gradient="finite", maxiter=3)
+    assert result.angles.shape == (engine.num_angles,)
+    assert result.evaluations > 2 * engine.num_angles
+    assert result.value >= start - TOL if engine.maximize else result.value <= start + TOL
 
 
 def test_random_angles_length_and_range(engines):

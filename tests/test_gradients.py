@@ -1,4 +1,9 @@
-"""Tests for the adjoint (autodiff-equivalent) and finite-difference gradients."""
+"""Tests for the adjoint (autodiff-equivalent) and finite-difference gradients.
+
+The library's adjoint is the M=1 row of the batched kernel; it is checked
+against finite differences of the library's expectation and against the
+independent ``expm`` reference in ``qaoa_reference``.
+"""
 
 from __future__ import annotations
 
@@ -6,13 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from qaoa_reference import reference_value_and_gradient
 
 from repro.core import (
     EvaluationCounter,
-    expectation_value,
-    qaoa_finite_difference_gradient,
-    qaoa_gradient,
-    qaoa_value_and_gradient,
+    QAOAAnsatz,
+    expectation_value_batch,
+    qaoa_value_and_gradient_batch,
     random_angles,
 )
 from repro.core.gradients import finite_difference_gradient
@@ -26,6 +31,30 @@ from repro.mixers import (
     transverse_field_mixer,
 )
 from repro.problems import densest_subgraph_values, erdos_renyi, maxcut_values
+
+
+def qaoa_value_and_gradient(angles, mixer, obj, counter=None):
+    """One row of the batched adjoint, checked against the ``expm`` reference."""
+    values, grads = qaoa_value_and_gradient_batch(
+        np.asarray(angles)[None, :], mixer, obj, counter=counter
+    )
+    ref_value, ref_grad = reference_value_and_gradient(angles, mixer, obj)
+    assert abs(values[0] - ref_value) <= 1e-10
+    assert np.abs(grads[0] - ref_grad).max() <= 1e-10
+    return float(values[0]), grads[0]
+
+
+def qaoa_gradient(angles, mixer, obj):
+    return qaoa_value_and_gradient(angles, mixer, obj)[1]
+
+
+def expectation_value(angles, mixer, obj):
+    return float(expectation_value_batch(np.asarray(angles)[None, :], mixer, obj)[0])
+
+
+def qaoa_finite_difference_gradient(angles, mixer, obj):
+    """Central differences of the library's expectation value."""
+    return finite_difference_gradient(lambda a: expectation_value(a, mixer, obj), angles)
 
 
 def _maxcut_setup(n=6, seed=1):
@@ -142,15 +171,19 @@ class TestEvaluationCounting:
             qaoa_value_and_gradient(angles, mixer, obj, counter=counter)
             assert counter.forward_passes == 1
             assert counter.hamiltonian_applications == p
+            ansatz = QAOAAnsatz(obj, mixer, p)
+            ansatz.value_and_gradient(angles)
+            assert ansatz.counter.forward_passes == 1
+            assert ansatz.counter.hamiltonian_applications == p
 
     def test_finite_difference_cost_scales_with_p(self):
         obj, mixer = _maxcut_setup()
         counts = {}
         for p in (1, 3, 6):
-            counter = EvaluationCounter()
+            ansatz = QAOAAnsatz(obj, mixer, p)
             angles = random_angles(p, rng=p)
-            qaoa_finite_difference_gradient(angles, mixer, obj, counter=counter)
-            counts[p] = counter.forward_passes
+            ansatz.finite_difference_gradient(angles)
+            counts[p] = ansatz.counter.forward_passes
         assert counts[1] == 4    # central differences: 2 * 2p
         assert counts[3] == 12
         assert counts[6] == 24
@@ -168,7 +201,7 @@ class TestGradientValidation:
     def test_objective_shape_mismatch(self):
         _, mixer = _maxcut_setup()
         with pytest.raises(ValueError):
-            qaoa_value_and_gradient(random_angles(1, rng=0), mixer, np.zeros(10))
+            qaoa_value_and_gradient_batch(random_angles(1, rng=0), mixer, np.zeros(10))
 
 
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=10**6))

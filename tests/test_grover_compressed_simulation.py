@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import qaoa_finite_difference_gradient, random_angles, simulate
+from repro.core import QAOAAnsatz, random_angles, simulate
 from repro.grover import CompressedGroverAnsatz, compress_objective, hamming_weight_spectrum
 from repro.hilbert import DickeSpace, FullSpace, state_matrix
 from repro.mixers import GroverMixer
@@ -110,7 +110,7 @@ class TestCompressedGradient:
         angles = random_angles(p, rng=20 + p)
         engine = CompressedGroverAnsatz(spectrum, p, n=7)
         value, grad = engine.value_and_gradient(angles)
-        dense_fd = qaoa_finite_difference_gradient(angles, mixer, obj)
+        dense_fd = QAOAAnsatz(obj, mixer, p).finite_difference_gradient(angles)
         assert np.isclose(value, engine.expectation(angles))
         assert np.allclose(grad, dense_fd, atol=1e-6)
 

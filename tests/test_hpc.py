@@ -348,7 +348,7 @@ class TestWarmEntryBytesKinds:
 
         dim = 1 << 8
         base = warm_entry_bytes(dim, p=2)
-        assert base == dim * 8 + 3 * dim * 16 + 2 * 2 * dim * 16
+        assert base == dim * 8  # objective values; no state until a batch runs
         assert warm_entry_bytes(dim, p=2, kind="dense") == base
 
     def test_sharded_accounts_all_workers(self):
@@ -364,7 +364,7 @@ class TestWarmEntryBytesKinds:
         from repro.hpc.memory import warm_entry_bytes
 
         small = warm_entry_bytes(1 << 10, p=3, kind="compressed", distinct=51)
-        dense = warm_entry_bytes(1 << 10, p=3)
+        dense = warm_entry_bytes(1 << 10, p=3, batch_capacity=1)
         assert small < dense / 10
         # Sizing never touches dim, so astronomically large dims work.
         huge = warm_entry_bytes(1 << 100, p=3, kind="compressed", distinct=51)

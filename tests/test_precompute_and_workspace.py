@@ -1,4 +1,4 @@
-"""Tests for PrecomputedCost and the Workspace buffers."""
+"""Tests for PrecomputedCost and the workspace buffers."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.precompute import PrecomputedCost, precompute_cost
-from repro.core.workspace import Workspace
+from repro.core.workspace import BatchedWorkspace
 from repro.hilbert import DickeSpace, FullSpace
 from repro.problems import maxcut, maxcut_values
 
@@ -93,44 +93,49 @@ class TestPrecomputeCostFunction:
 
 
 class TestWorkspace:
+    """The single-column (M=1) contract of the one workspace type, which every
+    single-row simulation and gradient runs on."""
+
     def test_buffers_allocated(self):
-        ws = Workspace(16)
-        assert ws.state.shape == (16,)
-        assert ws.scratch.shape == (16,)
-        assert ws.adjoint.shape == (16,)
-        assert ws.state.dtype == np.complex128
+        ws = BatchedWorkspace(16)
+        assert ws.capacity == 1
+        for buffer in (ws.state(1), ws.scratch(1), ws.phase(1), ws.aux(1)):
+            assert buffer.shape == (16, 1)
+            assert buffer.dtype == np.complex128
 
     def test_rejects_bad_dim(self):
         with pytest.raises(ValueError):
-            Workspace(0)
+            BatchedWorkspace(0)
 
     def test_load_state_copies(self, rng):
-        ws = Workspace(8)
+        ws = BatchedWorkspace(8)
         psi = rng.normal(size=8) + 1j * rng.normal(size=8)
-        buffer = ws.load_state(psi)
-        assert buffer is ws.state
-        assert np.allclose(buffer, psi)
+        buffer = ws.load_states(psi, 1)
+        assert np.shares_memory(buffer, ws.state(1))
+        assert np.allclose(buffer[:, 0], psi)
+        psi[0] = 0.0
+        assert buffer[0, 0] != 0.0
         assert ws.calls_served == 1
 
     def test_load_state_shape_check(self):
         with pytest.raises(ValueError):
-            Workspace(8).load_state(np.zeros(4))
+            BatchedWorkspace(8).load_states(np.zeros(4), 1)
 
     def test_layer_store_grows_and_persists(self):
-        ws = Workspace(4)
-        store2 = ws.ensure_layers(2)
-        assert store2.shape == (2, 2, 4)
-        store1 = ws.ensure_layers(1)
-        # Not shrunk: same (or larger) buffer reused.
-        assert store1 is store2
-        store5 = ws.ensure_layers(5)
-        assert store5.shape[0] >= 5
+        ws = BatchedWorkspace(4)
+        store2 = ws.ensure_layers(2, 1)
+        assert store2.shape == (2, 2, 4, 1)
+        store1 = ws.ensure_layers(1, 1)
+        # Not shrunk: the same backing buffer is reused.
+        assert np.shares_memory(store1, store2)
+        store5 = ws.ensure_layers(5, 1)
+        assert store5.shape[0] == 5
 
     def test_layer_store_rejects_negative(self):
         with pytest.raises(ValueError):
-            Workspace(4).ensure_layers(-1)
+            BatchedWorkspace(4).ensure_layers(-1, 1)
 
     def test_compatible_with(self):
-        ws = Workspace(32)
+        ws = BatchedWorkspace(32)
         assert ws.compatible_with(32)
         assert not ws.compatible_with(16)

@@ -6,18 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from qaoa_reference import reference_expectation
 
 from repro.core import (
+    BatchedWorkspace,
     PrecomputedCost,
     QAOAResult,
-    Workspace,
-    expectation_value,
+    evolve_state_batch,
+    expectation_value_batch,
     get_exp_value,
     random_angles,
     simulate,
-    split_angles,
+    split_angles_batch,
 )
-from repro.core.simulator import evolve_state
 from repro.hilbert import FullSpace, state_matrix
 from repro.mixers import MixerSchedule, transverse_field_mixer
 from repro.mixers.grover import grover_mixer
@@ -28,15 +29,15 @@ class TestAngleHandling:
     def test_split_angles_layout(self, tf_mixer_6):
         schedule = MixerSchedule(tf_mixer_6, rounds=3)
         angles = np.arange(6.0)
-        betas, gammas = split_angles(angles, schedule)
+        betas, gammas = split_angles_batch(angles, schedule)
         assert len(betas) == 3
-        assert np.allclose(np.concatenate(betas), [0, 1, 2])
-        assert np.allclose(gammas, [3, 4, 5])
+        assert np.allclose(np.concatenate(betas).ravel(), [0, 1, 2])
+        assert np.allclose(gammas.ravel(), [3, 4, 5])
 
     def test_split_angles_length_check(self, tf_mixer_6):
         schedule = MixerSchedule(tf_mixer_6, rounds=2)
         with pytest.raises(ValueError):
-            split_angles(np.zeros(5), schedule)
+            split_angles_batch(np.zeros(5), schedule)
 
     def test_random_angles_range_and_shape(self):
         angles = random_angles(4, rng=0)
@@ -78,8 +79,9 @@ class TestSimulateBasics:
     def test_expectation_value_fast_path_matches(self, maxcut_obj, tf_mixer_6):
         angles = random_angles(3, rng=3)
         res = simulate(angles, tf_mixer_6, maxcut_obj)
-        fast = expectation_value(angles, tf_mixer_6, maxcut_obj)
+        fast = expectation_value_batch(angles, tf_mixer_6, maxcut_obj)[0]
         assert np.isclose(fast, res.expectation())
+        assert np.isclose(fast, reference_expectation(angles, tf_mixer_6, maxcut_obj))
 
     def test_p_inferred_from_angles(self, maxcut_obj, tf_mixer_6):
         res = simulate(random_angles(4, rng=4), tf_mixer_6, maxcut_obj)
@@ -109,14 +111,16 @@ class TestSimulateBasics:
         assert np.isclose(res.expectation(), maxcut_obj[5])
 
     def test_workspace_reuse(self, maxcut_obj, tf_mixer_6):
-        ws = Workspace(64)
+        ws = BatchedWorkspace(64)
         for seed in range(3):
             simulate(random_angles(2, rng=seed), tf_mixer_6, maxcut_obj, workspace=ws)
         assert ws.calls_served == 3
 
     def test_workspace_dimension_mismatch(self, maxcut_obj, tf_mixer_6):
         with pytest.raises(ValueError):
-            simulate(random_angles(2, rng=0), tf_mixer_6, maxcut_obj, workspace=Workspace(32))
+            simulate(
+                random_angles(2, rng=0), tf_mixer_6, maxcut_obj, workspace=BatchedWorkspace(32)
+            )
 
 
 class TestResultQueries:
@@ -181,24 +185,24 @@ class TestEvolveStateValidation:
     def test_wrong_gamma_count(self, maxcut_obj, tf_mixer_6):
         schedule = MixerSchedule(tf_mixer_6, rounds=2)
         with pytest.raises(ValueError):
-            evolve_state(
-                [np.array([0.1])] * 2, np.array([0.1]), schedule, maxcut_obj,
+            evolve_state_batch(
+                [np.array([[0.1]])] * 2, np.array([[0.1]]), schedule, maxcut_obj,
                 tf_mixer_6.initial_state(),
             )
 
     def test_wrong_beta_count(self, maxcut_obj, tf_mixer_6):
         schedule = MixerSchedule(tf_mixer_6, rounds=2)
         with pytest.raises(ValueError):
-            evolve_state(
-                [np.array([0.1])], np.array([0.1, 0.2]), schedule, maxcut_obj,
+            evolve_state_batch(
+                [np.array([[0.1]])], np.array([[0.1], [0.2]]), schedule, maxcut_obj,
                 tf_mixer_6.initial_state(),
             )
 
     def test_wrong_cost_shape(self, tf_mixer_6):
         schedule = MixerSchedule(tf_mixer_6, rounds=1)
         with pytest.raises(ValueError):
-            evolve_state(
-                [np.array([0.1])], np.array([0.1]), schedule, np.zeros(10),
+            evolve_state_batch(
+                [np.array([[0.1]])], np.array([[0.1]]), schedule, np.zeros(10),
                 tf_mixer_6.initial_state(),
             )
 
