@@ -17,7 +17,7 @@ from repro.bench.timing import time_call
 from repro.bench.workloads import is_paper_scale
 from repro.baselines.trotter import trotter_clique_mixer
 from repro.core import random_angles, simulate
-from repro.hilbert import DickeSpace, state_matrix
+from repro.hilbert import DickeSpace
 from repro.mixers import CliqueMixer, transverse_field_mixer
 from repro.problems import densest_subgraph_values, erdos_renyi
 

@@ -23,8 +23,7 @@ import numpy as np
 import pytest
 
 from repro.angles import local_minimize, multistart_minimize
-from repro.backend import active_backend
-from repro.bench.timing import merge_backend_records, time_call
+from repro.bench.timing import time_call
 from repro.bench.workloads import figure4_graph, is_paper_scale
 from repro.core import QAOAAnsatz
 from repro.hilbert import state_matrix
@@ -135,29 +134,8 @@ def _measure_refinement(
     }
 
 
-def _prior_numpy_seconds(path):
-    """Map of record key -> recorded numpy batched seconds from a prior file."""
-    if not path.exists():
-        return {}
-    try:
-        previous = json.loads(path.read_text())
-    except (json.JSONDecodeError, OSError):
-        return {}
-    out = {}
-    for record in previous.get("records", []):
-        if record.get("backend", "numpy") != "numpy":
-            continue
-        seconds = record.get("batched_s", record.get("vectorized_s"))
-        if seconds is not None:
-            key = tuple(record.get(f) for f in ("kind", "mixer", "n", "p", "M"))
-            out[key] = seconds
-    return out
-
-
 @pytest.mark.slow
 def test_batched_gradient_throughput_and_record():
-    backend = active_backend().name
-    prior = _prior_numpy_seconds(_RESULT_PATH)
     records = [_measure_kernel(*config) for config in _KERNEL_CONFIGS]
     # The acceptance row: 64 random restarts refined end to end.  Paper scale
     # additionally charts a deeper circuit.
@@ -168,34 +146,9 @@ def test_batched_gradient_throughput_and_record():
         "benchmark": "batched_grad",
         "unit": "seconds (min over repeats after warmup)",
         "numpy": np.__version__,
+        "records": records,
     }
-    merge_backend_records(_RESULT_PATH, payload, records, backend)
-
-    if backend == "numpy":
-        # The backend shim must not tax the numpy path: every batched row
-        # keeps at least 0.9x its previously recorded numpy throughput.  A
-        # sub-0.9x first reading gets one re-measure — wall clock at the
-        # ~10ms kernel scale swings past 10% under transient machine load.
-        kernel_configs = {
-            ("value_and_gradient", c[0], c[2], c[3], c[4]): c for c in _KERNEL_CONFIGS
-        }
-        for record in records:
-            key = tuple(record[f] for f in ("kind", "mixer", "n", "p", "M"))
-            seconds = record.get("batched_s", record.get("vectorized_s"))
-            if key in prior and seconds is not None:
-                ratio = prior[key] / seconds
-                if ratio < 0.9:
-                    if key in kernel_configs:
-                        retry = _measure_kernel(*kernel_configs[key])
-                        seconds = retry["batched_s"]
-                    else:
-                        retry = _measure_refinement(key[2], key[3], key[4])
-                        seconds = retry["vectorized_s"]
-                    ratio = max(ratio, prior[key] / seconds)
-                assert ratio >= 0.9, (
-                    f"numpy batched throughput regressed to {ratio:.2f}x the "
-                    f"prior recording at {key}; acceptance requires >= 0.9x"
-                )
+    _RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
     gates = [r for r in records if r["kind"] == "multistart_refinement"]
     for gate in gates:

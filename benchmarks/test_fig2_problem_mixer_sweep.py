@@ -13,7 +13,6 @@ substantial fraction of the optimum for every problem/mixer pair.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.analysis import series_from_results

@@ -7,7 +7,6 @@ with JuliQAOA keeping a constant-factor lead over QAOA.jl and QAOAKit.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.baselines import DecomposedCircuitQAOA, DirectQAOA, GateCircuitQAOA

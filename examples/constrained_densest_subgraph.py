@@ -17,8 +17,6 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from repro import DickeSpace, erdos_renyi, mixer_clique, simulate
 from repro.analysis import normalized_approximation_ratio
 from repro.angles import find_angles

@@ -29,16 +29,6 @@ Under the hood (mirrors the paper's Listing 1)::
     exp_value = get_exp_value(res)
 """
 
-from .backend import (
-    BACKEND_NAMES,
-    ArrayBackend,
-    BackendUnavailableError,
-    active_backend,
-    backend_info,
-    get_backend,
-    set_active_backend,
-    use_backend,
-)
 from .api import (
     MIXER_NAMES,
     MIXERS,
@@ -110,19 +100,7 @@ from .service import SolverService, default_service
 
 __version__ = "1.4.0"
 
-# Resolve REPRO_BACKEND eagerly so a bad value warns at import time (and an
-# uninstalled backend falls back to numpy) instead of surfacing mid-solve.
-active_backend()
-
 __all__ = [
-    "BACKEND_NAMES",
-    "ArrayBackend",
-    "BackendUnavailableError",
-    "active_backend",
-    "backend_info",
-    "get_backend",
-    "set_active_backend",
-    "use_backend",
     "MIXER_NAMES",
     "MIXERS",
     "STRATEGIES",

@@ -253,9 +253,6 @@ class QAOASolver:
         solver = QAOASolver(spec)
         results = [solver.run(seed=s) for s in range(10)]
 
-    ``backend`` optionally pins the array backend the ansatz kernels run on
-    (defaults to the process-wide active backend, i.e. ``REPRO_BACKEND``).
-
     ``plan`` optionally pins the execution path (an
     :class:`~repro.api.routing.ExecutionPlan`); by default
     :func:`~repro.api.routing.select_execution_path` routes the spec to the
@@ -272,7 +269,6 @@ class QAOASolver:
         self,
         spec: SolveSpec | Mapping[str, Any],
         *,
-        backend=None,
         plan: ExecutionPlan | None = None,
     ):
         started = time.perf_counter()
@@ -296,7 +292,6 @@ class QAOASolver:
                 spec.p,
                 n=structure.n,
                 maximize=structure.maximize,
-                backend=backend,
             )
         elif plan.path == "sharded":
             from ..hpc.sharded import ShardedAnsatz
@@ -308,16 +303,13 @@ class QAOASolver:
                 spec.p,
                 plan.shards,
                 mixer_params=dict(spec.mixer.params),
-                backend=backend,
             )
         else:
             self.problem = memoized_problem(spec.problem)
             self.mixer = make_mixer(
                 spec.mixer.name, self.problem.space, **spec.mixer.params
             )
-            self.ansatz = QAOAAnsatz.from_problem(
-                self.problem, self.mixer, spec.p, backend=backend
-            )
+            self.ansatz = QAOAAnsatz.from_problem(self.problem, self.mixer, spec.p)
         #: construction seconds not yet reported by a result
         self._unreported_setup_s = time.perf_counter() - started
 

@@ -1,30 +1,14 @@
-"""The :class:`ArrayBackend` protocol and the Walsh–Hadamard kernel.
+"""The dense-kernel entry points, the Walsh–Hadamard kernel and phase tables.
 
-The paper's pre-computation and state evolution are "spread across many
-threads or GPUs"; on our side every hot path was reduced to a handful of
-dense-algebra primitives (PRs 1/3/6): complex/real GEMMs, ``einsum``
-contractions and the blocked Walsh–Hadamard transform.  An
-:class:`ArrayBackend` packages exactly those primitives so the same kernels
-can execute on NumPy (default) or PyTorch without any algorithmic change.
-
-Storage policy
---------------
-Host-resident ``numpy`` arrays are the interchange format: every primitive
-accepts and returns numpy arrays (honouring ``out=`` buffers), so the
-pre-allocated :class:`~repro.core.workspace.BatchedWorkspace` buffers and
-the interleaved re/im float views all keep working unchanged on every
-backend.  CPU backends dispatch zero-copy (torch wraps the same memory);
-CUDA backends keep the *constant* operator factors (Hadamard blocks,
-eigenbases, term diagonals) resident on the device and stream the
-activations per call — the factors are ``O(dim^2)`` while activations are
-``O(dim * M)``, so large problems amortize the transfer.  ``asarray`` /
-``to_numpy`` convert explicitly for callers that want to hold native arrays.
-
-Dtype policy
-------------
-Pinned: ``complex128`` statevectors, ``float64`` factors/diagonals/angles on
-every backend.  The equivalence gates (numpy-vs-torch ``<= 1e-10``) only hold
-in double precision, so backends never down-cast silently.
+Every hot path of the simulator reduces to a handful of dense-algebra
+primitives: real and complex GEMMs and the blocked Walsh–Hadamard
+transform, all on host numpy arrays in complex128/float64.  They run
+through one module-level :class:`~repro.backend.numpy_backend.NumpyBackend`
+instance, ``repro.backend.kernels``.  :class:`ArrayBackend` and its numpy
+subclass remain as classes only because they are the patch points of the
+benchmark's layer trace: ``perfbench`` wraps ``ArrayBackend.wht_gemm``,
+``ArrayBackend.real_gemm`` and ``NumpyBackend.matmul`` to time the
+``backend.wht`` and ``backend.gemm`` spans.
 
 Walsh–Hadamard kernel
 ---------------------
@@ -49,7 +33,6 @@ shard workers' phases all ask it.
 
 from __future__ import annotations
 
-import abc
 from functools import lru_cache
 
 import numpy as np
@@ -165,77 +148,9 @@ def blocked_wht(src, via, dst, blocks, matmul=np.matmul) -> np.ndarray:
     return dst
 
 
-class ArrayBackend(abc.ABC):
-    """Dense-kernel primitives over host numpy storage (see module docstring).
+class ArrayBackend:
+    """The two derived dense kernels, written on the subclass's ``matmul``."""
 
-    Concrete backends implement :meth:`matmul`, :meth:`einsum`,
-    :meth:`tensordot` and the converters; the Walsh–Hadamard and
-    interleaved-real-GEMM helpers are derived from :meth:`matmul` here so a
-    backend is correct as soon as its GEMM is.
-    """
-
-    #: canonical registry name ("numpy", "torch")
-    name: str = "abstract"
-    #: pinned statevector dtype (never down-cast)
-    complex_dtype = np.complex128
-    #: pinned factor/diagonal/angle dtype
-    real_dtype = np.float64
-
-    # ------------------------------------------------------------------
-    # capability / identity
-    # ------------------------------------------------------------------
-    @classmethod
-    @abc.abstractmethod
-    def available(cls) -> bool:
-        """Whether the backing library is importable (must never raise)."""
-
-    @property
-    def device(self) -> str:
-        """Device the dense kernels execute on (``"cpu"``, ``"cuda:0"``, ...)."""
-        return "cpu"
-
-    @property
-    @abc.abstractmethod
-    def xp(self):
-        """The backend's native array namespace (``numpy``, ``torch``)."""
-
-    # ------------------------------------------------------------------
-    # converters / allocation
-    # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def asarray(self, x, dtype=None):
-        """``x`` as a backend-native array (on the backend's device)."""
-
-    @abc.abstractmethod
-    def to_numpy(self, x) -> np.ndarray:
-        """``x`` (native array or array-like) as a host numpy array."""
-
-    def empty(self, shape, dtype=None) -> np.ndarray:
-        """A host buffer in the pinned dtype (the workspace allocation hook)."""
-        return np.empty(shape, dtype=self.complex_dtype if dtype is None else dtype)
-
-    # ------------------------------------------------------------------
-    # dense primitives (numpy in / numpy out)
-    # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def matmul(self, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``a @ b`` with numpy broadcasting semantics, written into ``out``.
-
-        ``a`` is treated as the (reusable) operator factor — CUDA backends may
-        cache it device-side — and ``b``/``out`` as per-call activations.
-        """
-
-    @abc.abstractmethod
-    def einsum(self, subscripts: str, *operands: np.ndarray) -> np.ndarray:
-        """``einsum`` over numpy operands (the batched inner-product reductions)."""
-
-    @abc.abstractmethod
-    def tensordot(self, a: np.ndarray, b: np.ndarray, axes) -> np.ndarray:
-        """``tensordot`` over numpy operands (the gate-by-gate baseline)."""
-
-    # ------------------------------------------------------------------
-    # derived helpers (shared by every backend)
-    # ------------------------------------------------------------------
     def real_gemm(self, factor: np.ndarray, src: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``factor @ src`` for a real ``factor`` and complex ``src``/``out``.
 
@@ -252,15 +167,5 @@ class ArrayBackend(abc.ABC):
 
     def wht_gemm(self, src: np.ndarray, via: np.ndarray, dst: np.ndarray,
                  *blocks: np.ndarray) -> np.ndarray:
-        """:func:`blocked_wht` on this backend's GEMM (``blocks`` from :func:`hadamard_blocks`)."""
+        """:func:`blocked_wht` on this class's GEMM (``blocks`` from :func:`hadamard_blocks`)."""
         return blocked_wht(src, via, dst, blocks, self.matmul)
-
-    # ------------------------------------------------------------------
-    # diagnostics
-    # ------------------------------------------------------------------
-    def info(self) -> dict:
-        """Backend-specific library/device details for ``repro backend-info``."""
-        return {}
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}(name={self.name!r}, device={self.device!r})"

@@ -1,9 +1,11 @@
-"""The NumPy reference backend (the default).
+"""The numpy GEMM behind every dense kernel, and its one instance.
 
-Everything runs on the host BLAS; ``matmul`` writes straight into the
-caller's pre-allocated buffers, so this backend is allocation-free on the
-hot paths — it is exactly the code the batched kernels ran before the shim
-existed, behind the :class:`~repro.backend.base.ArrayBackend` interface.
+:class:`NumpyBackend` adds ``matmul`` (``np.matmul`` into the caller's
+pre-allocated ``out``) to the derived kernels of
+:class:`~repro.backend.base.ArrayBackend`.  It is a class, not a function,
+only so the benchmark's layer trace can wrap ``NumpyBackend.matmul`` (the
+``backend.gemm`` span); :data:`kernels` is the instance every dense kernel
+calls.
 """
 
 from __future__ import annotations
@@ -12,42 +14,13 @@ import numpy as np
 
 from .base import ArrayBackend
 
-__all__ = ["NumpyBackend"]
+__all__ = ["NumpyBackend", "kernels"]
 
 
 class NumpyBackend(ArrayBackend):
-    name = "numpy"
-
-    @classmethod
-    def available(cls) -> bool:
-        return True
-
-    @property
-    def xp(self):
-        return np
-
-    def asarray(self, x, dtype=None) -> np.ndarray:
-        return np.asarray(x, dtype=dtype)
-
-    def to_numpy(self, x) -> np.ndarray:
-        return np.asarray(x)
-
     def matmul(self, a, b, out=None):
         return np.matmul(a, b, out=out)
 
-    def einsum(self, subscripts, *operands):
-        return np.einsum(subscripts, *operands)
 
-    def tensordot(self, a, b, axes):
-        return np.tensordot(a, b, axes=axes)
-
-    def info(self) -> dict:
-        details = {"numpy": np.__version__}
-        try:  # numpy >= 1.26 exposes the build-time BLAS/LAPACK as dicts
-            config = np.show_config(mode="dicts")
-            blas = config.get("Build Dependencies", {}).get("blas", {})
-            if blas:
-                details["blas"] = f"{blas.get('name', '?')} {blas.get('version', '')}".strip()
-        except (TypeError, AttributeError):  # pragma: no cover - old numpy
-            pass
-        return details
+#: the instance every dense kernel dispatches through
+kernels = NumpyBackend()

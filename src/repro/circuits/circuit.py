@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from .gates import Gate
 
 __all__ = ["Circuit"]

@@ -45,10 +45,8 @@ class QAOAAnsatz(Engine):
         Optional custom initial state (warm starts).
     maximize:
         Whether the underlying problem is a maximization (default True).
-    backend:
-        Optional :class:`~repro.backend.base.ArrayBackend` the ansatz's
-        workspaces (and through them every kernel call) run on; defaults to
-        the process-wide active backend at construction time.
+
+    Every kernel call runs on numpy through :data:`repro.backend.kernels`.
     """
 
     def __init__(
@@ -59,7 +57,6 @@ class QAOAAnsatz(Engine):
         *,
         initial_state: np.ndarray | None = None,
         maximize: bool = True,
-        backend=None,
     ):
         if isinstance(mixer, Mixer) and p is None:
             raise ValueError("p must be given when a single mixer is supplied")
@@ -97,11 +94,6 @@ class QAOAAnsatz(Engine):
         self.beta_counts = schedule.beta_counts()
         self.num_angles = sum(self.beta_counts) + schedule.p
         self.n = schedule.space.n
-        if backend is None:
-            from ..backend import active_backend
-
-            backend = active_backend()
-        self.backend = backend
         # Lazily created on the first kernel call; grown (never shrunk) to
         # the largest batch seen, then reused across every call.
         self._batched_workspace: BatchedWorkspace | None = None
@@ -117,7 +109,6 @@ class QAOAAnsatz(Engine):
         p: int | None = None,
         *,
         initial_state: np.ndarray | None = None,
-        backend=None,
     ) -> "QAOAAnsatz":
         """Build an ansatz from a :class:`~repro.problems.registry.ProblemInstance`.
 
@@ -131,10 +122,7 @@ class QAOAAnsatz(Engine):
             space=problem.space,
             maximize=problem.maximize,
         )
-        return cls(
-            cost, mixer, p, initial_state=initial_state, maximize=problem.maximize,
-            backend=backend,
-        )
+        return cls(cost, mixer, p, initial_state=initial_state, maximize=problem.maximize)
 
     # ------------------------------------------------------------------
     @property
@@ -150,9 +138,7 @@ class QAOAAnsatz(Engine):
     # ------------------------------------------------------------------
     def _ensure_batched_workspace(self, batch: int) -> BatchedWorkspace:
         if self._batched_workspace is None:
-            self._batched_workspace = BatchedWorkspace(
-                self.schedule.dim, batch, backend=self.backend
-            )
+            self._batched_workspace = BatchedWorkspace(self.schedule.dim, batch)
         else:
             self._batched_workspace.ensure(batch)
         return self._batched_workspace
@@ -227,7 +213,6 @@ class QAOAAnsatz(Engine):
             p,
             initial_state=self.initial_state,
             maximize=self.maximize,
-            backend=self.backend,
         )
 
     def sibling(self) -> "QAOAAnsatz":
@@ -244,7 +229,6 @@ class QAOAAnsatz(Engine):
             self.schedule,
             initial_state=self.initial_state,
             maximize=self.maximize,
-            backend=self.backend,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -41,8 +41,6 @@ class Engine(abc.ABC):
         :func:`~repro.angles.grid.grid_search` read the flat layout from it.
     ``maximize``
         The optimization sense.
-    ``backend``
-        The :class:`~repro.backend.base.ArrayBackend` the kernels run on.
     ``counter``
         The :class:`~repro.core.gradients.EvaluationCounter` every kernel
         call updates.

@@ -17,7 +17,7 @@ quadratic families straight from integer labels with a split-half kernel
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..backend import active_backend
+from ..backend import kernels
 from ..backend.base import distinct_levels, level_table_pays
 from ..mixers.base import Mixer
 from ..mixers.schedules import MixerSchedule, as_schedule
@@ -530,5 +530,4 @@ def expectation_value_batch(
     )
     probs = np.abs(psi)
     np.square(probs, out=probs)
-    bk = workspace.backend if workspace is not None else active_backend()
-    return bk.matmul(values, probs)
+    return kernels.matmul(values, probs)

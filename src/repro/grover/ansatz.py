@@ -127,9 +127,6 @@ class CompressedGroverAnsatz(Engine):
         Number of qubits (reporting only; the evolution never touches 2^n).
     maximize:
         Optimization sense; determines which spectrum end is "optimal".
-    backend:
-        Optional array backend (recorded for the strategies' ``einsum``
-        calls; compressed arrays are small, so NumPy is always fine).
     """
 
     def __init__(
@@ -139,7 +136,6 @@ class CompressedGroverAnsatz(Engine):
         *,
         n: int,
         maximize: bool = True,
-        backend=None,
     ):
         if p < 1:
             raise ValueError("a QAOA needs at least one round")
@@ -150,11 +146,6 @@ class CompressedGroverAnsatz(Engine):
         self.beta_counts = [1] * self.p
         self.num_angles = 2 * self.p
         self.n = int(n)
-        if backend is None:
-            from ..backend import active_backend
-
-            backend = active_backend()
-        self.backend = backend
         self.counter = EvaluationCounter()
         degs = spectrum.degeneracy_array()
         self._values = np.asarray(spectrum.values, dtype=np.float64)

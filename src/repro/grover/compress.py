@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 

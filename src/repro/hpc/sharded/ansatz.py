@@ -99,7 +99,6 @@ class ShardedAnsatz(Engine):
         shards: int,
         *,
         mixer_params: dict | None = None,
-        backend=None,
     ):
         config = sharded_mixer_config(mixer_name, structure.n, mixer_params)
         self.executor = ShardedExecutor(structure, config, p, shards)
@@ -111,11 +110,6 @@ class ShardedAnsatz(Engine):
         self.beta_counts = [config.betas_per_round] * self.p
         self._total_betas = sum(self.beta_counts)
         self.num_angles = self._total_betas + self.p
-        if backend is None:
-            from ...backend import active_backend
-
-            backend = active_backend()
-        self.backend = backend
         self.counter = EvaluationCounter()
 
     # ------------------------------------------------------------------

@@ -29,7 +29,7 @@ import threading
 
 import numpy as np
 
-from ..backend import active_backend
+from ..backend import kernels
 from ..hilbert.subspace import FeasibleSpace
 
 __all__ = ["Mixer", "DiagonalizedMixer"]
@@ -64,11 +64,8 @@ class Mixer(abc.ABC):
     #: The feasible space the mixer acts on.
     space: FeasibleSpace
 
-    def __init__(self, space: FeasibleSpace, *, backend=None):
+    def __init__(self, space: FeasibleSpace):
         self.space = space
-        #: the array backend the mixer's dense kernels dispatch through when no
-        #: workspace (which carries its own backend) is supplied
-        self.backend = backend if backend is not None else active_backend()
 
     # ------------------------------------------------------------------
     # geometry
@@ -243,22 +240,18 @@ class DiagonalizedMixer(Mixer):
             store.phase = np.empty(self.dim, dtype=np.complex128)
         return store.phase
 
-    def _basis_change(
-        self, factor: np.ndarray, src: np.ndarray, out: np.ndarray, backend=None
-    ) -> np.ndarray:
+    def _basis_change(self, factor: np.ndarray, src: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``factor @ src`` for complex ``src``/``out``, allocation-free.
 
         With a real eigenbasis and contiguous operands the product runs as a
         single real GEMM over the interleaved re/im float view, which is exact
         (the factor is real) and avoids per-call complex promotion of the
-        factor.  ``out`` must not alias ``src``.  The GEMM dispatches through
-        ``backend`` (default: the mixer's own).
+        factor.  ``out`` must not alias ``src``.
         """
-        bk = self.backend if backend is None else backend
         if self._real_basis and src.flags.c_contiguous and out.flags.c_contiguous:
-            bk.real_gemm(factor, src, out)
+            kernels.real_gemm(factor, src, out)
         else:
-            bk.matmul(factor, src, out=out)
+            kernels.matmul(factor, src, out=out)
         return out
 
     def apply_batch(
@@ -279,15 +272,12 @@ class DiagonalizedMixer(Mixer):
         if workspace is not None:
             coeffs = workspace.scratch(M)
             phases = workspace.phase(M)
-            bk = workspace.backend
         else:
             coeffs = np.empty((self.dim, M), dtype=np.complex128)
             phases = np.empty((self.dim, M), dtype=np.complex128)
-            bk = self.backend
         # the phase buffer is free until the phases are formed below
         per_input(
-            lambda src, dst: self._basis_change(self._Vdag, src, dst, bk),
-            Psi, coeffs, columns, phases,
+            lambda src, dst: self._basis_change(self._Vdag, src, dst), Psi, coeffs, columns, phases
         )
         if M > 0 and betas.min() == betas.max():
             # Uniform batch (every column shares one angle): a single phase
@@ -300,7 +290,7 @@ class DiagonalizedMixer(Mixer):
             np.multiply(self.eigenvalues[:, None], -1j * betas[None, :], out=phases)
             np.exp(phases, out=phases)
             coeffs *= phases
-        self._basis_change(self._V, coeffs, out, bk)
+        self._basis_change(self._V, coeffs, out)
         return out
 
     def apply_hamiltonian_batch(
@@ -314,13 +304,11 @@ class DiagonalizedMixer(Mixer):
         Psi, out, M = self._check_batch(Psi, out)
         if workspace is not None:
             coeffs = workspace.scratch(M)
-            bk = workspace.backend
         else:
             coeffs = np.empty((self.dim, M), dtype=np.complex128)
-            bk = self.backend
-        self._basis_change(self._Vdag, Psi, coeffs, bk)
+        self._basis_change(self._Vdag, Psi, coeffs)
         coeffs *= self.eigenvalues[:, None]
-        self._basis_change(self._V, coeffs, out, bk)
+        self._basis_change(self._V, coeffs, out)
         return out
 
     def matrix(self) -> np.ndarray:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..backend import kernels
 from ..hilbert.subspace import DickeSpace, FeasibleSpace, FullSpace
 from .base import Mixer
 
@@ -65,8 +66,7 @@ class GroverMixer(Mixer):
         """
         Psi, out, M = self._check_batch(Psi, out, columns)
         betas = self._batch_angles(betas, M)
-        bk = workspace.backend if workspace is not None else self.backend
-        overlaps = bk.matmul(self._psi0_conj, Psi)
+        overlaps = kernels.matmul(self._psi0_conj, Psi)
         if columns is not None:
             overlaps = overlaps[columns]
             np.take(Psi, columns, axis=1, out=out, mode="clip")
@@ -89,8 +89,7 @@ class GroverMixer(Mixer):
     ) -> np.ndarray:
         """Batched rank-one product: one GEMV of overlaps, one outer product."""
         Psi, out, M = self._check_batch(Psi, out)
-        bk = workspace.backend if workspace is not None else self.backend
-        overlaps = bk.matmul(self._psi0_conj, Psi)
+        overlaps = kernels.matmul(self._psi0_conj, Psi)
         np.multiply(self.psi0[:, None], overlaps[None, :], out=out)
         return out
 

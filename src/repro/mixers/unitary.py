@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..backend import kernels
 from ..hilbert.subspace import FeasibleSpace, FullSpace
 from ..io.cache import cached_eigendecomposition
 from .base import DiagonalizedMixer, per_input
@@ -139,10 +140,8 @@ class FixedUnitaryMixer(DiagonalizedMixer):
         Psi, out, M = self._check_batch(Psi, out, columns)
         betas = self._batch_angles(betas, M)
         if M > 0 and np.all(betas == 1.0):
-            bk = workspace.backend if workspace is not None else self.backend
-
             def gemm(src, dst):
-                return bk.matmul(self.unitary, src, out=dst)
+                return kernels.matmul(self.unitary, src, out=dst)
 
             if columns is None and not np.may_share_memory(out, Psi):
                 return gemm(Psi, out)

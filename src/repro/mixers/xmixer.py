@@ -14,7 +14,7 @@ so a single diagonal vector ``d`` (the mixer eigenvalues in the Hadamard
 basis) is pre-computed once, and each layer costs two fast Walsh–Hadamard
 transforms plus an element-wise phase multiply (Sec. 2.1-2.2 of the paper).
 Every transform here is the blocked kernel of
-:func:`repro.backend.base.blocked_wht` (``ArrayBackend.wht_gemm`` on the
+:func:`repro.backend.base.blocked_wht` (``kernels.wht_gemm`` on the
 batched paths): one small ``±1`` Hadamard GEMM per block of index bits.
 
 The diagonal entries follow from ``Z_{i1}...Z_{ik} |x> = (-1)^{popcount(x & mask)} |x>``:
@@ -32,6 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ..backend import kernels
 from ..backend.base import blocked_wht, distinct_levels, hadamard_blocks, level_table_pays
 from ..hilbert.subspace import FullSpace
 from .base import Mixer, front_view, per_input
@@ -98,15 +99,13 @@ def _hadamard_layer(
     if workspace is not None:
         scratch = workspace.scratch(M)
         free = workspace.phase(M)
-        bk = workspace.backend
     else:
         scratch = np.empty((mixer.dim, M), dtype=np.complex128)
         free = np.empty((mixer.dim, M), dtype=np.complex128)
-        bk = mixer.backend
 
     def wht(src, dst):
         blocks = hadamard_blocks(mixer.n, src.shape[1])
-        return bk.wht_gemm(src, front_view(scratch, src), dst, *blocks)
+        return kernels.wht_gemm(src, front_view(scratch, src), dst, *blocks)
 
     per_input(wht, Psi, out, columns, free)
     out *= factors(free)
@@ -236,7 +235,7 @@ class XMixer(Mixer):
     ) -> np.ndarray:
         """Batched layer: two blocked WHTs around a per-column phase multiply.
 
-        Each transform is ``ArrayBackend.wht_gemm`` (one small Hadamard GEMM
+        Each transform is ``kernels.wht_gemm`` (one small Hadamard GEMM
         per block of index bits, see :func:`~repro.backend.base.blocked_wht`),
         the ``2^{-n/2}`` normalizations of both transforms are folded into the
         phase factors, and the phase factors themselves come from a
@@ -387,15 +386,12 @@ class MultiAngleXMixer(Mixer):
         elif betas.ndim == 1:
             if betas.shape != (M,):
                 raise ValueError(f"betas have shape {betas.shape}, expected ({M},)")
-            # materialized (not a zero-stride broadcast view) so the phase
-            # GEMM below stays dispatchable on every backend
-            betas = np.ascontiguousarray(np.broadcast_to(betas, (self.num_angles, M)))
+            betas = np.broadcast_to(betas, (self.num_angles, M))
         if betas.shape != (self.num_angles, M):
             raise ValueError(f"betas have shape {betas.shape}, expected ({self.num_angles}, {M})")
-        bk = workspace.backend if workspace is not None else self.backend
 
         def phase_factors(phases):
-            bk.matmul(self._term_diag_T_negj, np.ascontiguousarray(betas), out=phases)
+            kernels.matmul(self._term_diag_T_negj, np.ascontiguousarray(betas), out=phases)
             np.exp(phases, out=phases)
             phases *= 1.0 / self.dim  # absorbs both transforms' 2^{-n/2} norms
             return phases
@@ -444,22 +440,20 @@ class MultiAngleXMixer(Mixer):
             via = workspace.scratch(M)
             wphi = workspace.phase(M)
             wpsi = workspace.aux(M)
-            bk = workspace.backend
         else:
             via = np.empty((self.dim, M), dtype=np.complex128)
             wphi = np.empty((self.dim, M), dtype=np.complex128)
             wpsi = np.empty((self.dim, M), dtype=np.complex128)
-            bk = self.backend
         blocks = hadamard_blocks(self.n, M)
-        bk.wht_gemm(Phi, via, wphi, *blocks)
-        bk.wht_gemm(Psi, via, wpsi, *blocks)
+        kernels.wht_gemm(Phi, via, wphi, *blocks)
+        kernels.wht_gemm(Psi, via, wpsi, *blocks)
         # A = conj(W phi) * (W psi); both transforms are unnormalized, so A
         # carries an extra factor of dim that the final scale removes.
         np.conjugate(wphi, out=wphi)
         wphi *= wpsi
         # One real GEMM against the interleaved re/im view gives the real and
         # imaginary parts of every <W phi| d_t |W psi> side by side.
-        products = bk.matmul(
+        products = kernels.matmul(
             self.term_diagonals, wphi.view(np.float64).reshape(self.dim, 2 * M)
         )
         return (2.0 / self.dim) * products[:, 1::2]

@@ -25,8 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ..hilbert.dicke import dicke_labels, rank_state
-from ..hilbert.subspace import DickeSpace, FeasibleSpace
+from ..hilbert.dicke import dicke_labels
+from ..hilbert.subspace import DickeSpace
 from ..io.cache import cached_eigendecomposition
 from .base import DiagonalizedMixer
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 

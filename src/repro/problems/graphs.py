@@ -9,7 +9,7 @@ reproducible, and return plain ``networkx.Graph`` objects with nodes labelled
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import networkx as nx
 import numpy as np

@@ -25,7 +25,6 @@ from collections import OrderedDict
 from ..api.routing import select_execution_path
 from ..api.solver import QAOASolver
 from ..api.spec import SolveSpec
-from ..backend import active_backend
 from ..hpc.memory import warm_entry_bytes
 from ..mixers.base import DiagonalizedMixer
 
@@ -38,18 +37,14 @@ def pool_fingerprint(spec: SolveSpec) -> str:
     Two specs with equal fingerprints share problem instance, feasible space,
     mixer spectra and workspaces — everything the warm pool keeps alive.  The
     strategy and its seed only steer the angle search, so they are excluded.
-    The active array backend is included: pooled workspaces capture the
-    backend at construction, so entries built under different backends must
-    not be shared.  The routed execution path (and its shard count) is
-    included for the same reason — a ``REPRO_SHARDS`` change must not hit a
-    dense entry.
+    The routed execution path (and its shard count) is included: a
+    ``REPRO_SHARDS`` change must not hit a dense entry.
     """
     plan = select_execution_path(spec)
     payload = {
         "problem": spec.problem.to_dict(),
         "mixer": spec.mixer.to_dict(),
         "p": spec.p,
-        "backend": active_backend().name,
         "execution": plan.path,
         "shards": plan.shards,
     }
@@ -70,7 +65,6 @@ class WarmEntry:
 
     def __init__(self, fingerprint: str, spec: SolveSpec):
         self.fingerprint = fingerprint
-        self.backend_name = active_backend().name
         solver = QAOASolver(spec)
         self.plan = solver.plan
         self.problem = solver.problem  # None for non-dense plans
@@ -225,7 +219,4 @@ class WarmPool:
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
-                "backends": sorted(
-                    {entry.backend_name for entry in self._entries.values()}
-                ),
             }

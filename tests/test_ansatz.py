@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import PrecomputedCost, QAOAAnsatz
 from repro.hilbert import DickeSpace
-from repro.mixers import CliqueMixer, MixerSchedule, MultiAngleXMixer, transverse_field_mixer
+from repro.mixers import CliqueMixer, MixerSchedule, MultiAngleXMixer
 from repro.problems import densest_subgraph_values
 
 

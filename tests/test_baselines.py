@@ -17,9 +17,9 @@ from repro.baselines import (
     trotter_ring_mixer,
 )
 from repro.core import random_angles, simulate
-from repro.hilbert import DickeSpace, state_matrix
-from repro.mixers import CliqueMixer, RingMixer
-from repro.problems import densest_subgraph_values, erdos_renyi, maxcut_values
+from repro.hilbert import DickeSpace
+from repro.mixers import CliqueMixer
+from repro.problems import densest_subgraph_values, erdos_renyi
 
 ALL_BASELINES = [DirectQAOA, GateCircuitQAOA, DecomposedCircuitQAOA, DenseUnitaryQAOA]
 

@@ -18,7 +18,7 @@ from repro.grover.compress import (
     hamming_weight_spectrum,
 )
 from repro.hilbert import DickeSpace, state_matrix
-from repro.problems import densest_subgraph_values, erdos_renyi, maxcut_values
+from repro.problems import densest_subgraph_values, maxcut_values
 
 
 class TestCompressedObjective:

@@ -6,7 +6,6 @@ import numpy as np
 
 import repro
 from repro import (
-    DickeSpace,
     QAOAAnsatz,
     erdos_renyi,
     get_exp_value,

@@ -76,8 +76,6 @@ class TestUnconstrainedAgainstDense:
         _check_against_dense(mixer_x([1, 2], 6), obj, angles3, dense_reference)
 
     def test_multi_angle_layers(self, graph6, dense_reference):
-        import scipy.linalg as sla
-
         n = 4
         graph = erdos_renyi(n, 0.6, seed=5)
         obj = maxcut_values(graph, state_matrix(n))
