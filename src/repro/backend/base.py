@@ -12,8 +12,8 @@ benchmark's layer trace: ``perfbench`` wraps ``ArrayBackend.wht_gemm``,
 
 Walsh–Hadamard kernel
 ---------------------
-Every products-of-X path (dense mixer layers, adjoint Hamiltonian products,
-mixer diagonals, shard workers) runs :func:`blocked_wht`:
+Every products-of-X path (dense mixer layers, adjoint rounds, mixer
+diagonals, shard workers) runs :func:`blocked_wht`:
 ``H^{⊗n} = H_1 ⊗ ... ⊗ H_k`` over ``k`` near-equal blocks of index bits,
 one BLAS call per block with the ``±1`` block as the first ``matmul``
 operand.  :func:`hadamard_blocks` picks ``k`` from ``n`` and the column

@@ -12,8 +12,9 @@ avoids the expensive eigendecomposition.
 subspace (each pair term is a Givens rotation between the two states related
 by swapping the pair's bits).  The rotations index rows, so one call updates
 a whole ``(dim, M)`` batch; the mixer implements the two batched kernels of
-the :class:`~repro.mixers.base.Mixer` interface and can be dropped into
-``simulate`` and compared head-to-head with the exact
+the :class:`~repro.mixers.base.Mixer` interface — its adjoint differentiates
+the Trotterized layer itself, not the exact XY evolution — and can be
+dropped into ``simulate`` and compared head-to-head with the exact
 :class:`~repro.mixers.xy.CliqueMixer` / ``RingMixer``.
 """
 
@@ -84,6 +85,15 @@ class TrotterXYMixer(Mixer):
                 (np.asarray(lows, dtype=np.int64), np.asarray(highs, dtype=np.int64))
             )
 
+    def _rotate(self, state: np.ndarray, cos: np.ndarray, sin: np.ndarray,
+                lows: np.ndarray, highs: np.ndarray) -> None:
+        """One pair term on every column: the rows ``lows``/``highs`` mix as
+        ``(cos a + sin b, cos b + sin a)``."""
+        a = state[lows]
+        b = state[highs]
+        state[lows] = cos * a + sin * b
+        state[highs] = cos * b + sin * a
+
     def apply_batch(
         self,
         Psi: np.ndarray,
@@ -92,9 +102,11 @@ class TrotterXYMixer(Mixer):
         *,
         workspace=None,
         columns: np.ndarray | None = None,
+        record: np.ndarray | None = None,
     ) -> np.ndarray:
         """The Trotterized layer on every column: each pair term is a Givens
-        rotation of two rows, applied to all M columns at once."""
+        rotation of two rows, applied to all M columns at once.  Nothing is
+        recorded: the adjoint recomputes the layer from its input."""
         Psi, out, M = self._check_batch(Psi, out, columns)
         betas = self._batch_angles(betas, M)
         if columns is not None:
@@ -103,31 +115,40 @@ class TrotterXYMixer(Mixer):
             out[:] = Psi
         # exp(-i theta (XX+YY)) restricted to the {|01>, |10>} pair is a
         # Givens-like rotation with mixing angle 2 theta.
-        step_angles = 2.0 * betas / self.trotter_steps
-        cos, sin = np.cos(step_angles), -1j * np.sin(step_angles)
+        angles = 2.0 * betas / self.trotter_steps
+        cos, sin = np.cos(angles), -1j * np.sin(angles)
         for _ in range(self.trotter_steps):
             for lows, highs in self._couplings:
-                a = out[lows]
-                b = out[highs]
-                out[lows] = cos * a + sin * b
-                out[highs] = cos * b + sin * a
+                self._rotate(out, cos, sin, lows, highs)
         return out
 
-    def apply_hamiltonian_batch(
-        self,
-        Psi: np.ndarray,
-        out: np.ndarray | None = None,
-        *,
-        workspace=None,
-    ) -> np.ndarray:
-        """``H_M |psi_j>`` for the *exact* XY Hamiltonian (gradients remain exact)."""
-        Psi, out, M = self._check_batch(Psi, out)
-        result = np.zeros((self.dim, M), dtype=np.complex128)
-        for lows, highs in self._couplings:
-            result[lows] += 2.0 * Psi[highs]
-            result[highs] += 2.0 * Psi[lows]
-        out[:] = result
-        return out
+    def adjoint_batch(self, Phi: np.ndarray, chi: np.ndarray, record: np.ndarray,
+                      betas: np.ndarray, *, workspace=None) -> np.ndarray:
+        """Exact derivatives of the Trotterized layer: a reverse walk over its rotations.
+
+        The layer is ``G_R ... G_1`` with ``G_r = exp(-i beta h_r / steps)``,
+        so ``dE/dbeta = sum_r (2 / steps) Im <phi_r| h_r |s_r>`` where
+        ``s_r`` is the state after rotation ``r`` and ``phi_r`` the adjoint
+        state there.  The layer output is recomputed from ``chi``, then
+        rotation by rotation, last first, the term is accumulated and both
+        states step back through ``G_r^†``; ``Phi`` ends at ``U^† Phi``.
+        """
+        M = self._check_adjoint(Phi)
+        betas = self._batch_angles(betas, M)
+        state = workspace.scratch(M) if workspace is not None else None
+        state = self.apply_batch(chi, betas, out=state)
+        angles = 2.0 * betas / self.trotter_steps
+        cos, sin = np.cos(angles), 1j * np.sin(angles)  # G_r^† mixes with +i sin
+        grads = np.zeros(M, dtype=np.float64)
+        for _ in range(self.trotter_steps):
+            for lows, highs in reversed(self._couplings):
+                # h_r maps each coupled pair's rows onto each other with weight 2
+                grads += np.imag(
+                    np.conj(Phi[lows]) * state[highs] + np.conj(Phi[highs]) * state[lows]
+                ).sum(axis=0)
+                self._rotate(Phi, cos, sin, lows, highs)
+                self._rotate(state, cos, sin, lows, highs)
+        return (4.0 / self.trotter_steps) * grads[None, :]
 
     def matrix(self) -> np.ndarray:
         """Dense matrix of the exact (un-Trotterized) XY Hamiltonian."""

@@ -17,9 +17,19 @@ through the inverse unitaries,
     dE/dgamma_k = 2 Im <phi'_k | C | chi_k> ,   phi'_k = e^{+i beta_k H_M} |phi_k> ,
     |phi_{k-1}> = e^{+i gamma_k C} |phi'_k> .
 
-The total work is one forward pass, one backward pass and one Hamiltonian
-product per round — independent of ``p`` relative to the cost of an
-expectation value, which is the property Figure 5 measures.
+The mixer round runs in its eigenbasis ``H_M = W D W^†``.  The forward
+layer records its middle vector ``mid_k = e^{-i beta_k D} W^† chi_k``
+(``psi_k = W mid_k``), so one backward round,
+:meth:`~repro.mixers.base.Mixer.adjoint_batch`, is
+
+    phi~ = W^† phi_k ,   dE/dbeta_k = 2 Im <phi~ | D ⊙ mid_k> ,
+    phi'_k = W (e^{+i beta_k D} ⊙ phi~) :
+
+two basis changes (WHTs or GEMMs), as many as a forward layer; a
+multi-angle layer reads every term's derivative off the same ``phi~``.  The
+total work is one forward pass plus one backward pass of the same cost —
+independent of ``p`` relative to the cost of an expectation value, which is
+the property Figure 5 measures.
 :func:`qaoa_value_and_gradient_batch` runs the recursion on M angle sets at
 once as ``(dim, M)`` matrices; :func:`finite_difference_gradient` is the
 generic ``O(p)`` baseline that
@@ -35,7 +45,7 @@ import numpy as np
 
 from ..backend import kernels
 from ..backend.base import distinct_levels
-from ..mixers.base import Mixer
+from ..mixers.base import Mixer, weighted_imag_vdot
 from ..mixers.schedules import MixerSchedule, as_schedule
 from .precompute import PrecomputedCost
 from .simulator import _CostPhaseFactors, evolve_state_batch, split_angles_batch
@@ -53,10 +63,10 @@ class EvaluationCounter:
     """Counts the state evolutions spent by a gradient scheme.
 
     ``forward_passes`` counts full ``p``-round state evolutions;
-    ``hamiltonian_applications`` counts single ``H_M |psi>`` products (each a
-    small fraction of a forward pass).  Benchmarks use these to report the
-    O(p) separation between adjoint and finite-difference gradients without
-    depending on wall-clock noise.
+    ``hamiltonian_applications`` counts the β-derivatives the adjoint pass
+    evaluated, one per beta angle per column.  Benchmarks use these to
+    report the O(p) separation between adjoint and finite-difference
+    gradients without depending on wall-clock noise.
     """
 
     forward_passes: int = 0
@@ -66,18 +76,6 @@ class EvaluationCounter:
         """Zero all counters."""
         self.forward_passes = 0
         self.hamiltonian_applications = 0
-
-
-def _batched_imag_vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``Im(<a_j | b_j>)`` for every column ``j`` — no temporaries, no conj copy."""
-    return np.einsum("dm,dm->m", a.real, b.imag) - np.einsum("dm,dm->m", a.imag, b.real)
-
-
-def _batched_weighted_imag_vdot(weights: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``Im(<a_j | diag(weights) | b_j>)`` for every column ``j`` (real weights)."""
-    return np.einsum("d,dm,dm->m", weights, a.real, b.imag) - np.einsum(
-        "d,dm,dm->m", weights, a.imag, b.real
-    )
 
 
 def qaoa_value_and_gradient_batch(
@@ -95,10 +93,10 @@ def qaoa_value_and_gradient_batch(
     ``angles`` is an ``(M, num_angles)`` matrix whose rows are flat (betas,
     gammas) vectors; a single flat vector is one row (the M=1 call every
     single-row gradient is).  One ``(dim, M)`` forward pass records the
-    per-round intermediate batches in the workspace's layer store, then one
-    batched backward pass walks the adjoint recursion with the same BLAS-3
-    mixer kernels (:meth:`~repro.mixers.base.Mixer.apply_batch` with negated
-    betas and :meth:`~repro.mixers.base.Mixer.apply_hamiltonian_batch`).
+    per-round batches in the workspace's layer store (each phase
+    separator's output and each mixer's ``record``), then one batched
+    backward pass walks the adjoint recursion, one
+    :meth:`~repro.mixers.base.Mixer.adjoint_batch` call per round.
     Multi-angle layers get one derivative per term.  Returns ``(values,
     gradients)`` with shapes ``(M,)`` and ``(M, num_angles)``.
 
@@ -106,8 +104,6 @@ def qaoa_value_and_gradient_batch(
     chunk large batches (as the vectorized multi-start refiner does) to bound
     peak scratch.
     """
-    from ..mixers.xmixer import MultiAngleXMixer
-
     angles = np.asarray(angles, dtype=np.float64)
     if angles.ndim == 1:
         angles = angles[None, :]
@@ -154,7 +150,6 @@ def qaoa_value_and_gradient_batch(
     # no longer needed once the energies and the layer store exist).
     phi = psi
     phi *= values[:, None]
-    aux = workspace.aux(M)
     grad_betas: list[np.ndarray] = [None] * schedule.p  # type: ignore[list-item]
     grad_gammas = np.empty((schedule.p, M), dtype=np.float64)
     # Inverse separator phases (positive sign) share the forward pass's
@@ -162,25 +157,17 @@ def qaoa_value_and_gradient_batch(
     phase_factors = _CostPhaseFactors(values, cost_levels, M, sign=+1.0)
 
     for k in range(schedule.p - 1, -1, -1):
-        mixer_k = schedule[k]
-        psi_k = layer_store[k, 1]
         chi_k = layer_store[k, 0]
         beta_k = beta_rounds[k]
-
-        if isinstance(mixer_k, MultiAngleXMixer):
-            grad_betas[k] = mixer_k.term_gradients_batch(phi, psi_k, workspace=workspace)
-            if counter is not None:
-                counter.hamiltonian_applications += mixer_k.num_angles * M
-            mixer_k.apply_batch(phi, -beta_k, out=phi, workspace=workspace)
-        else:
-            h_psi = mixer_k.apply_hamiltonian_batch(psi_k, out=aux, workspace=workspace)
-            grad_betas[k] = (2.0 * _batched_imag_vdot(phi, h_psi))[None, :]
-            if counter is not None:
-                counter.hamiltonian_applications += M
-            mixer_k.apply_batch(phi, -beta_k[0], out=phi, workspace=workspace)
+        beta_arg = beta_k[0] if beta_k.shape[0] == 1 else beta_k
+        grad_betas[k] = schedule[k].adjoint_batch(
+            phi, chi_k, layer_store[k, 1], beta_arg, workspace=workspace
+        )
+        if counter is not None:
+            counter.hamiltonian_applications += grad_betas[k].size
 
         # Gamma derivative uses the adjoint batch *before* the mixer.
-        grad_gammas[k] = 2.0 * _batched_weighted_imag_vdot(values, phi, chi_k)
+        grad_gammas[k] = 2.0 * weighted_imag_vdot(values, phi, chi_k)
         if k:
             # Undo the phase separator to obtain phi_{k-1} (per-column
             # phases); phi_{-1} is never read, so the last round skips it.

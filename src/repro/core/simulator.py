@@ -297,8 +297,10 @@ def evolve_state_batch(
     ``cost_values`` (see :meth:`PrecomputedCost.phase_levels`) so repeated
     sweep chunks skip the per-call ``np.unique``.  If ``layer_store`` (shape
     ``(p, 2, dim, M)``, see :meth:`BatchedWorkspace.ensure_layers`) is given,
-    the full-width batch after each phase separator and after each mixer is
-    recorded — this is what the batched adjoint gradient consumes.  The
+    slot ``[k, 0]`` receives the full-width batch after each phase separator
+    and slot ``[k, 1]`` each mixer's ``record`` (see
+    :meth:`~repro.mixers.base.Mixer.apply_batch`) — what the batched adjoint
+    gradient consumes.  The
     returned ``(dim, M)`` array is a view into the workspace's state buffer —
     copy it to keep it across calls.
     """
@@ -362,23 +364,30 @@ def evolve_state_batch(
                 if width == batch
                 else np.empty((dim, width), dtype=np.complex128)
             )
+        # the layer store's slot of this stage: the separator output, or the
+        # mixer's record (written compact, then widened, under shared prefixes)
+        slot = None if layer_store is None else layer_store[round_index, is_mixer]
         if is_mixer:
             beta_k = beta_rounds[round_index][:, rows]
             beta_arg = beta_k[0] if beta_k.shape[0] == 1 else beta_k
+            record = slot
+            if slot is not None and width < batch:
+                record = np.empty((dim, width), dtype=np.complex128)
             schedule[round_index].apply_batch(
-                psi, beta_arg, out=target, workspace=workspace, columns=columns
+                psi, beta_arg, out=target, workspace=workspace, columns=columns, record=record
             )
+            written = record
         else:
             if columns is not None:
                 np.take(psi, columns, axis=1, out=target, mode="clip")
             target *= phase_factors.fill(gammas[round_index][rows], workspace.phase(width))
+            written = target
         psi = target
-        if layer_store is not None:
-            slot = layer_store[round_index, is_mixer]
+        if slot is not None and written is not slot:
             if width == batch:
-                slot[...] = psi
+                slot[...] = written
             else:
-                np.take(psi, runs[stage], axis=1, out=slot, mode="clip")
+                np.take(written, runs[stage], axis=1, out=slot, mode="clip")
     if widths[-1] < batch:
         psi = np.take(psi, runs[-1], axis=1, out=workspace.state(batch), mode="clip")
     return psi

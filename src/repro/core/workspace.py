@@ -53,12 +53,9 @@ class BatchedWorkspace:
         self._state: np.ndarray | None = None
         self._scratch: np.ndarray | None = None
         self._phase: np.ndarray | None = None
-        # Gradient-only buffers, allocated lazily so pure-evaluation sweeps
-        # never pay for them: the (layers, 2, dim, M) forward-layer store and
-        # the auxiliary (dim, M) matrix the adjoint backward pass uses for
-        # Hamiltonian products.
+        # The gradient-only (layers, 2, dim, M) forward-layer store, allocated
+        # lazily so pure-evaluation sweeps never pay for it.
         self._layer_flat: np.ndarray | None = None
-        self._aux_flat: np.ndarray | None = None
         #: number of batched simulator calls served (for tests/benchmarks)
         self.calls_served = 0
         self.ensure(batch)
@@ -105,24 +102,13 @@ class BatchedWorkspace:
         self.ensure(batch)
         return self._view(self._phase, batch)
 
-    def aux(self, batch: int) -> np.ndarray:
-        """An extra ``(dim, batch)`` scratch matrix (adjoint-pass Hamiltonian
-        products), allocated on first use and grown like the core buffers."""
-        if batch < 1:
-            raise ValueError("batch size must be positive")
-        size = self.dim * batch
-        if self._aux_flat is None or self._aux_flat.size < size:
-            self._aux_flat = np.empty(
-                max(size, self.dim * self._capacity), dtype=np.complex128
-            )
-        return self._aux_flat[:size].reshape(self.dim, batch)
-
     def ensure_layers(self, layers: int, batch: int) -> np.ndarray:
-        """Return a ``(layers, 2, dim, batch)`` buffer for per-layer forward states.
+        """Return a ``(layers, 2, dim, batch)`` buffer for per-layer forward batches.
 
         Slot ``[k, 0]`` stores the batch after the phase separator of round ``k``
-        and slot ``[k, 1]`` the batch after the mixer — both consumed by the
-        batched adjoint gradient.  The backing allocation is flat and grown
+        and slot ``[k, 1]`` the mixer's ``record`` of that round (for the
+        eigenbasis families its middle vector) — both consumed by the batched
+        adjoint gradient.  The backing allocation is flat and grown
         (never shrunk) on demand; the returned prefix view is C-contiguous,
         and its ``(dim, batch)`` slices satisfy the contiguity requirement of
         the batched mixer kernels.

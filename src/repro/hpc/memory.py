@@ -139,12 +139,12 @@ def warm_entry_bytes(
     * ``"dense"`` — sums the components a kept-alive ``(problem, mixer, p)``
       entry pins in memory: the objective values, the three core
       ``(dim, M)`` matrices of a :class:`BatchedWorkspace` grown to
-      ``batch_capacity`` columns (plus its adjoint layer store and aux
-      matrix when gradients ran), and — for diagonalized mixer families —
+      ``batch_capacity`` columns (plus its adjoint layer store when
+      gradients ran), and — for diagonalized mixer families —
       the dense eigendecomposition.
     * ``"sharded"`` — the node-wide total across all ``shards`` workers:
       per-shard state segments and values
-      (:func:`sharded_state_bytes`, 3 slots once gradients ran) plus each
+      (:func:`sharded_state_bytes`, 2 slots) plus each
       worker's private ``p``-layer adjoint store.
     * ``"compressed"`` — the ``(distinct, M)`` class-amplitude matrices of a
       compressed Grover engine (``dim`` is ignored for sizing and may exceed
@@ -166,7 +166,6 @@ def warm_entry_bytes(
         if batch_capacity:
             per_matrix = statevector_bytes(dim) * batch_capacity
             total += 3 * per_matrix  # state/scratch/phase
-            total += per_matrix  # aux (adjoint Hamiltonian products)
             total += p * 2 * per_matrix  # batched forward-layer store
         if dense_eigenvectors:
             total += eigendecomposition_bytes(dim, complex_vectors=complex_vectors)
@@ -178,7 +177,7 @@ def warm_entry_bytes(
                 "pass shards=<worker count>"
             )
         batch = max(1, batch_capacity)
-        per_worker = sharded_state_bytes(dim, shards, batch=batch, slots=3)
+        per_worker = sharded_state_bytes(dim, shards, batch=batch, slots=2)
         local_dim = -(-dim // shards)
         per_worker += p * 2 * local_dim * batch * _COMPLEX_BYTES  # layer store
         return shards * per_worker

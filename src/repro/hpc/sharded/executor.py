@@ -35,11 +35,16 @@ Mixer decompositions
   overlap (a per-shard column sum combined by the coordinator) and one
   broadcast axpy.
 
-The adjoint gradient is fused into the transform domain: per round both the
-adjoint state and the recorded forward layer are transformed once, all
-``d``-weighted imaginary inner products reduce locally, and the inverse mixer
-ride shares the same transforms — no Hamiltonian scratch buffer exists
-anywhere.
+The adjoint gradient runs in the transform domain, as the dense
+:func:`~repro.core.gradients.qaoa_value_and_gradient_batch` does: the
+forward pass records each WHT mixer layer's state right after
+``diag_phase`` (the eigenbasis middle vector), so a backward round
+transforms the adjoint state once, reduces the ``d``-weighted imaginary
+inner products against that record locally, applies the inverse eigenphases
+and transforms back — 2 transforms per round, in the same 2 state slots as
+the forward pass.  The Grover round needs no mixer record: the layer
+output's overlap with the uniform state is ``e^{-i beta}`` times its
+input's.
 
 Each worker evaluates its chunk's objective once, at setup, with
 :func:`~repro.problems.registry.objective_on_labels` (the same function as
@@ -83,6 +88,7 @@ import os
 import time
 import traceback
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -462,17 +468,13 @@ class _WorkerState:
             self.layers = np.empty((p, 2, self.local_dim, self.batch), dtype=np.complex128)
         return self.layers
 
-    def store_layer(self, k: int, j: int, slot: int, p: int,
-                    runs: np.ndarray | None = None) -> None:
+    def store_layer(self, k: int, j: int, p: int, runs: np.ndarray | None, slot: int) -> None:
         """Record layer ``(k, j)`` at full width, through the run map of a compact state."""
         layer = self._ensure_layers(p)[k, j]
         if runs is None:
             layer[...] = self.view(slot)
         else:
             np.take(self.view(slot, int(runs[-1]) + 1), runs, axis=1, out=layer, mode="clip")
-
-    def load_layer(self, k: int, j: int, slot: int) -> None:
-        self.view(slot)[:] = self.layers[k, j]
 
     def layer_colsum(self, k: int, j: int) -> np.ndarray:
         return self.layers[k, j].sum(axis=0)
@@ -489,10 +491,11 @@ class _WorkerState:
             acc += self.values[lo:hi] @ imag
         return acc
 
-    def xgrad_part(self, phi_slot: int, psi_slot: int) -> np.ndarray:
-        """``sum_y d_t[y] Im(conj(phi[y]) psi[y])`` per term ``t`` (one row for ``x``)."""
+    def xgrad_part(self, phi_slot: int, k: int) -> np.ndarray:
+        """``sum_y d_t[y] Im(conj(phi[y]) mid[y])`` per term ``t`` (one row for
+        ``x``), against round ``k``'s recorded middle vector ``mid``."""
         phi = self.view(phi_slot)
-        psi = self.view(psi_slot)
+        psi = self.layers[k, 1]
         if self.cfg.mixer.kind == "x":
             d = self._chunk_diagonal()
             acc = np.zeros((1, self.batch), dtype=np.float64)
@@ -749,10 +752,6 @@ class ShardedExecutor:
             self._sim_slot = None
             self._sync()
 
-    def _ensure_slots(self, count: int) -> None:
-        if self.workspace.ensure_slots(count):
-            self._sync()
-
     # -- angle layout ----------------------------------------------------
     def _split_batch(self, angles: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, int]:
         angles = np.asarray(angles, dtype=np.float64)
@@ -797,12 +796,14 @@ class ShardedExecutor:
         return dst
 
     def _apply_mixer(self, slot: int, betas_k: np.ndarray, sign: float, width: int,
-                     columns: np.ndarray | None) -> int:
+                     columns: np.ndarray | None, record=None) -> int:
         """One mixer layer with per-column angles; returns the new state slot.
 
         ``slot`` holds ``width`` columns.  A ``columns`` map widens them to
         the ``betas_k`` columns after the first transform (before the update
         for Grover), so that transform runs on the distinct inputs only.
+        ``record(slot)``, if given, stores a WHT layer's middle vector (the
+        state right after ``diag_phase``); the Grover update records nothing.
         """
         if self.mixer.kind == "grover":
             if columns is not None:
@@ -815,6 +816,8 @@ class ShardedExecutor:
         if columns is not None:
             t = self._gather(t, columns, width)
         self._command("diag_phase", t, betas_k, sign, 1.0 / self.dim)
+        if record is not None:
+            record(t)
         return self._transform(t, self._other(t), betas_k.shape[1])
 
     def _forward(self, beta_rounds, gammas, M: int, *, store_layers: bool = False) -> int:
@@ -824,7 +827,8 @@ class ShardedExecutor:
         :func:`~repro.core.simulator.evolve_state_batch`: the state keeps one
         column per run of :func:`~repro.core.simulator._prefix_runs`, a stage
         that splits runs widens it with ``gather_columns``, and a final
-        gather restores one column per row.  Recorded layers are written at
+        gather restores one column per row.  Recorded layers (each phase
+        separator's output, each WHT mixer's middle vector) are written at
         full width through the run map.  When every row is its own run (M =
         1, random rows) no gather happens.
         """
@@ -842,17 +846,20 @@ class ShardedExecutor:
             if stage and width > widths[stage - 1]:
                 # this stage splits runs: each continues its first row's previous run
                 columns = runs[stage - 1][fresh[stage]]
+            record = None
+            if store_layers:
+                layer_runs = None if width == M else runs[stage]
+                record = partial(self._command, "store_layer", k, is_mixer, self.p, layer_runs)
             if is_mixer:
                 cur = self._apply_mixer(
-                    cur, beta_rounds[k][:, rows], -1.0, widths[stage - 1], columns
+                    cur, beta_rounds[k][:, rows], -1.0, widths[stage - 1], columns, record
                 )
             else:
                 if columns is not None:
                     cur = self._gather(cur, columns, widths[stage - 1])
                 self._command("cost_phase", cur, gammas[k][rows], -1.0)
-            if store_layers:
-                layer_runs = None if width == M else runs[stage]
-                self._command("store_layer", k, is_mixer, cur, self.p, layer_runs)
+                if record is not None:
+                    record(cur)
         if widths[-1] < M:
             cur = self._gather(cur, runs[-1], widths[-1])
         return cur
@@ -868,37 +875,37 @@ class ShardedExecutor:
         """Batched expectation values and exact adjoint gradients.
 
         One sharded forward pass with per-round layer recording, then the
-        fused transform-domain adjoint recursion described in the module
+        transform-domain adjoint recursion described in the module
         docstring.  Shapes ``(M,)`` and ``(M, num_angles)``.
         """
         beta_rounds, gammas, M = self._split_batch(angles)
-        if self.mixer.needs_wht:
-            self._ensure_slots(3)
         cur = self._forward(beta_rounds, gammas, M, store_layers=True)
         energies = np.sum(self._command("expectation_part", cur), axis=0)
 
         self._command("mul_values", cur)  # phi = C psi
-        scale = 1.0 / self.dim  # the two unnormalized transforms
         grad_beta_blocks: list[np.ndarray] = [None] * self.p  # type: ignore[list-item]
         grad_gammas = np.empty((self.p, M), dtype=np.float64)
         for k in range(self.p - 1, -1, -1):
             betas_k = beta_rounds[k]
             if self.mixer.kind == "grover":
                 S_phi = np.sum(self._command("colsum", cur), axis=0)
-                S_psi = np.sum(self._command("layer_colsum", k, 1), axis=0)
+                # <psi0|psi_k> = e^{-i beta} <psi0|chi_k>
+                S_psi = np.exp(-1j * betas_k[0]) * np.sum(
+                    self._command("layer_colsum", k, 0), axis=0
+                )
                 grad_beta_blocks[k] = (
                     2.0 * np.imag(np.conj(S_phi) * S_psi) / float(self.dim)
                 )[None, :]
                 factors = (np.exp(1j * betas_k[0]) - 1.0) * S_phi / float(self.dim)
                 self._command("grover_update", cur, factors)
             else:
+                # the recorded middle vector carries the 1/dim of the two
+                # unnormalized transforms, so the inner products need no scale
                 phi_t = self._transform(cur, self._other(cur))
-                rem = [s for s in (0, 1, 2) if s != phi_t]
-                self._command("load_layer", k, 1, rem[0])
-                psi_t = self._transform(rem[0], rem[1])
-                partials = self._command("xgrad_part", phi_t, psi_t)
-                grad_beta_blocks[k] = 2.0 * scale * np.sum(partials, axis=0)
-                self._command("diag_phase", phi_t, betas_k, +1.0, scale)
+                grad_beta_blocks[k] = 2.0 * np.sum(
+                    self._command("xgrad_part", phi_t, k), axis=0
+                )
+                self._command("diag_phase", phi_t, betas_k, +1.0, 1.0 / self.dim)
                 cur = self._transform(phi_t, self._other(phi_t))
             grad_gammas[k] = 2.0 * np.sum(self._command("gamma_grad_part", cur, k), axis=0)
             if k:

@@ -9,8 +9,12 @@ set; a single state is M=1):
   ``exp(-i beta_j H_M) |psi_j>`` of every column, implemented without ever
   forming the matrix exponential (the paper's core trick: diagonalize once,
   then only diagonal phases plus basis changes are needed per layer),
-* ``apply_hamiltonian_batch(Psi)`` — the plain product ``H_M |psi_j>``,
-  needed by the analytic (autodiff-equivalent) gradients,
+* ``adjoint_batch(Phi, chi, record, betas)`` — one backward round of the
+  analytic (autodiff-equivalent) gradient: the β-derivatives of the layer
+  and ``Phi <- exp(+i beta_j H_M) Phi``, read off what the forward
+  ``apply_batch`` call left in its ``record=`` buffer (for the eigenbasis
+  families, the middle vector ``exp(-i beta D) W^† chi_j``, so a round costs
+  two basis changes),
 * ``initial_state()`` — the canonical QAOA starting state for this mixer
   (uniform superposition over the feasible space, i.e. ``|+>^n`` or a Dicke
   state), which is the highest-energy eigenstate of the standard mixers,
@@ -25,14 +29,28 @@ but never mutate their inputs unless an explicit ``out`` buffer is provided.
 from __future__ import annotations
 
 import abc
-import threading
 
 import numpy as np
 
 from ..backend import kernels
 from ..hilbert.subspace import FeasibleSpace
 
-__all__ = ["Mixer", "DiagonalizedMixer"]
+__all__ = ["Mixer", "DiagonalizedMixer", "weighted_imag_vdot"]
+
+
+def weighted_imag_vdot(weights: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``Im(<a_j | diag(weights) | b_j>)`` for every column ``j`` (real weights)."""
+    return np.einsum("d,dm,dm->m", weights, a.real, b.imag) - np.einsum(
+        "d,dm,dm->m", weights, a.imag, b.real
+    )
+
+
+def layer_buffers(dim: int, M: int, workspace) -> tuple[np.ndarray, np.ndarray]:
+    """A layer's two free ``(dim, M)`` buffers: the workspace's scratch and
+    phase matrices, or fresh ones without a workspace."""
+    if workspace is not None:
+        return workspace.scratch(M), workspace.phase(M)
+    return tuple(np.empty((dim, M), dtype=np.complex128) for _ in range(2))
 
 
 def front_view(buffer: np.ndarray, like: np.ndarray) -> np.ndarray:
@@ -63,6 +81,8 @@ class Mixer(abc.ABC):
 
     #: The feasible space the mixer acts on.
     space: FeasibleSpace
+    #: Angles one layer takes (one per term for multi-angle mixers).
+    num_angles: int = 1
 
     def __init__(self, space: FeasibleSpace):
         self.space = space
@@ -92,6 +112,7 @@ class Mixer(abc.ABC):
         *,
         workspace=None,
         columns: np.ndarray | None = None,
+        record: np.ndarray | None = None,
     ) -> np.ndarray:
         """Return ``exp(-i beta_j H_M) |psi_j>`` for every column ``j`` of ``Psi``.
 
@@ -111,26 +132,38 @@ class Mixer(abc.ABC):
         their per-input work (the first transform or basis change) on the D
         distinct columns only, gather once, and apply the per-column phases
         and the outgoing basis change at full width.
+
+        ``record`` (optional) is a C-contiguous ``(dim, M)`` buffer that
+        receives what :meth:`adjoint_batch` needs of this layer.  The
+        eigenbasis families (``H_M = W D W^†``) write the middle vector
+        ``exp(-i beta_j D) W^† psi_j`` there, which they compute anyway; a
+        mixer whose adjoint needs only the layer input leaves it untouched.
         """
 
     @abc.abstractmethod
-    def apply_hamiltonian_batch(
-        self,
-        Psi: np.ndarray,
-        out: np.ndarray | None = None,
-        *,
-        workspace=None,
-    ) -> np.ndarray:
-        """Return ``H_M |psi_j>`` for every column ``j`` of the ``(dim, M)`` batch.
+    def adjoint_batch(self, Phi: np.ndarray, chi: np.ndarray, record: np.ndarray,
+                      betas: np.ndarray, *, workspace=None) -> np.ndarray:
+        """One backward round of the adjoint gradient for every column ``j``.
 
-        The contract the batched adjoint-gradient engine relies on: one call
-        produces the mixer-Hamiltonian product for all M statevectors at
-        once, so each backward-pass round costs one batched kernel.  ``out``
-        may alias ``Psi``; ``workspace`` optionally supplies pre-allocated
-        scratch (a :class:`~repro.core.workspace.BatchedWorkspace` of
-        matching dimension) so repeated calls allocate nothing.  ``Psi`` is
-        never modified unless it aliases ``out``.
+        ``chi`` is the layer's input batch, ``record`` the buffer its
+        forward :meth:`apply_batch` call filled and ``betas`` its angles (as
+        for :meth:`apply_batch`).  Returns the ``(num_betas, M)``
+        derivatives ``2 Re <phi_j| dU/dbeta_t |chi_j>`` of the layer
+        ``U`` — ``2 Im <phi_j| H_t |psi_j>`` with ``psi_j = U chi_j`` for an
+        exact layer — and updates ``Phi`` in place to ``U^† Phi``.  ``Phi``
+        must be a C-contiguous complex128 ``(dim, M)`` matrix; ``chi`` is
+        not modified, ``record`` may be.  ``workspace`` optionally supplies
+        pre-allocated scratch (a :class:`~repro.core.workspace.BatchedWorkspace`
+        of matching dimension).
         """
+
+    def _check_adjoint(self, Phi: np.ndarray) -> int:
+        """Validate the in-place adjoint batch; returns its column count M."""
+        if Phi.ndim != 2 or Phi.shape[0] != self.dim or Phi.dtype != np.complex128 \
+                or not Phi.flags.c_contiguous:
+            raise ValueError(f"the adjoint batch must be a C-contiguous complex128 "
+                             f"({self.dim}, M) matrix, got {Phi.dtype} {Phi.shape}")
+        return Phi.shape[1]
 
     def _check_batch(
         self, Psi: np.ndarray, out: np.ndarray | None, columns: np.ndarray | None = None
@@ -225,20 +258,6 @@ class DiagonalizedMixer(Mixer):
         dtype = np.float64 if self._real_basis else np.complex128
         self._V = np.ascontiguousarray(eigenvectors, dtype=dtype)
         self._Vdag = np.ascontiguousarray(self._V.conj().T)
-        # historical name, still used by matrix() and external callers
-        self._eigenvectors_dag = self._Vdag
-        # Per-call scratch (the uniform-batch phase vector) so repeated layer
-        # applications allocate nothing.  Kept thread-local: concurrent angle
-        # scans sharing one mixer would otherwise interleave writes to shared
-        # scratch and corrupt results.
-        self._scratch_store = threading.local()
-
-    def _phase_scratch(self) -> np.ndarray:
-        """This thread's uniform-batch phase vector, allocated on first use."""
-        store = self._scratch_store
-        if not hasattr(store, "phase"):
-            store.phase = np.empty(self.dim, dtype=np.complex128)
-        return store.phase
 
     def _basis_change(self, factor: np.ndarray, src: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``factor @ src`` for complex ``src``/``out``, allocation-free.
@@ -254,6 +273,22 @@ class DiagonalizedMixer(Mixer):
             kernels.matmul(factor, src, out=out)
         return out
 
+    def _eigenphases(self, betas: np.ndarray, phases: np.ndarray) -> np.ndarray:
+        """The factors ``exp(-i beta_j D)``, written into the ``(dim, M)`` ``phases``.
+
+        A uniform batch (every column shares one angle) gets a single phase
+        vector, in the front of ``phases``, that broadcasts across columns as
+        ``(dim, 1)``, skipping the ``(dim, M)`` outer.
+        """
+        if betas.size and betas.min() == betas.max():
+            phase_vec = phases.reshape(-1)[: self.dim]
+            np.multiply(self.eigenvalues, -1j * float(betas[0]), out=phase_vec)
+            np.exp(phase_vec, out=phase_vec)
+            return phase_vec[:, None]
+        np.multiply(self.eigenvalues[:, None], -1j * betas[None, :], out=phases)
+        np.exp(phases, out=phases)
+        return phases
+
     def apply_batch(
         self,
         Psi: np.ndarray,
@@ -262,57 +297,48 @@ class DiagonalizedMixer(Mixer):
         *,
         workspace=None,
         columns: np.ndarray | None = None,
+        record: np.ndarray | None = None,
     ) -> np.ndarray:
         """Batched layer: two GEMMs around a per-column eigenphase multiply.
 
-        With a column map the ``V^†`` GEMM runs on the distinct inputs only.
+        With a column map the ``V^†`` GEMM runs on the distinct inputs only;
+        with a ``record`` buffer the phased coefficients land there and the
+        ``V`` GEMM reads them from it.
         """
         Psi, out, M = self._check_batch(Psi, out, columns)
         betas = self._batch_angles(betas, M)
-        if workspace is not None:
-            coeffs = workspace.scratch(M)
-            phases = workspace.phase(M)
-        else:
-            coeffs = np.empty((self.dim, M), dtype=np.complex128)
-            phases = np.empty((self.dim, M), dtype=np.complex128)
+        coeffs, phases = layer_buffers(self.dim, M, workspace)
         # the phase buffer is free until the phases are formed below
         per_input(
             lambda src, dst: self._basis_change(self._Vdag, src, dst), Psi, coeffs, columns, phases
         )
-        if M > 0 and betas.min() == betas.max():
-            # Uniform batch (every column shares one angle): a single phase
-            # vector broadcasts across columns, skipping the (dim, M) outer.
-            phase_vec = self._phase_scratch()
-            np.multiply(self.eigenvalues, -1j * float(betas[0]), out=phase_vec)
-            np.exp(phase_vec, out=phase_vec)
-            coeffs *= phase_vec[:, None]
+        factors = self._eigenphases(betas, phases)
+        if record is None:
+            coeffs *= factors
         else:
-            np.multiply(self.eigenvalues[:, None], -1j * betas[None, :], out=phases)
-            np.exp(phases, out=phases)
-            coeffs *= phases
+            coeffs = np.multiply(coeffs, factors, out=record)
         self._basis_change(self._V, coeffs, out)
         return out
 
-    def apply_hamiltonian_batch(
-        self,
-        Psi: np.ndarray,
-        out: np.ndarray | None = None,
-        *,
-        workspace=None,
-    ) -> np.ndarray:
-        """Batched ``H_M`` product: two GEMMs around an eigenvalue multiply."""
-        Psi, out, M = self._check_batch(Psi, out)
-        if workspace is not None:
-            coeffs = workspace.scratch(M)
-        else:
-            coeffs = np.empty((self.dim, M), dtype=np.complex128)
-        self._basis_change(self._Vdag, Psi, coeffs)
-        coeffs *= self.eigenvalues[:, None]
-        self._basis_change(self._V, coeffs, out)
-        return out
+    def adjoint_batch(self, Phi: np.ndarray, chi: np.ndarray, record: np.ndarray,
+                      betas: np.ndarray, *, workspace=None) -> np.ndarray:
+        """Backward round in the eigenbasis: two GEMMs.
+
+        ``phi~ = V^† Phi``; the derivative is ``2 Im <phi~| D ⊙ record>``
+        against the recorded ``exp(-i beta D) V^† chi``; then
+        ``Phi = V exp(+i beta D) phi~``.
+        """
+        M = self._check_adjoint(Phi)
+        betas = self._batch_angles(betas, M)
+        coeffs, phases = layer_buffers(self.dim, M, workspace)
+        self._basis_change(self._Vdag, Phi, coeffs)
+        grads = 2.0 * weighted_imag_vdot(self.eigenvalues, coeffs, record)
+        coeffs *= self._eigenphases(-betas, phases)
+        self._basis_change(self._V, coeffs, Phi)
+        return grads[None, :]
 
     def matrix(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues[None, :]) @ self._eigenvectors_dag
+        return (self.eigenvectors * self.eigenvalues[None, :]) @ self._Vdag
 
     def spectral_data(self) -> tuple[np.ndarray, np.ndarray]:
         """The cached ``(eigenvalues, eigenvectors)`` pair."""

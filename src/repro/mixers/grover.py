@@ -48,6 +48,11 @@ class GroverMixer(Mixer):
         self.psi0 = initial
         self._psi0_conj = initial.conj()
 
+    def _add_psi0(self, out: np.ndarray, factors: np.ndarray, workspace) -> None:
+        """``out += |psi0> factors``: one outer-product update of every column."""
+        update = None if workspace is None else workspace.scratch(out.shape[1])
+        out += np.multiply(self.psi0[:, None], factors[None, :], out=update)
+
     def apply_batch(
         self,
         Psi: np.ndarray,
@@ -56,13 +61,15 @@ class GroverMixer(Mixer):
         *,
         workspace=None,
         columns: np.ndarray | None = None,
+        record: np.ndarray | None = None,
     ) -> np.ndarray:
         """Batched rank-one update in ``O(dim * M)``.
 
         One GEMV collects all M overlaps ``<psi0|psi_j>`` at once (only the
         distinct inputs' under a column map), then a single outer-product
         update applies every column's phase factor — no transforms or matrix
-        products, ``O(dim)`` per statevector.
+        products, ``O(dim)`` per statevector.  Nothing is recorded: the
+        adjoint needs only the layer input.
         """
         Psi, out, M = self._check_batch(Psi, out, columns)
         betas = self._batch_angles(betas, M)
@@ -72,26 +79,24 @@ class GroverMixer(Mixer):
             np.take(Psi, columns, axis=1, out=out, mode="clip")
         elif out is not Psi:
             out[:] = Psi
-        factors = (np.exp(-1j * betas) - 1.0) * overlaps
-        if workspace is not None:
-            update = np.multiply(self.psi0[:, None], factors[None, :], out=workspace.scratch(M))
-            out += update
-        else:
-            out += self.psi0[:, None] * factors[None, :]
+        self._add_psi0(out, (np.exp(-1j * betas) - 1.0) * overlaps, workspace)
         return out
 
-    def apply_hamiltonian_batch(
-        self,
-        Psi: np.ndarray,
-        out: np.ndarray | None = None,
-        *,
-        workspace=None,
-    ) -> np.ndarray:
-        """Batched rank-one product: one GEMV of overlaps, one outer product."""
-        Psi, out, M = self._check_batch(Psi, out)
-        overlaps = kernels.matmul(self._psi0_conj, Psi)
-        np.multiply(self.psi0[:, None], overlaps[None, :], out=out)
-        return out
+    def adjoint_batch(self, Phi: np.ndarray, chi: np.ndarray, record: np.ndarray,
+                      betas: np.ndarray, *, workspace=None) -> np.ndarray:
+        """Backward round: two GEMVs and one rank-one update.
+
+        The layer output's overlap is ``<psi0|psi_j> = e^{-i beta_j}
+        <psi0|chi_j>``, so the derivative ``2 Im(conj(<psi0|phi_j>)
+        <psi0|psi_j>)`` needs only the input ``chi``.
+        """
+        M = self._check_adjoint(Phi)
+        betas = self._batch_angles(betas, M)
+        phi_overlaps = kernels.matmul(self._psi0_conj, Phi)
+        psi_overlaps = np.exp(-1j * betas) * kernels.matmul(self._psi0_conj, chi)
+        grads = 2.0 * np.imag(np.conj(phi_overlaps) * psi_overlaps)
+        self._add_psi0(Phi, (np.exp(1j * betas) - 1.0) * phi_overlaps, workspace)
+        return grads[None, :]
 
     def matrix(self) -> np.ndarray:
         return np.outer(self.psi0, self.psi0.conj())

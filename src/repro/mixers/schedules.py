@@ -14,7 +14,6 @@ from typing import Sequence
 import numpy as np
 
 from .base import Mixer
-from .xmixer import MultiAngleXMixer
 
 __all__ = ["MixerSchedule", "as_schedule"]
 
@@ -74,13 +73,7 @@ class MixerSchedule:
     def beta_counts(self) -> list[int]:
         """Number of beta angles consumed by each round (1, or the number of
         terms for a multi-angle layer)."""
-        counts = []
-        for mixer in self.layers:
-            if isinstance(mixer, MultiAngleXMixer):
-                counts.append(mixer.num_angles)
-            else:
-                counts.append(1)
-        return counts
+        return [mixer.num_angles for mixer in self.layers]
 
     @property
     def total_betas(self) -> int:

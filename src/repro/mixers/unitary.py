@@ -128,6 +128,7 @@ class FixedUnitaryMixer(DiagonalizedMixer):
         *,
         workspace=None,
         columns: np.ndarray | None = None,
+        record: np.ndarray | None = None,
     ) -> np.ndarray:
         """Batched layer with a ``beta = 1`` fast path.
 
@@ -135,11 +136,12 @@ class FixedUnitaryMixer(DiagonalizedMixer):
         itself), the layer is a single GEMM with the stored unitary — exact by
         construction and half the work of the eigenbasis round trip through
         ``i log(U)``; with a column map it runs on the distinct inputs only.
-        Mixed angles fall back to the diagonalized batch path.
+        Mixed angles, and a recording call (the adjoint reads the eigenbasis
+        middle vector), take the diagonalized batch path.
         """
         Psi, out, M = self._check_batch(Psi, out, columns)
         betas = self._batch_angles(betas, M)
-        if M > 0 and np.all(betas == 1.0):
+        if record is None and M > 0 and np.all(betas == 1.0):
             def gemm(src, dst):
                 return kernels.matmul(self.unitary, src, out=dst)
 
@@ -150,7 +152,9 @@ class FixedUnitaryMixer(DiagonalizedMixer):
                 out[:] = gemm(Psi, free)
                 return out
             return per_input(gemm, Psi, out, columns, free)
-        return super().apply_batch(Psi, betas, out=out, workspace=workspace, columns=columns)
+        return super().apply_batch(
+            Psi, betas, out=out, workspace=workspace, columns=columns, record=record
+        )
 
     def cache_key(self) -> str:
         return f"{self.name}_dim{self.dim}"

@@ -35,7 +35,7 @@ import numpy as np
 from ..backend import kernels
 from ..backend.base import blocked_wht, distinct_levels, hadamard_blocks, level_table_pays
 from ..hilbert.subspace import FullSpace
-from .base import Mixer, front_view, per_input
+from .base import Mixer, front_view, layer_buffers, per_input, weighted_imag_vdot
 
 __all__ = [
     "walsh_hadamard_transform",
@@ -84,32 +84,50 @@ def _hadamard_layer(
     factors,
     workspace,
     columns: np.ndarray | None = None,
+    record: np.ndarray | None = None,
 ) -> np.ndarray:
     """Batched ``H^{⊗n} diag(f) H^{⊗n} Psi`` via two blocked WHTs.
 
-    The shared kernel of every products-of-X layer and Hamiltonian product,
-    called on the output of :meth:`Mixer._check_batch`.  ``factors(free)``
-    returns the elementwise factors ``f`` — ``(dim, M)``, written into the
-    free ``(dim, M)`` buffer it is handed, or a broadcastable ``(dim, 1)`` —
-    with both transforms' ``2^{-n/2}`` normalizations folded in, so the layer
-    costs two transforms plus one elementwise pass for all M columns.  Under
-    a column map (see :meth:`Mixer.apply_batch`) the first transform runs on
-    the distinct inputs only.
+    The shared kernel of every products-of-X layer, called on the output of
+    :meth:`Mixer._check_batch`.  ``factors(free)`` returns the elementwise
+    factors ``f`` — ``(dim, M)``, written into the free ``(dim, M)`` buffer
+    it is handed, or a broadcastable ``(dim, 1)`` — with both transforms'
+    ``2^{-n/2}`` normalizations folded in, so the layer costs two transforms
+    plus one elementwise pass for all M columns.  Under a column map (see
+    :meth:`Mixer.apply_batch`) the first transform runs on the distinct
+    inputs only.  With a ``record`` buffer the phased middle vector lands
+    there and the second transform reads it from it.
     """
-    if workspace is not None:
-        scratch = workspace.scratch(M)
-        free = workspace.phase(M)
-    else:
-        scratch = np.empty((mixer.dim, M), dtype=np.complex128)
-        free = np.empty((mixer.dim, M), dtype=np.complex128)
+    scratch, free = layer_buffers(mixer.dim, M, workspace)
 
     def wht(src, dst):
         blocks = hadamard_blocks(mixer.n, src.shape[1])
         return kernels.wht_gemm(src, front_view(scratch, src), dst, *blocks)
 
     per_input(wht, Psi, out, columns, free)
-    out *= factors(free)
-    return wht(out, out)
+    if record is None:
+        out *= factors(free)
+        return wht(out, out)
+    np.multiply(out, factors(free), out=record)
+    return wht(record, out)
+
+
+def _hadamard_adjoint(mixer: "Mixer", Phi: np.ndarray, M: int, factors, gradients,
+                      workspace) -> np.ndarray:
+    """One backward round of a products-of-X layer (see :meth:`Mixer.adjoint_batch`).
+
+    ``Phi`` is transformed in place and ``gradients(transformed)`` reads the
+    β-derivatives off it (the record's ``1/dim`` cancels the unnormalized
+    transform); ``factors(free)``, the inverse eigenphases over ``dim``, and
+    the second transform finish ``Phi``.
+    """
+    scratch, free = layer_buffers(mixer.dim, M, workspace)
+    blocks = hadamard_blocks(mixer.n, M)
+    kernels.wht_gemm(Phi, scratch, Phi, *blocks)
+    grads = gradients(Phi)
+    Phi *= factors(free)
+    kernels.wht_gemm(Phi, scratch, Phi, *blocks)
+    return grads
 
 
 def term_mask(term: Sequence[int], n: int) -> int:
@@ -224,6 +242,23 @@ class XMixer(Mixer):
         # gather instead of an exp over the full (dim, M) matrix.
         self._diag_values, self._diag_inverse = distinct_levels(self.diagonal)
 
+    def _phase_factors(self, betas: np.ndarray, phases: np.ndarray) -> np.ndarray:
+        """Eigenphases ``exp(-i beta_j d) / dim`` (the ``1/dim`` absorbs both
+        transform norms), gathered from a distinct-eigenvalue table when one pays."""
+        levels = self._diag_values
+        scale = 1.0 / self.dim
+        if level_table_pays(levels.size, self.dim):
+            table = np.empty((levels.size, betas.size), dtype=np.complex128)
+            np.multiply(levels[:, None], -1j * betas[None, :], out=table)
+            np.exp(table, out=table)
+            table *= scale
+            # in-range indices: an unbuffered gather straight into phases
+            return np.take(table, self._diag_inverse, axis=0, out=phases, mode="clip")
+        np.multiply(self.diagonal[:, None], -1j * betas[None, :], out=phases)
+        np.exp(phases, out=phases)
+        phases *= scale
+        return phases
+
     def apply_batch(
         self,
         Psi: np.ndarray,
@@ -232,6 +267,7 @@ class XMixer(Mixer):
         *,
         workspace=None,
         columns: np.ndarray | None = None,
+        record: np.ndarray | None = None,
     ) -> np.ndarray:
         """Batched layer: two blocked WHTs around a per-column phase multiply.
 
@@ -245,36 +281,21 @@ class XMixer(Mixer):
         """
         Psi, out, M = self._check_batch(Psi, out, columns)
         betas = self._batch_angles(betas, M)
+        return _hadamard_layer(
+            self, Psi, out, M, lambda free: self._phase_factors(betas, free), workspace,
+            columns, record,
+        )
 
-        def phase_factors(phases):
-            # eigenphases x (1/dim): the latter absorbs both transform norms
-            levels = self._diag_values
-            scale = 1.0 / self.dim
-            if level_table_pays(levels.size, self.dim):
-                table = np.empty((levels.size, M), dtype=np.complex128)
-                np.multiply(levels[:, None], -1j * betas[None, :], out=table)
-                np.exp(table, out=table)
-                table *= scale
-                # in-range indices: an unbuffered gather straight into phases
-                return np.take(table, self._diag_inverse, axis=0, out=phases, mode="clip")
-            np.multiply(self.diagonal[:, None], -1j * betas[None, :], out=phases)
-            np.exp(phases, out=phases)
-            phases *= scale
-            return phases
-
-        return _hadamard_layer(self, Psi, out, M, phase_factors, workspace, columns)
-
-    def apply_hamiltonian_batch(
-        self,
-        Psi: np.ndarray,
-        out: np.ndarray | None = None,
-        *,
-        workspace=None,
-    ) -> np.ndarray:
-        """Batched ``H_M`` product (see :func:`_hadamard_layer`)."""
-        Psi, out, M = self._check_batch(Psi, out)
-        scaled = self.diagonal * (1.0 / self.dim)
-        return _hadamard_layer(self, Psi, out, M, lambda free: scaled[:, None], workspace)
+    def adjoint_batch(self, Phi: np.ndarray, chi: np.ndarray, record: np.ndarray,
+                      betas: np.ndarray, *, workspace=None) -> np.ndarray:
+        """Backward round: two blocked WHTs (see :func:`_hadamard_adjoint`)."""
+        M = self._check_adjoint(Phi)
+        betas = self._batch_angles(betas, M)
+        return _hadamard_adjoint(
+            self, Phi, M, lambda free: self._phase_factors(-betas, free),
+            lambda phi_t: 2.0 * weighted_imag_vdot(self.diagonal, phi_t, record)[None, :],
+            workspace,
+        )
 
     def matrix(self) -> np.ndarray:
         dim = self.dim
@@ -352,7 +373,6 @@ class MultiAngleXMixer(Mixer):
             raise ValueError("a multi-angle X mixer needs at least one term")
         self.terms = terms
         self.term_diagonals = np.stack([x_term_diagonal([t], [1.0], n) for t in terms], axis=0)
-        self._summed_diagonal = self.term_diagonals.sum(axis=0)
         # (dim, num_terms) factor pre-scaled by -i, so the batched per-column
         # phase exponents are a single GEMM with the (num_terms, M) angles.
         self._term_diag_T_negj = np.ascontiguousarray(-1j * self.term_diagonals.T)
@@ -362,6 +382,27 @@ class MultiAngleXMixer(Mixer):
         """Number of independent angles in one layer."""
         return len(self.terms)
 
+    def _term_angles(self, betas: np.ndarray, M: int) -> np.ndarray:
+        """Normalize a layer's angles to a ``(num_angles, M)`` matrix; a
+        ``(M,)`` vector or scalar broadcasts across terms."""
+        betas = np.asarray(betas, dtype=np.float64)
+        if betas.ndim == 0:
+            betas = np.full((self.num_angles, M), float(betas))
+        elif betas.ndim == 1:
+            if betas.shape != (M,):
+                raise ValueError(f"betas have shape {betas.shape}, expected ({M},)")
+            betas = np.broadcast_to(betas, (self.num_angles, M))
+        if betas.shape != (self.num_angles, M):
+            raise ValueError(f"betas have shape {betas.shape}, expected ({self.num_angles}, {M})")
+        return np.ascontiguousarray(betas)
+
+    def _phase_factors(self, betas: np.ndarray, phases: np.ndarray) -> np.ndarray:
+        """``exp(-i D^T betas) / dim``: the exponents are one GEMM."""
+        kernels.matmul(self._term_diag_T_negj, betas, out=phases)
+        np.exp(phases, out=phases)
+        phases *= 1.0 / self.dim  # absorbs both transforms' 2^{-n/2} norms
+        return phases
+
     def apply_batch(
         self,
         Psi: np.ndarray,
@@ -370,6 +411,7 @@ class MultiAngleXMixer(Mixer):
         *,
         workspace=None,
         columns: np.ndarray | None = None,
+        record: np.ndarray | None = None,
     ) -> np.ndarray:
         """Batched multi-angle layer.
 
@@ -380,83 +422,31 @@ class MultiAngleXMixer(Mixer):
         transform runs on the distinct inputs only.
         """
         Psi, out, M = self._check_batch(Psi, out, columns)
-        betas = np.asarray(betas, dtype=np.float64)
-        if betas.ndim == 0:
-            betas = np.full((self.num_angles, M), float(betas))
-        elif betas.ndim == 1:
-            if betas.shape != (M,):
-                raise ValueError(f"betas have shape {betas.shape}, expected ({M},)")
-            betas = np.broadcast_to(betas, (self.num_angles, M))
-        if betas.shape != (self.num_angles, M):
-            raise ValueError(f"betas have shape {betas.shape}, expected ({self.num_angles}, {M})")
-
-        def phase_factors(phases):
-            kernels.matmul(self._term_diag_T_negj, np.ascontiguousarray(betas), out=phases)
-            np.exp(phases, out=phases)
-            phases *= 1.0 / self.dim  # absorbs both transforms' 2^{-n/2} norms
-            return phases
-
-        return _hadamard_layer(self, Psi, out, M, phase_factors, workspace, columns)
-
-    def apply_hamiltonian_batch(
-        self,
-        Psi: np.ndarray,
-        out: np.ndarray | None = None,
-        *,
-        workspace=None,
-    ) -> np.ndarray:
-        """Batched summed-Hamiltonian product (see :func:`_hadamard_layer`)."""
-        Psi, out, M = self._check_batch(Psi, out)
-        scaled = self._summed_diagonal * (1.0 / self.dim)
-        return _hadamard_layer(self, Psi, out, M, lambda free: scaled[:, None], workspace)
-
-    def term_gradients_batch(
-        self,
-        Phi: np.ndarray,
-        Psi: np.ndarray,
-        *,
-        workspace=None,
-    ) -> np.ndarray:
-        """``2 Im <phi_j | H_t | psi_j>`` for every term ``t`` and column ``j``.
-
-        The per-term beta derivatives of one multi-angle layer for a whole
-        batch, shape ``(num_angles, M)``.  Because every ``H_t`` is diagonal
-        in the Hadamard basis, both batches are transformed once and all
-        ``num_angles * M`` inner products collapse into a single real GEMM
-        with the stacked term diagonals — instead of ``num_angles`` separate
-        Hamiltonian products per column.  ``Phi`` and
-        ``Psi`` must be C-contiguous complex ``(dim, M)`` matrices; neither is
-        modified.
-        """
-        Phi = np.asarray(Phi)
-        Psi = np.asarray(Psi)
-        if Phi.shape != Psi.shape or Phi.ndim != 2 or Phi.shape[0] != self.dim:
-            raise ValueError(
-                f"batched statevectors have shapes {Phi.shape} / {Psi.shape}, "
-                f"expected matching ({self.dim}, M) for {self!r}"
-            )
-        M = Phi.shape[1]
-        if workspace is not None:
-            via = workspace.scratch(M)
-            wphi = workspace.phase(M)
-            wpsi = workspace.aux(M)
-        else:
-            via = np.empty((self.dim, M), dtype=np.complex128)
-            wphi = np.empty((self.dim, M), dtype=np.complex128)
-            wpsi = np.empty((self.dim, M), dtype=np.complex128)
-        blocks = hadamard_blocks(self.n, M)
-        kernels.wht_gemm(Phi, via, wphi, *blocks)
-        kernels.wht_gemm(Psi, via, wpsi, *blocks)
-        # A = conj(W phi) * (W psi); both transforms are unnormalized, so A
-        # carries an extra factor of dim that the final scale removes.
-        np.conjugate(wphi, out=wphi)
-        wphi *= wpsi
-        # One real GEMM against the interleaved re/im view gives the real and
-        # imaginary parts of every <W phi| d_t |W psi> side by side.
-        products = kernels.matmul(
-            self.term_diagonals, wphi.view(np.float64).reshape(self.dim, 2 * M)
+        betas = self._term_angles(betas, M)
+        return _hadamard_layer(
+            self, Psi, out, M, lambda free: self._phase_factors(betas, free), workspace,
+            columns, record,
         )
-        return (2.0 / self.dim) * products[:, 1::2]
+
+    def adjoint_batch(self, Phi: np.ndarray, chi: np.ndarray, record: np.ndarray,
+                      betas: np.ndarray, *, workspace=None) -> np.ndarray:
+        """Backward round: two blocked WHTs and one GEMM for all term derivatives.
+
+        Every term is diagonal in the Hadamard basis, so the ``(num_angles,
+        M)`` derivatives are the stacked term diagonals times the one
+        ``(dim, M)`` matrix ``Im(conj(H^{⊗n} phi) ⊙ record)``.
+        """
+        M = self._check_adjoint(Phi)
+        betas = self._term_angles(betas, M)
+
+        def gradients(phi_t):
+            imag = phi_t.real * record.imag
+            imag -= phi_t.imag * record.real
+            return 2.0 * kernels.matmul(self.term_diagonals, imag)
+
+        return _hadamard_adjoint(
+            self, Phi, M, lambda free: self._phase_factors(-betas, free), gradients, workspace
+        )
 
     def matrix(self) -> np.ndarray:
         dim = self.dim

@@ -121,44 +121,6 @@ class XYMixer(DiagonalizedMixer):
         eigenvalues, eigenvectors = np.linalg.eigh(mat)
         return eigenvalues, eigenvectors
 
-    def _require_real_basis(self) -> None:
-        if not self._real_basis:
-            raise RuntimeError(
-                f"{type(self).__name__} lost its real eigenbasis; spectral "
-                "data was replaced after construction"
-            )
-
-    def apply_batch(
-        self,
-        Psi: np.ndarray,
-        betas: np.ndarray,
-        out: np.ndarray | None = None,
-        *,
-        workspace=None,
-        columns: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Batched XY layer: the two basis-change GEMMs run as real GEMMs.
-
-        The constructor guarantees a real eigenbasis, so both GEMMs of the
-        diagonalized batch path operate on the interleaved re/im float view —
-        half the flops of complex GEMMs.  This override pins that invariant so
-        a silent fall-back to the promoted complex path cannot creep in.
-        """
-        self._require_real_basis()
-        return super().apply_batch(Psi, betas, out=out, workspace=workspace, columns=columns)
-
-    def apply_hamiltonian_batch(
-        self,
-        Psi: np.ndarray,
-        out: np.ndarray | None = None,
-        *,
-        workspace=None,
-    ) -> np.ndarray:
-        """Batched ``H_M`` product with the same real-GEMM invariant as
-        :meth:`apply_batch` (the batched adjoint pass calls this every round)."""
-        self._require_real_basis()
-        return super().apply_hamiltonian_batch(Psi, out=out, workspace=workspace)
-
     def cache_key(self) -> str:
         return self._make_key(self.n, self.k)
 

@@ -7,8 +7,8 @@ kernel (Walsh–Hadamard transform, eigenbasis GEMM, rank-one update) with the
 code it checks.  The adjoint recursion is the one documented in
 :mod:`repro.core.gradients`, written one state at a time.
 
-The helpers ``apply_mixer`` and ``apply_hamiltonian`` run a single state
-through a mixer's batched kernels as a one-column batch.
+The helper ``apply_mixer`` runs a single state through a mixer's batched
+layer kernel as a one-column batch.
 """
 
 from __future__ import annotations
@@ -36,12 +36,6 @@ def apply_mixer(mixer, psi, beta, out=None):
         return result[:, 0]
     assert np.shares_memory(result, out), "apply_batch did not write into out"
     return out
-
-
-def apply_hamiltonian(mixer, psi):
-    """``H_M |psi>`` through ``apply_hamiltonian_batch`` as a one-column batch."""
-    column = np.ascontiguousarray(psi, dtype=np.complex128).reshape(-1, 1)
-    return mixer.apply_hamiltonian_batch(column)[:, 0]
 
 
 def term_matrices(mixer) -> list[np.ndarray]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from qaoa_reference import apply_hamiltonian, apply_mixer
+from qaoa_reference import apply_mixer
 
 from repro.baselines import (
     DecomposedCircuitQAOA,
@@ -16,7 +16,12 @@ from repro.baselines import (
     trotter_clique_mixer,
     trotter_ring_mixer,
 )
-from repro.core import random_angles, simulate
+from repro.core import (
+    expectation_value_batch,
+    qaoa_value_and_gradient_batch,
+    random_angles,
+    simulate,
+)
 from repro.hilbert import DickeSpace
 from repro.mixers import CliqueMixer
 from repro.problems import densest_subgraph_values, erdos_renyi
@@ -116,12 +121,21 @@ class TestTrotterMixer:
         out = apply_mixer(mixer, psi, 1.3)
         assert np.isclose(np.linalg.norm(out), 1.0)
 
-    def test_apply_hamiltonian_is_exact_xy(self, rng):
-        n, k = 5, 2
-        trotter = trotter_clique_mixer(n, k)
-        exact = CliqueMixer(n, k)
-        psi = rng.normal(size=10) + 1j * rng.normal(size=10)
-        assert np.allclose(apply_hamiltonian(trotter, psi), apply_hamiltonian(exact, psi))
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_adjoint_gradient_matches_central_differences(self, steps):
+        """The adjoint differentiates the Trotterized layer, not the exact XY evolution."""
+        mixer = trotter_ring_mixer(5, 2, trotter_steps=steps)
+        rng = np.random.default_rng(0)
+        obj = rng.random(mixer.dim)
+        angles = 2.0 * np.pi * rng.random(4)
+        _, grads = qaoa_value_and_gradient_batch(angles, mixer, obj, p=2)
+        eps = 1e-5
+        for i in range(angles.size):
+            shifted = np.stack([angles, angles])
+            shifted[0, i] += eps
+            shifted[1, i] -= eps
+            plus, minus = expectation_value_batch(shifted, mixer, obj, p=2)
+            assert abs(grads[0, i] - (plus - minus) / (2 * eps)) <= 1e-6
 
     def test_plugs_into_simulate(self, small_graph):
         space = DickeSpace(6, 3)

@@ -4,22 +4,28 @@ The batched gradient kernel evolves M angle sets as one ``(dim, M)`` matrix
 through a recorded forward pass and a batched adjoint backward pass; these
 tests pin every row to the one-angle-set-at-a-time ``expm`` adjoint of
 ``qaoa_reference`` across every mixer family (including mixed multi-angle
-schedules), pin every mixer's ``apply_hamiltonian_batch`` to dense matrix
-products, and check that the vectorized multi-start refiner reaches
-scipy-BFGS-quality optima on the tier-1 problems.
+schedules), pin every mixer's ``adjoint_batch`` round to dense matrix
+exponentials, count the basis changes a value-and-gradient costs, and check
+that the vectorized multi-start refiner reaches scipy-BFGS-quality optima on
+the tier-1 problems.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
-from qaoa_reference import reference_value_and_gradient, term_matrices
+from qaoa_reference import layer_unitary, reference_value_and_gradient, term_matrices
+from scipy.linalg import expm
 
 from repro.angles import (
     find_angles_random,
     local_minimize,
     multistart_minimize,
 )
+from repro.backend import kernels
+from repro.baselines.trotter import TrotterXYMixer
 from repro.core import BatchedWorkspace, QAOAAnsatz, qaoa_value_and_gradient_batch
 from repro.core.gradients import finite_difference_gradient
 from repro.hilbert import state_matrix
@@ -33,7 +39,8 @@ from repro.mixers import (
     transverse_field_mixer,
 )
 from repro.mixers.base import Mixer
-from repro.mixers.unitary import HermitianMixer
+from repro.mixers.unitary import FixedUnitaryMixer, HermitianMixer
+from repro.mixers.xy import xy_subspace_matrix
 from repro.problems import erdos_renyi, maxcut_values
 
 _N = 6
@@ -144,42 +151,123 @@ def test_single_flat_angle_vector_is_one_row():
 
 
 # ---------------------------------------------------------------------------
-# apply_hamiltonian_batch vs dense matrix products
+# adjoint_batch rounds vs dense matrix exponentials
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("kind", _ALL_KINDS)
-def test_apply_hamiltonian_batch_matches_column_loop(kind):
-    mixer = _mixer(kind)
-    rng = np.random.default_rng(7)
-    Psi = rng.random((mixer.dim, 5)) + 1j * rng.random((mixer.dim, 5))
-    Psi = np.ascontiguousarray(Psi)
-    batched = mixer.apply_hamiltonian_batch(Psi)
-    matrix = mixer.matrix()
-    for j in range(5):
-        looped = matrix @ Psi[:, j]
-        assert np.abs(batched[:, j] - looped).max() <= 1e-10
+def _fixed_unitary():
+    rng = np.random.default_rng(12)
+    mat = rng.random((16, 16)) + 1j * rng.random((16, 16))
+    eigenvalues, eigenvectors = np.linalg.eigh(mat + mat.conj().T)
+    return FixedUnitaryMixer((eigenvectors * np.exp(-1j * eigenvalues)) @ eigenvectors.conj().T)
 
 
-def test_apply_hamiltonian_batch_multiangle():
-    mixer = MultiAngleXMixer(4, [(0,), (1, 2), (3,)])
-    rng = np.random.default_rng(2)
-    Psi = np.ascontiguousarray(rng.random((16, 3)) + 1j * rng.random((16, 3)))
-    batched = mixer.apply_hamiltonian_batch(Psi)
-    summed = sum(term_matrices(mixer))
-    for j in range(3):
-        looped = summed @ Psi[:, j]
-        assert np.abs(batched[:, j] - looped).max() <= 1e-10
+_ADJOINT_KINDS = _ALL_KINDS + ["multiangle", "unitary-beta1", "unitary-mixed", "trotter"]
 
 
-def test_apply_hamiltonian_batch_out_aliases_and_workspace():
-    mixer = mixer_ring(_N, _K)
-    rng = np.random.default_rng(6)
-    Psi = np.ascontiguousarray(rng.random((mixer.dim, 4)) + 1j * rng.random((mixer.dim, 4)))
-    expected = mixer.apply_hamiltonian_batch(Psi.copy())
-    inplace = Psi.copy()
-    ws = BatchedWorkspace(mixer.dim, 4)
-    mixer.apply_hamiltonian_batch(inplace, out=inplace, workspace=ws)
-    assert np.abs(inplace - expected).max() <= 1e-12
+def _adjoint_mixer(kind: str):
+    if kind == "multiangle":
+        return MultiAngleXMixer(4, [(0,), (1, 2), (3,)])
+    if kind.startswith("unitary"):
+        return _fixed_unitary()
+    if kind == "trotter":
+        return TrotterXYMixer(_N, _K, [(i, (i + 1) % _N) for i in range(_N)], trotter_steps=2)
+    return _mixer(kind)
+
+
+def _reference_layer(mixer, betas) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The layer unitary ``U`` and its derivatives ``dU/dbeta_t``, from ``expm``.
+
+    A Trotterized layer is the product of its pair rotations
+    ``exp(-i beta h_r / steps)``, built from each pair's subspace matrix.
+    """
+    if isinstance(mixer, TrotterXYMixer):
+        steps = mixer.trotter_steps
+        rotations = [
+            xy_subspace_matrix(mixer.n, mixer.k, [pair]) for pair in mixer.pairs
+        ] * steps
+        factors = [expm(-1j * betas[0] / steps * h) for h in rotations]
+        unitary = np.eye(mixer.dim, dtype=np.complex128)
+        for factor in factors:
+            unitary = factor @ unitary
+        derivative = np.zeros_like(unitary)
+        for r, h in enumerate(rotations):
+            before = np.eye(mixer.dim, dtype=np.complex128)
+            for factor in factors[: r + 1]:
+                before = factor @ before
+            after = np.eye(mixer.dim, dtype=np.complex128)
+            for factor in factors[r + 1 :]:
+                after = factor @ after
+            derivative += after @ (-1j / steps * h) @ before
+        return unitary, [derivative]
+    terms = term_matrices(mixer)
+    unitary = layer_unitary(terms, betas)
+    return unitary, [-1j * h @ unitary for h in terms]
+
+
+def _random_columns(rng, dim: int, M: int) -> np.ndarray:
+    states = rng.normal(size=(dim, M)) + 1j * rng.normal(size=(dim, M))
+    return np.ascontiguousarray(states / np.linalg.norm(states, axis=0))
+
+
+@pytest.mark.parametrize("kind", _ADJOINT_KINDS)
+@pytest.mark.parametrize("with_workspace", [False, True])
+def test_adjoint_batch_matches_expm(kind, with_workspace):
+    """One backward round returns ``2 Re <phi| dU/dbeta_t |chi>`` per term and
+    leaves ``U^† phi`` in place, reading what the recording forward layer left."""
+    mixer = _adjoint_mixer(kind)
+    rng = np.random.default_rng(17)
+    M = 3
+    num_betas = getattr(mixer, "num_angles", 1)
+    betas = rng.uniform(-np.pi, np.pi, size=(num_betas, M))
+    if kind == "unitary-beta1":
+        betas[:] = 1.0
+    beta_arg = betas if isinstance(mixer, MultiAngleXMixer) else betas[0]
+    chi = _random_columns(rng, mixer.dim, M)
+    Phi = _random_columns(rng, mixer.dim, M)
+    workspace = BatchedWorkspace(mixer.dim, M) if with_workspace else None
+    record = np.empty((mixer.dim, M), dtype=np.complex128)
+    chi_before = chi.copy()
+    psi = mixer.apply_batch(chi, beta_arg, workspace=workspace, record=record)
+    updated = Phi.copy()
+    grads = mixer.adjoint_batch(updated, chi, record, beta_arg, workspace=workspace)
+    assert grads.shape == (num_betas, M)
+    assert np.array_equal(chi, chi_before)
+    for j in range(M):
+        unitary, derivatives = _reference_layer(mixer, betas[:, j])
+        assert np.abs(psi[:, j] - unitary @ chi[:, j]).max() <= 1e-10
+        assert np.abs(updated[:, j] - unitary.conj().T @ Phi[:, j]).max() <= 1e-10
+        for t, derivative in enumerate(derivatives):
+            expected = 2.0 * np.real(np.vdot(Phi[:, j], derivative @ chi[:, j]))
+            assert abs(grads[t, j] - expected) <= 1e-10
+
+
+def test_adjoint_batch_rejects_non_contiguous_phi():
+    mixer = transverse_field_mixer(3)
+    Phi = np.zeros((8, 4), dtype=np.complex128)[:, ::2]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        mixer.adjoint_batch(Phi, Phi.copy(), Phi.copy(), np.zeros(2))
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_value_and_gradient_costs_two_basis_changes_per_layer(monkeypatch, p):
+    """At M=1 the forward layers and the backward rounds cost 2 basis changes
+    each: 4p Walsh–Hadamard transforms (X) or 4p real GEMMs (clique)."""
+    rng = np.random.default_rng(p)
+    x_ansatz = QAOAAnsatz(_objective(2**_N), transverse_field_mixer(_N), p)
+    clique = mixer_clique(_N, _K)
+    clique_ansatz = QAOAAnsatz(_objective(clique.dim), clique, p)
+    calls = Counter()
+    for name in ("wht_gemm", "real_gemm"):
+        def counted(*args, _name=name, _kernel=getattr(kernels, name), **kwargs):
+            calls[_name] += 1
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, name, counted)
+    x_ansatz.value_and_gradient_batch(2.0 * np.pi * rng.random((1, 2 * p)))
+    assert calls == {"wht_gemm": 4 * p}
+    calls.clear()
+    clique_ansatz.value_and_gradient_batch(2.0 * np.pi * rng.random((1, 2 * p)))
+    assert calls == {"real_gemm": 4 * p}
 
 
 def test_mixer_without_batch_kernels_is_abstract():
@@ -191,20 +279,6 @@ def test_mixer_without_batch_kernels_is_abstract():
 
     with pytest.raises(TypeError, match="apply_batch"):
         MatrixOnlyMixer(transverse_field_mixer(2).space)
-
-
-def test_term_gradients_batch_matches_per_term_products():
-    mixer = MultiAngleXMixer(4, [(0,), (1,), (2, 3)])
-    rng = np.random.default_rng(10)
-    Phi = np.ascontiguousarray(rng.random((16, 4)) + 1j * rng.random((16, 4)))
-    Psi = np.ascontiguousarray(rng.random((16, 4)) + 1j * rng.random((16, 4)))
-    grads = mixer.term_gradients_batch(Phi, Psi)
-    assert grads.shape == (3, 4)
-    for t, term in enumerate(term_matrices(mixer)):
-        for j in range(4):
-            h_psi = term @ Psi[:, j]
-            expected = 2.0 * float(np.imag(np.vdot(Phi[:, j], h_psi)))
-            assert abs(grads[t, j] - expected) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -225,16 +299,6 @@ class TestBatchedGradientWorkspace:
             ws.ensure_layers(-1, 4)
         with pytest.raises(ValueError):
             ws.ensure_layers(2, 0)
-
-    def test_aux_is_lazy_and_grows(self):
-        ws = BatchedWorkspace(8, 2)
-        assert ws._aux_flat is None
-        aux = ws.aux(2)
-        assert aux.shape == (8, 2)
-        grown = ws.aux(5)
-        assert grown.shape == (8, 5)
-        with pytest.raises(ValueError):
-            ws.aux(0)
 
     def test_ansatz_batch_gradient_reuses_workspace(self):
         obj = _objective(2**_N, seed=13)

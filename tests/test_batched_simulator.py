@@ -25,6 +25,7 @@ from repro.core import (
     BatchedWorkspace,
     QAOAAnsatz,
     expectation_value_batch,
+    qaoa_value_and_gradient_batch,
     simulate,
     simulate_batch,
 )
@@ -290,6 +291,16 @@ def test_property_shared_prefixes_match_row_by_row(kind, case):
         ]
     )
     assert np.abs(batched - looped).max() <= 1e-12
+    # the gradient's forward pass records every layer through the same
+    # column maps; each row must still see its own chi_k and mixer record
+    values, grads = qaoa_value_and_gradient_batch(angles, mixer, obj, p=p, initial_state=init)
+    assert np.abs(values - looped).max() <= 1e-12
+    for j in range(len(copies)):
+        _, grad = qaoa_value_and_gradient_batch(
+            angles[j : j + 1], mixer, obj, p=p,
+            initial_state=None if init is None else init[:, j].copy(),
+        )
+        assert np.abs(grads[j] - grad[0]).max() <= 1e-10
 
 
 @pytest.mark.parametrize("kind", ["x", "clique", "grover-dicke", "multiangle"])

@@ -356,7 +356,7 @@ class TestWarmEntryBytesKinds:
 
         dim, shards, p = 1 << 12, 4, 2
         total = warm_entry_bytes(dim, p=p, kind="sharded", shards=shards)
-        per_worker = sharded_state_bytes(dim, shards, slots=3)
+        per_worker = sharded_state_bytes(dim, shards, slots=2)
         layers = p * 2 * (dim // shards) * 16
         assert total == shards * (per_worker + layers)
 

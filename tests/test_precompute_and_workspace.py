@@ -99,7 +99,7 @@ class TestWorkspace:
     def test_buffers_allocated(self):
         ws = BatchedWorkspace(16)
         assert ws.capacity == 1
-        for buffer in (ws.state(1), ws.scratch(1), ws.phase(1), ws.aux(1)):
+        for buffer in (ws.state(1), ws.scratch(1), ws.phase(1)):
             assert buffer.shape == (16, 1)
             assert buffer.dtype == np.complex128
 

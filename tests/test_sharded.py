@@ -365,6 +365,20 @@ class TestShardedOpTimes:
             sharded.close()
 
 
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_gradient_costs_two_transforms_per_layer(self, p):
+        """Forward layers and backward rounds take 2 local transforms each, in
+        the forward pass's 2 state slots."""
+        sharded = _sharded("maxcut", 6, "x", p, 2)
+        try:
+            angles = 2 * np.pi * np.random.default_rng(p).random((3, sharded.num_angles))
+            sharded.value_and_gradient_batch(angles)
+            assert sharded.executor.op_times()["wht_local"]["calls"] == 4 * p
+            assert sharded.executor.workspace.num_slots == 2
+        finally:
+            sharded.close()
+
+
 class TestShardedFaults:
     def test_killed_worker_fails_the_solve_and_releases_everything(self):
         if not os.path.isdir("/dev/shm"):
