@@ -8,7 +8,8 @@ code it checks.  The adjoint recursion is the one documented in
 :mod:`repro.core.gradients`, written one state at a time.
 
 The helper ``apply_mixer`` runs a single state through a mixer's batched
-layer kernel as a one-column batch.
+layer kernel as a one-column batch; ``apply_hamiltonian`` reads the mixer
+Hamiltonian's action off its adjoint round at zero angle.
 """
 
 from __future__ import annotations
@@ -36,6 +37,36 @@ def apply_mixer(mixer, psi, beta, out=None):
         return result[:, 0]
     assert np.shares_memory(result, out), "apply_batch did not write into out"
     return out
+
+
+def apply_hamiltonian_batch(mixer, Psi) -> np.ndarray:
+    """``H_t Psi`` for every angle term ``t``, read off the adjoint round at β = 0.
+
+    At zero angle ``dU/dbeta_t = -i H_t``, so a backward round against the
+    probe ``phi = e_k`` returns ``2 Im (H_t psi)_k`` and against
+    ``phi = i e_k`` returns ``-2 Re (H_t psi)_k``.  Each input column is
+    probed with all ``2 dim`` of these at once; the result has shape
+    ``(num_angles, dim, M)``.
+    """
+    Psi = np.asarray(Psi, dtype=np.complex128)
+    dim, M = Psi.shape
+    probes = np.concatenate([np.eye(dim), 1j * np.eye(dim)], axis=1)
+    num_betas = getattr(mixer, "num_angles", 1)
+    out = np.empty((num_betas, dim, M), dtype=np.complex128)
+    for j in range(M):
+        chi = np.ascontiguousarray(np.repeat(Psi[:, j : j + 1], 2 * dim, axis=1))
+        betas = np.zeros((num_betas, 2 * dim)) if num_betas > 1 else np.zeros(2 * dim)
+        record = np.empty_like(chi)
+        mixer.apply_batch(chi, betas, record=record)
+        grads = mixer.adjoint_batch(np.ascontiguousarray(probes), chi, record, betas)
+        out[:, :, j] = -0.5 * grads[:, dim:] + 0.5j * grads[:, :dim]
+    return out
+
+
+def apply_hamiltonian(mixer, psi) -> np.ndarray:
+    """``H_M |psi>`` (the sum of the angle terms) as a one-column batch."""
+    column = np.asarray(psi, dtype=np.complex128).reshape(-1, 1)
+    return apply_hamiltonian_batch(mixer, column).sum(axis=0)[:, 0]
 
 
 def term_matrices(mixer) -> list[np.ndarray]:

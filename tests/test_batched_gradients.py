@@ -16,7 +16,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from qaoa_reference import layer_unitary, reference_value_and_gradient, term_matrices
+from qaoa_reference import (
+    apply_hamiltonian_batch,
+    layer_unitary,
+    reference_value_and_gradient,
+    term_matrices,
+)
 from scipy.linalg import expm
 
 from repro.angles import (
@@ -239,6 +244,30 @@ def test_adjoint_batch_matches_expm(kind, with_workspace):
         for t, derivative in enumerate(derivatives):
             expected = 2.0 * np.real(np.vdot(Phi[:, j], derivative @ chi[:, j]))
             assert abs(grads[t, j] - expected) <= 1e-10
+
+
+@pytest.mark.parametrize("kind", _ALL_KINDS)
+def test_apply_hamiltonian_batch_matches_column_loop(kind):
+    """The Hamiltonian the adjoint round differentiates is the mixer's matrix."""
+    mixer = _mixer(kind)
+    rng = np.random.default_rng(7)
+    Psi = rng.random((mixer.dim, 5)) + 1j * rng.random((mixer.dim, 5))
+    batched = apply_hamiltonian_batch(mixer, Psi)[0]
+    matrix = mixer.matrix()
+    for j in range(5):
+        looped = matrix @ Psi[:, j]
+        assert np.abs(batched[:, j] - looped).max() <= 1e-10
+
+
+def test_apply_hamiltonian_batch_multiangle():
+    mixer = MultiAngleXMixer(4, [(0,), (1, 2), (3,)])
+    rng = np.random.default_rng(2)
+    Psi = rng.random((16, 3)) + 1j * rng.random((16, 3))
+    batched = apply_hamiltonian_batch(mixer, Psi).sum(axis=0)
+    summed = sum(term_matrices(mixer))
+    for j in range(3):
+        looped = summed @ Psi[:, j]
+        assert np.abs(batched[:, j] - looped).max() <= 1e-10
 
 
 def test_adjoint_batch_rejects_non_contiguous_phi():

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from qaoa_reference import apply_mixer
+from qaoa_reference import apply_hamiltonian, apply_mixer
 
 from repro.hilbert import DickeSpace, FullSpace, hamming_weights
 from repro.mixers.grover import GroverMixer, grover_mixer, grover_mixer_dicke
@@ -28,6 +28,11 @@ class TestGroverMixerFullSpace:
         psi /= np.linalg.norm(psi)
         beta = 1.234
         assert np.allclose(apply_mixer(mixer, psi, beta), sla.expm(-1j * beta * dense) @ psi)
+
+    def test_apply_hamiltonian_matches_matrix(self, rng):
+        mixer = grover_mixer(4)
+        psi = rng.normal(size=16) + 1j * rng.normal(size=16)
+        assert np.allclose(apply_hamiltonian(mixer, psi), mixer.matrix() @ psi)
 
     def test_unitarity(self, rng):
         mixer = grover_mixer(6)

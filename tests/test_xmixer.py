@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from qaoa_reference import apply_mixer
+from qaoa_reference import apply_hamiltonian, apply_mixer
 
 from repro.hilbert import uniform_superposition
 from repro.mixers.xmixer import (
@@ -163,6 +163,11 @@ class TestXMixer:
         terms = [(0,), (1,), (0, 2)]
         mixer = XMixer(n, terms)
         assert np.allclose(mixer.matrix(), _dense_x_mixer(terms, [1.0] * 3, n))
+
+    def test_apply_hamiltonian_matches_matrix(self, rng):
+        mixer = transverse_field_mixer(5)
+        psi = rng.normal(size=32) + 1j * rng.normal(size=32)
+        assert np.allclose(apply_hamiltonian(mixer, psi), mixer.matrix() @ psi)
 
     def test_unitarity_and_zero_angle(self, rng):
         mixer = transverse_field_mixer(6)

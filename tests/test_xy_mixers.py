@@ -7,7 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from qaoa_reference import apply_mixer
+from qaoa_reference import apply_hamiltonian, apply_mixer
 
 from repro.hilbert import dicke_labels, hamming_weights
 from repro.mixers.xy import (
@@ -84,6 +84,11 @@ class TestCliqueMixer:
         beta = 0.37
         expected = sla.expm(-1j * beta * dense) @ psi
         assert np.allclose(apply_mixer(clique_mixer_63, psi, beta), expected)
+
+    def test_hamiltonian_matches_subspace_matrix(self, rng, clique_mixer_63):
+        psi = rng.normal(size=20) + 1j * rng.normal(size=20)
+        expected = xy_subspace_matrix(6, 3, clique_mixer_63.pairs) @ psi
+        assert np.allclose(apply_hamiltonian(clique_mixer_63, psi), expected)
 
     def test_unitarity_and_inverse(self, rng, clique_mixer_63):
         psi = rng.normal(size=20) + 1j * rng.normal(size=20)
