@@ -21,14 +21,17 @@ count ``M`` alone: ``k = max(2, ceil(n / 6))``, except that ``n <= 16`` with
 ``M >= 32`` keeps the two-factor split, where its larger GEMMs beat the
 extra memory passes.
 
-Phase level tables
-------------------
-A diagonal phase ``exp(i * values * angle)`` whose ``values`` take few
-distinct levels (integer costs, X-mixer spectra) is an exp over a
-``(levels, M)`` table plus a gather through the inverse indices of
-:func:`distinct_levels`.  :func:`level_table_pays` is the one rule for when
-that beats the full exp; the dense separator, the dense X mixer and the
-shard workers' phases all ask it.
+Diagonal phases
+---------------
+A diagonal phase ``scale * exp(i * sign * values ⊗ angles)`` over a
+per-state vector comes from one kernel, :class:`DiagonalPhase`: the dense
+phase separator and its inverse, the dense X mixer's eigenphases and the
+shard workers' separator and eigenphases.  When ``values`` take few distinct
+levels (integer costs, X-mixer spectra) it exponentiates a ``(levels, M)``
+table once and gathers it through the inverse indices of
+:func:`distinct_levels`; :func:`level_table_pays` is the one rule for when
+that beats the full exp.  It fills any row range, so a shard worker phases
+its chunk one row block at a time through one block buffer.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "ArrayBackend", "blocked_wht", "distinct_levels", "hadamard_blocks", "level_table_pays",
+    "ArrayBackend", "DiagonalPhase", "blocked_wht", "distinct_levels", "hadamard_blocks",
+    "level_table_pays",
 ]
 
 
@@ -91,6 +95,43 @@ def distinct_levels(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             lookup[offsets.astype(np.intp)] = np.arange(levels.size)
             return levels, lookup[(values - levels[0]).astype(np.intp)]
     return np.unique(values, return_inverse=True)
+
+
+class DiagonalPhase:
+    """The factors ``scale * exp(i * sign * values ⊗ angles)``, one row range at a time.
+
+    ``values`` is a ``(dim,)`` vector phased by ``(m,)`` ``angles``, or a
+    per-column ``(dim, m)`` matrix with a scalar angle.  ``levels`` is the
+    ``(distinct values, inverse indices)`` pair of a ``(dim,)`` ``values``
+    (see :func:`distinct_levels`; any integer index dtype).  If
+    :func:`level_table_pays` for it, the ``(levels, m)`` table is
+    exponentiated here, once, and every :meth:`fill` is a gather of it;
+    otherwise every :meth:`fill` exponentiates its rows.
+    """
+
+    def __init__(self, values: np.ndarray, angles, sign: float, *,
+                 scale: float = 1.0, levels: tuple[np.ndarray, np.ndarray] | None = None):
+        self.values = values
+        self.exponent = sign * 1j * np.asarray(angles, dtype=np.float64)
+        self.scale = scale
+        self.table = self.inverse = None
+        if levels is not None and level_table_pays(levels[0].size, values.shape[0]):
+            table = np.exp(np.multiply.outer(levels[0], self.exponent))
+            if scale != 1.0:
+                table *= scale
+            self.table, self.inverse = table, levels[1]
+
+    def fill(self, out: np.ndarray, start: int = 0) -> np.ndarray:
+        """Write the factors of rows ``start .. start + len(out)`` into ``out``; return it."""
+        stop = start + out.shape[0]
+        if self.table is not None:
+            # in-range indices: an unbuffered gather straight into out
+            return np.take(self.table, self.inverse[start:stop], axis=0, out=out, mode="clip")
+        np.multiply.outer(self.values[start:stop], self.exponent, out=out)
+        np.exp(out, out=out)
+        if self.scale != 1.0:
+            out *= self.scale
+        return out
 
 
 def blocked_wht(src, via, dst, blocks, matmul=np.matmul) -> np.ndarray:

@@ -14,6 +14,7 @@ from .simulator import (
     evolve_state_batch,
     expectation_value_batch,
     get_exp_value,
+    join_angles_batch,
     random_angles,
     simulate,
     simulate_batch,
@@ -41,5 +42,6 @@ __all__ = [
     "simulate",
     "simulate_batch",
     "split_angles_batch",
+    "join_angles_batch",
     "BatchedWorkspace",
 ]

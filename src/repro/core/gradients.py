@@ -43,12 +43,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..backend import kernels
-from ..backend.base import distinct_levels
-from ..mixers.base import Mixer, weighted_imag_vdot
+from ..backend.base import DiagonalPhase, distinct_levels
+from ..mixers.base import Mixer, weighted_imag_vdot, weighted_sq_norms
 from ..mixers.schedules import MixerSchedule, as_schedule
 from .precompute import PrecomputedCost
-from .simulator import _CostPhaseFactors, evolve_state_batch, split_angles_batch
+from .simulator import evolve_state_batch, join_angles_batch, split_angles_batch
 from .workspace import BatchedWorkspace
 
 __all__ = [
@@ -113,7 +112,7 @@ def qaoa_value_and_gradient_batch(
     )
     if values.shape != (schedule.dim,):
         raise ValueError(f"objective values have shape {values.shape}, expected ({schedule.dim},)")
-    beta_rounds, gammas = split_angles_batch(angles, schedule)
+    beta_rounds, gammas = split_angles_batch(angles, schedule.beta_counts())
     M = angles.shape[0]
     dim = schedule.dim
 
@@ -142,9 +141,7 @@ def qaoa_value_and_gradient_batch(
     )
     if counter is not None:
         counter.forward_passes += M
-    probs = np.abs(psi)
-    np.square(probs, out=probs)
-    energies = kernels.matmul(values, probs)
+    energies = weighted_sq_norms(values, psi)
 
     # Backward (adjoint) pass: phi lives in the workspace state buffer (psi is
     # no longer needed once the energies and the layer store exist).
@@ -152,9 +149,6 @@ def qaoa_value_and_gradient_batch(
     phi *= values[:, None]
     grad_betas: list[np.ndarray] = [None] * schedule.p  # type: ignore[list-item]
     grad_gammas = np.empty((schedule.p, M), dtype=np.float64)
-    # Inverse separator phases (positive sign) share the forward pass's
-    # distinct-level table heuristic.
-    phase_factors = _CostPhaseFactors(values, cost_levels, M, sign=+1.0)
 
     for k in range(schedule.p - 1, -1, -1):
         chi_k = layer_store[k, 0]
@@ -171,15 +165,10 @@ def qaoa_value_and_gradient_batch(
         if k:
             # Undo the phase separator to obtain phi_{k-1} (per-column
             # phases); phi_{-1} is never read, so the last round skips it.
-            phi *= phase_factors.fill(gammas[k], workspace.phase(M))
+            phases = DiagonalPhase(values, gammas[k], +1.0, levels=cost_levels)
+            phi *= phases.fill(workspace.phase(M))
 
-    gradient = np.empty((M, angles.shape[1]), dtype=np.float64)
-    cursor = 0
-    for block in grad_betas:
-        gradient[:, cursor : cursor + block.shape[0]] = block.T
-        cursor += block.shape[0]
-    gradient[:, cursor:] = grad_gammas.T
-    return energies, gradient
+    return energies, join_angles_batch(grad_betas, grad_gammas)
 
 
 def finite_difference_gradient(

@@ -25,7 +25,10 @@ import numpy as np
 from ..backend.base import distinct_levels
 from ..hilbert.subspace import FeasibleSpace, FullSpace
 
-__all__ = ["PrecomputedCost", "precompute_cost"]
+__all__ = ["PrecomputedCost", "precompute_cost", "OPTIMAL_RTOL", "OPTIMAL_ATOL"]
+
+#: Tolerances of "equals the optimum", for the dense results and the shard workers.
+OPTIMAL_RTOL, OPTIMAL_ATOL = 1e-12, 1e-9
 
 
 @dataclass
@@ -79,7 +82,9 @@ class PrecomputedCost:
         """Worst objective value over the feasible space."""
         return float(self.values.min() if self.maximize else self.values.max())
 
-    def optimal_indices(self, rtol: float = 1e-12, atol: float = 1e-9) -> np.ndarray:
+    def optimal_indices(
+        self, rtol: float = OPTIMAL_RTOL, atol: float = OPTIMAL_ATOL
+    ) -> np.ndarray:
         """Subspace indices of the optimal states."""
         return np.flatnonzero(np.isclose(self.values, self.optimum, rtol=rtol, atol=atol))
 

@@ -17,6 +17,12 @@ matrix) followed by one mixer application.  There is one evolution kernel,
 ``(dim, M)`` matrix; a single simulation is its M=1 call.  All buffers can be
 supplied through a :class:`~repro.core.workspace.BatchedWorkspace` so that
 repeated calls inside the angle-finding loop allocate nothing.
+
+The pieces around the mixers are shared with the sharded and compressed
+engines: :func:`split_angles_batch` and :func:`join_angles_batch` are the
+one angle layout, the separator phases are
+:class:`~repro.backend.base.DiagonalPhase`, and the energies are
+:func:`~repro.mixers.base.weighted_sq_norms`.
 """
 
 from __future__ import annotations
@@ -26,9 +32,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ..backend import kernels
-from ..backend.base import distinct_levels, level_table_pays
-from ..mixers.base import Mixer
+from ..backend.base import DiagonalPhase, distinct_levels
+from ..mixers.base import Mixer, weighted_sq_norms
 from ..mixers.schedules import MixerSchedule, as_schedule
 from .precompute import PrecomputedCost
 from .workspace import BatchedWorkspace
@@ -36,6 +41,7 @@ from .workspace import BatchedWorkspace
 __all__ = [
     "QAOAResult",
     "split_angles_batch",
+    "join_angles_batch",
     "evolve_state_batch",
     "simulate",
     "simulate_batch",
@@ -50,35 +56,40 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def split_angles_batch(
-    angles: np.ndarray, schedule: MixerSchedule
+    angles: np.ndarray, beta_counts: Sequence[int]
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Split an ``(M, num_angles)`` matrix of flat angle vectors column-wise.
 
     Each row of ``angles`` is one flat angle set: the mixer angles (betas)
-    first, then the phase-separator angles (gammas), as in the paper's
-    Listing 1; a multi-angle layer consumes one beta per term.  Returns a
-    per-round list of ``(count_k, M)`` beta matrices and the ``(p, M)`` gamma
-    matrix — one column per angle set, which is the layout the batched
-    evolution consumes.
+    first, ``beta_counts[k]`` of them for round ``k`` (one per term of a
+    multi-angle layer), then the ``p`` phase-separator angles (gammas), as
+    in the paper's Listing 1.  Returns a per-round list of ``(count_k, M)``
+    beta matrices and the ``(p, M)`` gamma matrix — one column per angle
+    set, which is the layout every engine's evolution consumes.
+    :func:`join_angles_batch` is the inverse.
     """
     angles = np.asarray(angles, dtype=np.float64)
     if angles.ndim == 1:
         angles = angles[None, :]
-    total = schedule.total_betas + schedule.p
+    num_betas = sum(beta_counts)
+    total = num_betas + len(beta_counts)
     if angles.ndim != 2 or angles.shape[1] != total:
         raise ValueError(
             f"expected an (M, {total}) angle matrix "
-            f"({schedule.total_betas} betas + {schedule.p} gammas per row), "
+            f"({num_betas} betas + {len(beta_counts)} gammas per row), "
             f"got shape {angles.shape}"
         )
     transposed = np.ascontiguousarray(angles.T)
-    betas: list[np.ndarray] = []
-    cursor = 0
-    for count in schedule.beta_counts():
-        betas.append(transposed[cursor : cursor + count])
-        cursor += count
-    gammas = transposed[cursor:]
-    return betas, gammas
+    bounds = np.cumsum([0, *beta_counts])
+    betas = [transposed[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return betas, transposed[num_betas:]
+
+
+def join_angles_batch(betas: Sequence[np.ndarray], gammas: np.ndarray) -> np.ndarray:
+    """The ``(M, num_angles)`` rows of per-round ``(count_k, M)`` beta blocks and
+    ``(p, M)`` gammas: the inverse of :func:`split_angles_batch`, which every
+    engine uses to lay out its gradients."""
+    return np.ascontiguousarray(np.concatenate([*betas, gammas]).T)
 
 
 def random_angles(
@@ -180,46 +191,6 @@ class QAOAResult:
 # ---------------------------------------------------------------------------
 # evolution
 # ---------------------------------------------------------------------------
-
-class _CostPhaseFactors:
-    """Per-round separator phase factors ``exp(sign * i * gamma_j * cost)``.
-
-    Objective values usually take few distinct levels (integer-valued costs),
-    so each round's factors are an exp over ``(levels, M)`` plus a gather
-    rather than an exp over the full ``(dim, M)`` matrix.  One instance is
-    built per evolution (forward pass uses ``sign=-1``, the adjoint backward
-    pass ``sign=+1``) so the forward and backward paths share one
-    implementation of the table heuristic.
-    """
-
-    def __init__(
-        self,
-        cost_values: np.ndarray,
-        cost_levels: tuple[np.ndarray, np.ndarray],
-        batch: int,
-        sign: float,
-    ):
-        self.levels, self.inverse = cost_levels
-        self.sign_i = sign * 1j
-        self.use_table = level_table_pays(self.levels.size, cost_values.size)
-        self.table = (
-            np.empty(self.levels.size * batch, dtype=np.complex128) if self.use_table else None
-        )
-        self.signed_i_cost = None if self.use_table else cost_values * self.sign_i
-
-    def fill(self, gamma_k: np.ndarray, phases: np.ndarray) -> np.ndarray:
-        """Write the ``(dim, m)`` phase factors of ``m <= M`` gammas into ``phases``."""
-        if self.use_table:
-            table = self.table[: self.levels.size * gamma_k.size].reshape(-1, gamma_k.size)
-            np.multiply(self.levels[:, None], self.sign_i * gamma_k[None, :], out=table)
-            np.exp(table, out=table)
-            # in-range indices: an unbuffered gather straight into phases
-            np.take(table, self.inverse, axis=0, out=phases, mode="clip")
-        else:
-            np.multiply(self.signed_i_cost[:, None], gamma_k[None, :], out=phases)
-            np.exp(phases, out=phases)
-        return phases
-
 
 def _prefix_runs(
     beta_rounds: Sequence[np.ndarray], gammas: np.ndarray, per_column_start: bool
@@ -348,7 +319,6 @@ def evolve_state_batch(
         workspace.calls_served += 1
     if cost_levels is None:
         cost_levels = distinct_levels(cost_values)
-    phase_factors = _CostPhaseFactors(cost_values, cost_levels, batch, sign=-1.0)
     for stage in range(2 * schedule.p):
         round_index, is_mixer = divmod(stage, 2)
         width = widths[stage]
@@ -380,7 +350,9 @@ def evolve_state_batch(
         else:
             if columns is not None:
                 np.take(psi, columns, axis=1, out=target, mode="clip")
-            target *= phase_factors.fill(gammas[round_index][rows], workspace.phase(width))
+            phases = DiagonalPhase(cost_values, gammas[round_index][rows], -1.0,
+                                   levels=cost_levels)
+            target *= phases.fill(workspace.phase(width))
             written = target
         psi = target
         if slot is not None and written is not slot:
@@ -475,7 +447,7 @@ def simulate_batch(
             maximize=maximize,
         )
 
-    betas, gammas = split_angles_batch(angles, schedule)
+    betas, gammas = split_angles_batch(angles, schedule.beta_counts())
     if initial_state is None:
         initial_state = schedule.initial_state()
     psi = evolve_state_batch(
@@ -525,7 +497,7 @@ def expectation_value_batch(
     else:
         values = np.asarray(obj_vals, dtype=np.float64)
         cost_levels = None
-    betas, gammas = split_angles_batch(angles, schedule)
+    betas, gammas = split_angles_batch(angles, schedule.beta_counts())
     if initial_state is None:
         initial_state = schedule.initial_state()
     psi = evolve_state_batch(
@@ -537,6 +509,4 @@ def expectation_value_batch(
         workspace=workspace,
         cost_levels=cost_levels,
     )
-    probs = np.abs(psi)
-    np.square(probs, out=probs)
-    return kernels.matmul(values, probs)
+    return weighted_sq_norms(values, psi)

@@ -13,7 +13,12 @@ where ``d_v`` are the degeneracies and ``N`` the number of feasible states.
 :class:`CompressedGroverAnsatz` evolves M angle sets at once as a ``(D, M)``
 complex matrix (``D`` = number of distinct objective values) and computes
 exact adjoint gradients with every dense inner product collapsed to a
-degeneracy-weighted reduction.  Memory and time per round are ``O(D * M)``,
+degeneracy-weighted reduction.  Only the rank-one Grover update is its own:
+the angle layout (:func:`~repro.core.simulator.split_angles_batch`,
+:func:`~repro.core.simulator.join_angles_batch`) and the energy and
+γ-gradient reductions (:func:`~repro.mixers.base.weighted_sq_norms`,
+:func:`~repro.mixers.base.weighted_imag_vdot`, weighted by the
+degeneracies) are the dense engine's.  Memory and time per round are ``O(D * M)``,
 which is the paper's route to n ≈ 100 (Sec. 2.4).  The single-row calls and
 the ``loss`` family come from :class:`~repro.core.engine.Engine`, so every
 registered angle strategy that drives the dense ansatz runs unchanged on the
@@ -28,6 +33,8 @@ import numpy as np
 
 from ..core.engine import Engine
 from ..core.gradients import EvaluationCounter
+from ..core.simulator import join_angles_batch, split_angles_batch
+from ..mixers.base import weighted_imag_vdot, weighted_sq_norms
 from .compress import CompressedObjective
 
 __all__ = ["CompressedGroverAnsatz", "CompressedSimulation"]
@@ -163,21 +170,13 @@ class CompressedGroverAnsatz(Engine):
         return float(self._values[-1] if self.maximize else self._values[0])
 
     # ------------------------------------------------------------------
-    def _split(self, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-        angles = np.asarray(angles, dtype=np.float64)
-        if angles.ndim == 1:
-            angles = angles[None, :]
-        if angles.ndim != 2 or angles.shape[1] != self.num_angles:
-            raise ValueError(
-                f"expected an (M, {self.num_angles}) angle matrix "
-                f"({self.p} betas + {self.p} gammas per row), got shape {angles.shape}"
-            )
-        transposed = np.ascontiguousarray(angles.T)
-        return transposed[: self.p], transposed[self.p :], angles.shape[0]
-
     def _evolve_batch(
-        self, betas: np.ndarray, gammas: np.ndarray, M: int, *, store_layers: bool = False
+        self, betas: list[np.ndarray], gammas: np.ndarray, *, store_layers: bool = False
     ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Evolve the split angles (see :func:`~repro.core.simulator.split_angles_batch`);
+        returns the final ``(D, M)`` state and, if asked, each round's
+        separator and mixer outputs."""
+        M = gammas.shape[1]
         # Every round's separator phases in one exp, as (p, D, M); the state
         # starts as the first round's phases times the uniform amplitude.
         phases = gammas[:, None, :] * self._neg_j_values[:, None]
@@ -186,7 +185,7 @@ class CompressedGroverAnsatz(Engine):
             np.empty((self.p, 2, self.dim, M), dtype=np.complex128) if store_layers else None
         )
         # Grover-layer update per round: a += (e^{-i beta} - 1) <psi0|a> / sqrt(N)
-        mixing = np.exp(-1j * betas)
+        mixing = np.exp(-1j * np.concatenate(betas))
         mixing -= 1.0
         a = phases[0]
         a *= self._amp0
@@ -200,18 +199,13 @@ class CompressedGroverAnsatz(Engine):
                 layers[k, 1] = a
         return a, layers
 
-    def _energies(self, a: np.ndarray) -> np.ndarray:
-        probs = np.abs(a)
-        np.square(probs, out=probs)
-        return self._weighted_values @ probs
-
     # ------------------------------------------------------------------
     def expectation_batch(self, angles: np.ndarray) -> np.ndarray:
         """``<C>`` for every row of an ``(M, 2p)`` angle matrix."""
-        betas, gammas, M = self._split(angles)
-        self.counter.forward_passes += M
-        final, _ = self._evolve_batch(betas, gammas, M)
-        return self._energies(final)
+        betas, gammas = split_angles_batch(angles, self.beta_counts)
+        self.counter.forward_passes += gammas.shape[1]
+        final, _ = self._evolve_batch(betas, gammas)
+        return weighted_sq_norms(self._weighted_values, final)
 
     def value_and_gradient_batch(self, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Batched expectation values and exact degeneracy-weighted adjoint gradients.
@@ -220,15 +214,16 @@ class CompressedGroverAnsatz(Engine):
         ``(dim, M)`` inner product collapsed to a degeneracy-weighted
         ``(D, M)`` reduction.  Shapes ``(M,)`` and ``(M, 2p)``.
         """
-        betas, gammas, M = self._split(angles)
+        betas, gammas = split_angles_batch(angles, self.beta_counts)
+        M = gammas.shape[1]
         self.counter.forward_passes += M
-        final, layers = self._evolve_batch(betas, gammas, M, store_layers=True)
-        energies = self._energies(final)
+        final, layers = self._evolve_batch(betas, gammas, store_layers=True)
+        energies = weighted_sq_norms(self._weighted_values, final)
 
         bra0 = self._bra0
         phi = final * self._values[:, None]
         phase = np.empty_like(phi)
-        unmixing = (np.exp(1j * betas) - 1.0) * self._amp0
+        unmixing = (np.exp(1j * np.concatenate(betas)) - 1.0) * self._amp0
         grad_betas = np.empty((self.p, M), dtype=np.float64)
         grad_gammas = np.empty((self.p, M), dtype=np.float64)
         for k in range(self.p - 1, -1, -1):
@@ -241,24 +236,18 @@ class CompressedGroverAnsatz(Engine):
             # phi <- exp(+i beta_k H_G) phi (the inverse Grover layer).
             phi += overlap * unmixing[k]
             # 2 Im <phi | C | chi_k> with degeneracy-weighted vdots.
-            grad_gammas[k] = 2.0 * (
-                self._weighted_values
-                @ (phi.real * chi_k.imag - phi.imag * chi_k.real)
-            )
+            grad_gammas[k] = 2.0 * weighted_imag_vdot(self._weighted_values, phi, chi_k)
             if k:
                 np.multiply.outer(self._neg_j_values, -gammas[k], out=phase)
                 phi *= np.exp(phase, out=phase)
 
-        gradient = np.empty((M, self.num_angles), dtype=np.float64)
-        gradient[:, : self.p] = grad_betas.T
-        gradient[:, self.p :] = grad_gammas.T
-        return energies, gradient
+        return energies, join_angles_batch([grad_betas], grad_gammas)
 
     def simulate(self, angles: np.ndarray) -> CompressedSimulation:
         """Full evolution returning a :class:`CompressedSimulation`."""
         angles = np.asarray(angles, dtype=np.float64).ravel()
-        betas, gammas, M = self._split(angles)
-        final, _ = self._evolve_batch(betas, gammas, M)
+        betas, gammas = split_angles_batch(angles, self.beta_counts)
+        final, _ = self._evolve_batch(betas, gammas)
         return CompressedSimulation(
             class_amplitudes=final[:, 0],
             spectrum=self.spectrum,

@@ -107,9 +107,9 @@ class ShardedAnsatz(Engine):
         self.dim = int(structure.dim)
         self.p = int(p)
         self.n = int(structure.n)
-        self.beta_counts = [config.betas_per_round] * self.p
+        self.beta_counts = self.executor.beta_counts
         self._total_betas = sum(self.beta_counts)
-        self.num_angles = self._total_betas + self.p
+        self.num_angles = self.executor.num_angles
         self.counter = EvaluationCounter()
 
     # ------------------------------------------------------------------

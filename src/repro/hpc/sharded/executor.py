@@ -51,16 +51,25 @@ Each worker evaluates its chunk's objective once, at setup, with
 dense construction): quadratic families run the split-half kernel on the
 chunk's labels, the others a bit matrix of them.
 
-Diagonal phases
----------------
-The phase separator and the ``x`` eigenphases exponentiate a ``(levels, m)``
-table of the chunk's distinct cost values (or mixer eigenvalues) and gather
-it into the state one row block at a time, with the ``1/dim`` of the
-transforms folded into the X table.  Each worker builds its chunk's levels
-and inverse indices (:func:`~repro.backend.base.distinct_levels`) on first
-use.  :func:`~repro.backend.base.level_table_pays` decides, as for the dense
-engine; many-level costs (float weights) keep the row-blocked exp, and
-multi-angle X exponentiates its per-column diagonal.
+Diagonal phases and reductions
+------------------------------
+The workers run the dense engine's numerics on their chunk; only the
+butterflies and the row-block buffers are their own.  The phase separator
+and the X eigenphases are :class:`~repro.backend.base.DiagonalPhase`, filled
+one row block at a time into one block buffer per call, with the ``1/dim``
+of the transforms folded into the X phases.  Each worker builds its chunk's
+distinct levels on first use (:func:`~repro.backend.base.distinct_levels`,
+kept with compact ``np.min_scalar_type`` indices when
+:func:`~repro.backend.base.level_table_pays`), so a call exponentiates one
+``(levels, m)`` table.  Many-level costs (float weights) exponentiate each
+row block, and multi-angle X its per-column diagonal.  Energies, norms and
+optimal-state probabilities are :func:`~repro.mixers.base.weighted_sq_norms`
+of the chunk; the last weighs it with the optimal mask, under the
+tolerances of ``PrecomputedCost.optimal_indices``.  The γ- and X
+β-derivatives are :func:`~repro.mixers.base.weighted_imag_vdot`.  Angles
+are split and gradients laid out by
+:func:`~repro.core.simulator.split_angles_batch` and
+:func:`~repro.core.simulator.join_angles_batch`, as in every engine.
 
 Shared prefixes
 ---------------
@@ -93,9 +102,17 @@ from pathlib import Path
 
 import numpy as np
 
-from ...backend.base import blocked_wht, distinct_levels, hadamard_blocks, level_table_pays
-from ...core.simulator import _prefix_runs
+from ...backend.base import (
+    DiagonalPhase,
+    blocked_wht,
+    distinct_levels,
+    hadamard_blocks,
+    level_table_pays,
+)
+from ...core.precompute import OPTIMAL_ATOL, OPTIMAL_RTOL
+from ...core.simulator import _prefix_runs, join_angles_batch, split_angles_batch
 from ...io.locking import FileLock
+from ...mixers.base import weighted_imag_vdot, weighted_sq_norms
 from ...mixers.xmixer import fold_x_terms, term_mask, x_mask_diagonal, x_order_terms
 from ...problems.registry import ProblemStructure, objective_on_labels
 from ..partition import Chunk, chunk_labels, split_dicke_space, split_full_space
@@ -110,9 +127,6 @@ __all__ = [
 
 #: Largest global dimension ``gather_state`` will materialize coordinator-side.
 GATHER_LIMIT = 1 << 22
-
-#: Optimal-state tolerance, matching ``PrecomputedCost.optimal_indices``.
-_OPT_RTOL, _OPT_ATOL = 1e-12, 1e-9
 
 
 class ShardedExecutionError(RuntimeError):
@@ -323,32 +337,13 @@ class _WorkerState:
                 self._levels[key] = None
         return self._levels[key]
 
-    def _phase(self, view: np.ndarray, values: np.ndarray, level_table, angles,
-               scale: float = 1.0) -> None:
-        """``view *= scale * exp(values ⊗ angles)``, one row block at a time.
-
-        With a ``level_table`` (see :meth:`_level_table`) the exp runs over
-        ``(levels, m)`` entries and each row block is a gather of them;
-        without one each row block is exponentiated.  ``values`` may also be
-        a per-column ``(local_dim, m)`` matrix with one scalar ``angles``.
-        """
+    def _phase(self, view: np.ndarray, phases: DiagonalPhase) -> None:
+        """``view *= phases``, one row block at a time through one block buffer."""
         step = self._row_chunk()
         block_buf = np.empty((min(step, self.local_dim), view.shape[1]), dtype=np.complex128)
-        if level_table is not None:
-            levels, inverse = level_table
-            table = np.exp(np.multiply.outer(levels, angles))
-            table *= scale
         for lo in range(0, self.local_dim, step):
-            hi = min(lo + step, self.local_dim)
-            block = block_buf[: hi - lo]
-            if level_table is None:
-                np.exp(np.multiply.outer(values[lo:hi], angles, out=block), out=block)
-                if scale != 1.0:
-                    block *= scale
-            else:
-                # in-range indices: an unbuffered gather straight into the block
-                np.take(table, inverse[lo:hi], axis=0, out=block, mode="clip")
-            view[lo:hi] *= block
+            block = phases.fill(block_buf[: min(step, self.local_dim - lo)], lo)
+            view[lo:lo + block.shape[0]] *= block
 
     # -- operations ------------------------------------------------------
     def setup(self, names: list[list[str]], batch: int) -> tuple[float, float]:
@@ -368,24 +363,24 @@ class _WorkerState:
 
     def cost_phase(self, slot: int, gammas: np.ndarray, sign: float) -> None:
         """Phase separator on the first ``len(gammas)`` columns of ``slot``."""
-        self._phase(
-            self.view(slot, gammas.size), self.values,
-            self._level_table("cost", self.values), sign * 1j * gammas,
-        )
+        levels = self._level_table("cost", self.values)
+        self._phase(self.view(slot, gammas.size),
+                    DiagonalPhase(self.values, gammas, sign, levels=levels))
 
     def diag_phase(self, slot: int, betas: np.ndarray, sign: float, scale: float) -> None:
         """Mixer eigenphases (times ``scale``) on the first ``betas.shape[1]`` columns."""
-        view = self.view(slot, betas.shape[1])
         mixer = self.cfg.mixer
         if mixer.kind == "x":
             d = self._chunk_diagonal()
-            self._phase(view, d, self._level_table("x", d), sign * 1j * betas[0], scale)
+            phases = DiagonalPhase(d, betas[0], sign, scale=scale,
+                                   levels=self._level_table("x", d))
         else:  # multi-angle: each column's diagonal is its own angle-weighted sum
             d = x_mask_diagonal(
                 mixer.masks, mixer.coeffs, self.local_bits, high=self._chunk_high(),
                 angles=betas,
             )
-            self._phase(view, d, None, sign * 1j, scale)
+            phases = DiagonalPhase(d, 1.0, sign, scale=scale)
+        self._phase(self.view(slot, betas.shape[1]), phases)
 
     def wht_local(self, slot: int, scratch: int, width: int | None = None) -> None:
         """Unnormalized WHT over the local index bits, in place, via ``scratch``."""
@@ -430,37 +425,14 @@ class _WorkerState:
         self.view(slot)[:] *= self.values[:, None]
 
     def expectation_part(self, slot: int) -> np.ndarray:
-        view = self.view(slot)
-        acc = np.zeros(self.batch, dtype=np.float64)
-        step = self._row_chunk()
-        for lo in range(0, self.local_dim, step):
-            hi = min(lo + step, self.local_dim)
-            block = view[lo:hi]
-            p2 = block.real ** 2 + block.imag ** 2
-            acc += self.values[lo:hi] @ p2
-        return acc
+        return weighted_sq_norms(self.values, self.view(slot))
 
     def norm_part(self, slot: int) -> np.ndarray:
-        view = self.view(slot)
-        acc = np.zeros(self.batch, dtype=np.float64)
-        step = self._row_chunk()
-        for lo in range(0, self.local_dim, step):
-            hi = min(lo + step, self.local_dim)
-            block = view[lo:hi]
-            acc += (block.real ** 2 + block.imag ** 2).sum(axis=0)
-        return acc
+        return weighted_sq_norms(np.ones(self.local_dim), self.view(slot))
 
     def gsp_part(self, slot: int, optimum: float) -> np.ndarray:
-        view = self.view(slot)
-        acc = np.zeros(self.batch, dtype=np.float64)
-        step = self._row_chunk()
-        for lo in range(0, self.local_dim, step):
-            hi = min(lo + step, self.local_dim)
-            mask = np.isclose(self.values[lo:hi], optimum, rtol=_OPT_RTOL, atol=_OPT_ATOL)
-            if mask.any():
-                block = view[lo:hi][mask]
-                acc += (block.real ** 2 + block.imag ** 2).sum(axis=0)
-        return acc
+        optimal = np.isclose(self.values, optimum, rtol=OPTIMAL_RTOL, atol=OPTIMAL_ATOL)
+        return weighted_sq_norms(optimal.astype(np.float64), self.view(slot))
 
     # -- adjoint-gradient helpers ---------------------------------------
     def _ensure_layers(self, p: int) -> np.ndarray:
@@ -480,16 +452,7 @@ class _WorkerState:
         return self.layers[k, j].sum(axis=0)
 
     def gamma_grad_part(self, phi_slot: int, k: int) -> np.ndarray:
-        phi = self.view(phi_slot)
-        chi = self.layers[k, 0]
-        acc = np.zeros(self.batch, dtype=np.float64)
-        step = self._row_chunk()
-        for lo in range(0, self.local_dim, step):
-            hi = min(lo + step, self.local_dim)
-            pb, cb = phi[lo:hi], chi[lo:hi]
-            imag = pb.real * cb.imag - pb.imag * cb.real
-            acc += self.values[lo:hi] @ imag
-        return acc
+        return weighted_imag_vdot(self.values, self.view(phi_slot), self.layers[k, 0])
 
     def xgrad_part(self, phi_slot: int, k: int) -> np.ndarray:
         """``sum_y d_t[y] Im(conj(phi[y]) mid[y])`` per term ``t`` (one row for
@@ -497,14 +460,7 @@ class _WorkerState:
         phi = self.view(phi_slot)
         psi = self.layers[k, 1]
         if self.cfg.mixer.kind == "x":
-            d = self._chunk_diagonal()
-            acc = np.zeros((1, self.batch), dtype=np.float64)
-            step = self._row_chunk()
-            for lo in range(0, self.local_dim, step):
-                hi = min(lo + step, self.local_dim)
-                pb, sb = phi[lo:hi], psi[lo:hi]
-                acc[0] += d[lo:hi] @ (pb.real * sb.imag - pb.imag * sb.real)
-            return acc
+            return weighted_imag_vdot(self._chunk_diagonal(), phi, psi)[None, :]
         # multi-angle: every term diagonal is a signed Hadamard row, so all
         # per-term sums are rows of one transform of the imaginary parts
         mixer = self.cfg.mixer
@@ -516,10 +472,14 @@ class _WorkerState:
         return weights[:, None] * imag[rows]
 
     # -- sampling / gather / io ------------------------------------------
-    def sample_local(self, slot: int, col: int, count: int, seed: int) -> np.ndarray:
+    def sample_local(self, slot: int, col: int, counts, seeds) -> np.ndarray:
+        """This shard's entry of ``counts`` labels, drawn with its entry of ``seeds``."""
+        count = int(counts[self.cfg.index])
+        if count == 0:
+            return np.zeros(0, dtype=np.int64)
         probs = np.abs(self.view(slot)[:, col]) ** 2
         cdf = np.cumsum(probs)
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seeds[self.cfg.index])
         draws = rng.random(count) * cdf[-1]
         indices = np.searchsorted(cdf, draws, side="right")
         np.clip(indices, 0, self.local_dim - 1, out=indices)
@@ -621,6 +581,7 @@ class ShardedExecutor:
         self.structure = structure
         self.mixer = mixer
         self.p = int(p)
+        self.beta_counts = [mixer.betas_per_round] * self.p
         self.n = int(structure.n)
         self.k = structure.k
         self.dim = int(structure.dim)
@@ -690,7 +651,7 @@ class ShardedExecutor:
     @property
     def num_angles(self) -> int:
         """Flat angle vector length (betas then gammas)."""
-        return self.mixer.betas_per_round * self.p + self.p
+        return sum(self.beta_counts) + self.p
 
     # -- command plumbing ------------------------------------------------
     def _command(self, op: str, *payload):
@@ -752,23 +713,6 @@ class ShardedExecutor:
             self._sim_slot = None
             self._sync()
 
-    # -- angle layout ----------------------------------------------------
-    def _split_batch(self, angles: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, int]:
-        angles = np.asarray(angles, dtype=np.float64)
-        if angles.ndim == 1:
-            angles = angles[None, :]
-        if angles.ndim != 2 or angles.shape[1] != self.num_angles:
-            raise ValueError(
-                f"expected an (M, {self.num_angles}) angle matrix "
-                f"({self.mixer.betas_per_round * self.p} betas + {self.p} gammas "
-                f"per row), got shape {angles.shape}"
-            )
-        transposed = np.ascontiguousarray(angles.T)
-        B = self.mixer.betas_per_round
-        beta_rounds = [transposed[k * B:(k + 1) * B] for k in range(self.p)]
-        gammas = transposed[B * self.p:]
-        return beta_rounds, gammas, angles.shape[0]
-
     # -- evolution -------------------------------------------------------
     def _other(self, slot: int) -> int:
         """The first allocated slot that is not ``slot``."""
@@ -820,7 +764,7 @@ class ShardedExecutor:
             record(t)
         return self._transform(t, self._other(t), betas_k.shape[1])
 
-    def _forward(self, beta_rounds, gammas, M: int, *, store_layers: bool = False) -> int:
+    def _forward(self, beta_rounds, gammas, *, store_layers: bool = False) -> int:
         """Evolve the batch; returns the slot that holds its full-width final state.
 
         Shared angle prefixes are evolved once, as in
@@ -832,6 +776,7 @@ class ShardedExecutor:
         full width through the run map.  When every row is its own run (M =
         1, random rows) no gather happens.
         """
+        M = gammas.shape[1]
         self.ensure_batch(M)
         fresh, runs = _prefix_runs(beta_rounds, gammas, False)
         widths = (runs[:, -1] + 1).tolist()
@@ -866,8 +811,8 @@ class ShardedExecutor:
 
     def expectation_batch(self, angles: np.ndarray) -> np.ndarray:
         """``<C>`` for every row of an ``(M, num_angles)`` angle matrix."""
-        beta_rounds, gammas, M = self._split_batch(angles)
-        cur = self._forward(beta_rounds, gammas, M)
+        beta_rounds, gammas = split_angles_batch(angles, self.beta_counts)
+        cur = self._forward(beta_rounds, gammas)
         self._sim_slot = cur
         return np.sum(self._command("expectation_part", cur), axis=0)
 
@@ -878,8 +823,9 @@ class ShardedExecutor:
         transform-domain adjoint recursion described in the module
         docstring.  Shapes ``(M,)`` and ``(M, num_angles)``.
         """
-        beta_rounds, gammas, M = self._split_batch(angles)
-        cur = self._forward(beta_rounds, gammas, M, store_layers=True)
+        beta_rounds, gammas = split_angles_batch(angles, self.beta_counts)
+        M = gammas.shape[1]
+        cur = self._forward(beta_rounds, gammas, store_layers=True)
         energies = np.sum(self._command("expectation_part", cur), axis=0)
 
         self._command("mul_values", cur)  # phi = C psi
@@ -911,14 +857,8 @@ class ShardedExecutor:
             if k:
                 self._command("cost_phase", cur, gammas[k], +1.0)
 
-        gradient = np.empty((M, self.num_angles), dtype=np.float64)
-        cursor = 0
-        for block in grad_beta_blocks:
-            gradient[:, cursor:cursor + block.shape[0]] = block.T
-            cursor += block.shape[0]
-        gradient[:, cursor:] = grad_gammas.T
         self._sim_slot = None  # the state buffers hold phi, not psi
-        return energies, gradient
+        return energies, join_angles_batch(grad_beta_blocks, grad_gammas)
 
     # -- result extraction ----------------------------------------------
     def simulate(self, angles: np.ndarray) -> dict:
@@ -930,8 +870,7 @@ class ShardedExecutor:
         next evolution overwrites it.
         """
         angles = np.asarray(angles, dtype=np.float64).ravel()
-        beta_rounds, gammas, _ = self._split_batch(angles[None, :])
-        cur = self._forward(beta_rounds, gammas, 1)
+        cur = self._forward(*split_angles_batch(angles, self.beta_counts))
         self._sim_slot = cur
         expectation = float(np.sum(self._command("expectation_part", cur), axis=0)[0])
         gsp = float(np.sum(self._command("gsp_part", cur, self.optimum), axis=0)[0])
@@ -955,7 +894,8 @@ class ShardedExecutor:
         """Draw measurement outcomes (full-space labels) from the resident state.
 
         Two-stage exact sampling: shard totals give a multinomial split of
-        the shots, then each worker samples its local distribution.
+        the shots, then one broadcast has each worker sample its local
+        distribution, with a seed drawn for every shard that got shots.
         """
         if shots < 1:
             raise ValueError("shots must be positive")
@@ -964,18 +904,8 @@ class ShardedExecutor:
         slot = self._require_state()
         totals = np.array([part[col] for part in self._command("norm_part", slot)])
         counts = rng.multinomial(shots, totals / totals.sum())
-        labels = []
-        for index, count in enumerate(counts):
-            if count == 0:
-                continue
-            seed = int(rng.integers(0, 2 ** 63 - 1))
-            conn = self._conns[index]
-            conn.send(("sample_local", slot, col, int(count), seed))
-            status, value = conn.recv()
-            if status != "ok":
-                raise ShardedExecutionError(f"shard {index}:\n{value}")
-            labels.append(value)
-        out = np.concatenate(labels) if labels else np.zeros(0, dtype=np.int64)
+        seeds = [int(rng.integers(0, 2 ** 63 - 1)) if count else None for count in counts]
+        out = np.concatenate(self._command("sample_local", slot, col, counts, seeds))
         return out[rng.permutation(out.size)]
 
     def gather_state(self, *, col: int = 0) -> np.ndarray:

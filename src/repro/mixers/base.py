@@ -35,14 +35,39 @@ import numpy as np
 from ..backend import kernels
 from ..hilbert.subspace import FeasibleSpace
 
-__all__ = ["Mixer", "DiagonalizedMixer", "weighted_imag_vdot"]
+__all__ = ["Mixer", "DiagonalizedMixer", "weighted_imag_vdot", "weighted_sq_norms"]
+
+#: Entries of the largest squared-modulus block :func:`weighted_sq_norms` forms.
+SQ_NORM_BLOCK = 1 << 20
 
 
 def weighted_imag_vdot(weights: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``Im(<a_j | diag(weights) | b_j>)`` for every column ``j`` (real weights)."""
+    """``Im(<a_j | diag(weights) | b_j>)`` for every column ``j`` (real weights).
+
+    Each term is one three-operand einsum over strided views of the real and
+    imaginary parts, so no ``(dim, M)`` temporary is formed.
+    """
     return np.einsum("d,dm,dm->m", weights, a.real, b.imag) - np.einsum(
         "d,dm,dm->m", weights, a.imag, b.real
     )
+
+
+def weighted_sq_norms(weights: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """``sum_y weights[y] |psi[y, j]|^2`` for every column ``j`` (real weights).
+
+    The engines' batched energies, the shard workers' norms and
+    optimal-state probabilities are this reduction: one ``kernels.matmul``
+    of the weights with the squared moduli, formed one row block of at most
+    :data:`SQ_NORM_BLOCK` entries at a time, so a large state needs no
+    ``(dim, M)`` float temporary.
+    """
+    step = max(1, SQ_NORM_BLOCK // max(1, psi.shape[1]))
+    total = np.zeros(psi.shape[1], dtype=np.float64)
+    for lo in range(0, psi.shape[0], step):
+        probs = np.abs(psi[lo:lo + step])
+        np.square(probs, out=probs)
+        total += kernels.matmul(weights[lo:lo + step], probs)
+    return total
 
 
 def layer_buffers(dim: int, M: int, workspace) -> tuple[np.ndarray, np.ndarray]:

@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..backend import kernels
-from ..backend.base import blocked_wht, distinct_levels, hadamard_blocks, level_table_pays
+from ..backend.base import DiagonalPhase, blocked_wht, distinct_levels, hadamard_blocks
 from ..hilbert.subspace import FullSpace
 from .base import Mixer, front_view, layer_buffers, per_input, weighted_imag_vdot
 
@@ -240,24 +240,14 @@ class XMixer(Mixer):
         # X-mixer spectra take few distinct values (the transverse field has
         # n + 1), so batched eigenphases are an exp over (levels, M) plus a
         # gather instead of an exp over the full (dim, M) matrix.
-        self._diag_values, self._diag_inverse = distinct_levels(self.diagonal)
+        self._levels = distinct_levels(self.diagonal)
 
-    def _phase_factors(self, betas: np.ndarray, phases: np.ndarray) -> np.ndarray:
-        """Eigenphases ``exp(-i beta_j d) / dim`` (the ``1/dim`` absorbs both
-        transform norms), gathered from a distinct-eigenvalue table when one pays."""
-        levels = self._diag_values
-        scale = 1.0 / self.dim
-        if level_table_pays(levels.size, self.dim):
-            table = np.empty((levels.size, betas.size), dtype=np.complex128)
-            np.multiply(levels[:, None], -1j * betas[None, :], out=table)
-            np.exp(table, out=table)
-            table *= scale
-            # in-range indices: an unbuffered gather straight into phases
-            return np.take(table, self._diag_inverse, axis=0, out=phases, mode="clip")
-        np.multiply(self.diagonal[:, None], -1j * betas[None, :], out=phases)
-        np.exp(phases, out=phases)
-        phases *= scale
-        return phases
+    def _phase_factors(self, betas: np.ndarray, sign: float, phases: np.ndarray) -> np.ndarray:
+        """Eigenphases ``exp(sign i beta_j d) / dim`` (the ``1/dim`` absorbs both
+        transform norms), written into ``phases``."""
+        return DiagonalPhase(
+            self.diagonal, betas, sign, scale=1.0 / self.dim, levels=self._levels
+        ).fill(phases)
 
     def apply_batch(
         self,
@@ -282,7 +272,7 @@ class XMixer(Mixer):
         Psi, out, M = self._check_batch(Psi, out, columns)
         betas = self._batch_angles(betas, M)
         return _hadamard_layer(
-            self, Psi, out, M, lambda free: self._phase_factors(betas, free), workspace,
+            self, Psi, out, M, lambda free: self._phase_factors(betas, -1.0, free), workspace,
             columns, record,
         )
 
@@ -292,7 +282,7 @@ class XMixer(Mixer):
         M = self._check_adjoint(Phi)
         betas = self._batch_angles(betas, M)
         return _hadamard_adjoint(
-            self, Phi, M, lambda free: self._phase_factors(-betas, free),
+            self, Phi, M, lambda free: self._phase_factors(betas, +1.0, free),
             lambda phi_t: 2.0 * weighted_imag_vdot(self.diagonal, phi_t, record)[None, :],
             workspace,
         )

@@ -49,19 +49,14 @@ def xy_subspace_matrix(n: int, k: int, pairs: Sequence[tuple[int, int]]) -> np.n
     """
     labels = dicke_labels(n, k)
     dim = len(labels)
-    index = {int(label): idx for idx, label in enumerate(labels)}
     mat = np.zeros((dim, dim), dtype=np.float64)
-    for a_idx, label in enumerate(labels):
-        label = int(label)
-        for i, j in pairs:
-            bi = (label >> i) & 1
-            bj = (label >> j) & 1
-            if bi == bj:
-                continue
-            swapped = label ^ ((1 << i) | (1 << j))
-            b_idx = index[swapped]
-            # (X X + Y Y) |01> = 2 |10>, so each differing pair contributes 2.
-            mat[b_idx, a_idx] += 2.0
+    for i, j in pairs:
+        # the states whose bits i and j differ, and their swapped partners
+        # (the labels ascend, so one searchsorted finds every partner's index)
+        src = np.flatnonzero(((labels >> i) ^ (labels >> j)) & 1)
+        dst = np.searchsorted(labels, labels[src] ^ ((1 << i) | (1 << j)))
+        # (X X + Y Y) |01> = 2 |10>, so each differing pair contributes 2.
+        mat[dst, src] += 2.0
     return mat
 
 

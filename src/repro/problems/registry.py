@@ -18,14 +18,19 @@ attaches the eager space on top.
 
 Evaluating the objective over the feasible space is the one large
 construction cost.  ``maxcut``, ``densest_subgraph``, ``vertex_cover``,
-``max_independent_set``, ``ising`` and ``qubo`` are degree-2 polynomials of
-the bits, so their structures carry a
+``max_independent_set``, ``ising``, ``qubo`` and ``hamming`` are degree-2
+polynomials of the bits, so their structures carry a
 :class:`~repro.problems.quadratic.QuadraticForm` (for
 ``max_independent_set``, a :class:`~repro.problems.quadratic.PenalizedForm`
-of two), and :func:`objective_on_labels` evaluates it on integer labels with
-one split-half kernel, with no ``(dim, n)`` bit matrix.  ``ksat``,
-``number_partition`` and ``hamming`` run ``cost_vectorized`` on the labels'
-bit matrix.  Dense construction (:meth:`ProblemInstance.objective_values`)
+of two; for ``hamming``, the cut form of the complete graph,
+``sum_{i<j} (x_i + x_j - 2 x_i x_j) = w (n - w)`` in integers), and
+:func:`objective_on_labels` evaluates it on integer labels with one
+split-half kernel, with no ``(dim, n)`` bit matrix.  ``ksat`` and
+``number_partition`` run ``cost_vectorized`` on the labels' bit matrix:
+``ksat`` counts satisfied clauses of ``sat_k`` literals (degree 3 for
+3-SAT), and ``number_partition``'s ``-(sum_i s_i w_i)^2`` is quadratic over
+float weights, whose split-half sums would not reproduce the bit-matrix
+values bit for bit.  Dense construction (:meth:`ProblemInstance.objective_values`)
 and the shard workers both go through :func:`objective_on_labels`.  The
 public ``*_values(graph, bits)`` functions stay the bit-matrix API and the
 reference the kernel is tested against.
@@ -52,7 +57,7 @@ from .extra import number_partition as _number_partition
 from .extra import number_partition_values as _number_partition_values
 from .extra import qubo_value as _qubo_value
 from .extra import qubo_values as _qubo_values
-from .graphs import erdos_renyi
+from .graphs import complete_graph, erdos_renyi
 from .ksat import ksat as _ksat
 from .ksat import ksat_values as _ksat_values
 from .ksat import random_ksat as _random_ksat
@@ -354,6 +359,8 @@ def make_problem_structure(
             ).astype(np.float64),
             metadata={"seed": seed},
             value_of_weight=lambda w, nn=n: float(w * (nn - w)),
+            # the cut form of the complete graph: sum_{i<j} (x_i + x_j - 2 x_i x_j)
+            quadratic=graph_form(complete_graph(n), edge_linear=1.0, edge_pair=-2.0),
         )
 
     if k is None:

@@ -3,7 +3,9 @@
 * ``kernels.matmul`` / ``kernels.real_gemm`` against raw numpy;
 * the blocked Walsh–Hadamard kernel (``kernels.wht_gemm``) against the
   dense ``±1`` Hadamard matrix, for every block split;
-* :func:`~repro.backend.base.distinct_levels` against ``np.unique``.
+* :func:`~repro.backend.base.distinct_levels` against ``np.unique``;
+* the reductions every engine shares, ``weighted_sq_norms`` (row-blocked)
+  and ``weighted_imag_vdot``, against one-shot numpy.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from scipy.linalg import hadamard
 
 from repro.backend import kernels
 from repro.backend.base import distinct_levels, hadamard_blocks
+from repro.mixers import base as mixers_base
+from repro.mixers.base import weighted_imag_vdot, weighted_sq_norms
 
 
 # ---------------------------------------------------------------------------
@@ -128,3 +132,28 @@ def test_distinct_levels_equals_unique_with_inverse(values):
     np.testing.assert_array_equal(levels, expected_levels)
     np.testing.assert_array_equal(inverse, expected_inverse)
     assert inverse.dtype == expected_inverse.dtype
+
+
+# ---------------------------------------------------------------------------
+# shared reductions vs one-shot numpy
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("rows,M", [(1000, 3), (1000, 1), (7, 2), (0, 2)])
+def test_weighted_sq_norms_row_blocks_equal_one_shot(monkeypatch, rows, M):
+    rng = np.random.default_rng(rows + M)
+    psi = rng.normal(size=(rows, M)) + 1j * rng.normal(size=(rows, M))
+    weights = rng.normal(size=rows)
+    expected = weights @ (np.abs(psi) ** 2)
+    # blocks of 64 // M rows: several per matrix, the last one short
+    monkeypatch.setattr(mixers_base, "SQ_NORM_BLOCK", 64)
+    got = weighted_sq_norms(weights, psi)
+    assert got.shape == (M,) and got.dtype == np.float64
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+
+def test_weighted_imag_vdot_equals_the_complex_product():
+    rng = np.random.default_rng(3)
+    a, b = (rng.normal(size=(50, 4)) + 1j * rng.normal(size=(50, 4)) for _ in range(2))
+    weights = rng.normal(size=50)
+    expected = np.imag(np.einsum("d,dm,dm->m", weights, a.conj(), b))
+    np.testing.assert_allclose(weighted_imag_vdot(weights, a, b), expected, rtol=1e-12)

@@ -14,7 +14,10 @@ from repro.problems import PROBLEM_NAMES, make_problem
 from repro.problems.quadratic import ising_form, qubo_form
 from repro.problems.registry import make_problem_structure, objective_on_labels
 
-QUADRATIC = ("maxcut", "densest_subgraph", "vertex_cover", "max_independent_set", "ising", "qubo")
+QUADRATIC = (
+    "maxcut", "densest_subgraph", "vertex_cover", "max_independent_set", "ising", "qubo",
+    "hamming",
+)
 #: families whose coefficients are floats: compared to a relative 1e-12
 FLOAT_FAMILIES = ("ising", "qubo")
 
@@ -102,7 +105,7 @@ def test_edgeless_graphs_and_single_bit(name):
 
 @pytest.mark.parametrize("name", PROBLEM_NAMES)
 def test_the_evaluator_is_chosen_by_the_coefficients(name):
-    """The six quadratic families carry coefficients; the rest use their bit matrix."""
+    """The seven quadratic families carry coefficients; the rest use their bit matrix."""
     problem = make_problem(name, 7, seed=4)
     assert (problem.quadratic is not None) == (name in QUADRATIC)
     expected = problem.cost_vectorized(problem.space.bits)

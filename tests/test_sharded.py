@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.angles.grid import _evolution_columns, grid_search
 from repro.api.mixers import make_mixer
+from repro.backend.base import DiagonalPhase
 from repro.core.ansatz import QAOAAnsatz
 from repro.hilbert import state_matrix
 from repro.hpc.partition import split_full_space
@@ -138,7 +139,7 @@ class TestShardedMatchesDense:
         finally:
             sharded.close()
 
-    @pytest.mark.parametrize("problem,n,k,mixer,p,shards,params", CASES[:3])
+    @pytest.mark.parametrize("problem,n,k,mixer,p,shards,params", CASES)
     def test_simulate_scalars_and_state(self, problem, n, k, mixer, p, shards, params):
         _, dense = _dense(problem, n, mixer, p, k=k, mixer_params=params)
         sharded = _sharded(problem, n, mixer, p, shards, k=k, mixer_params=params)
@@ -231,8 +232,10 @@ class TestShardedWorkerKernels:
             for scale in (1.0, 1.0 / (1 << n)):
                 expected = psi * scale * np.exp(sign * 1j * np.multiply.outer(values, angles))
                 for table in (levels, None):
+                    phases = DiagonalPhase(values, angles, sign, scale=scale, levels=table)
+                    assert (phases.table is None) == (table is None)
                     view = psi.copy()
-                    state._phase(view, values, table, sign * 1j * angles, scale)
+                    state._phase(view, phases)
                     np.testing.assert_allclose(view, expected, rtol=0, atol=1e-12)
 
     def test_worker_pins_blas_at_first_transform(self):
@@ -404,6 +407,29 @@ class TestShardedFaults:
         assert not set(names) & set(os.listdir("/dev/shm"))
 
 
+    def test_worker_killed_before_sampling_raises_sharded_error(self):
+        sharded = _sharded("maxcut", 8, "x", 1, 2)
+        executor = sharded.executor
+        command = executor._command
+
+        def kill_after_norms(op, *payload):
+            result = command(op, *payload)
+            if op == "norm_part":
+                victim = executor._procs[1]
+                os.kill(victim.pid, signal.SIGKILL)
+                victim.join()
+            return result
+
+        try:
+            sim = sharded.simulate(np.array([0.4, 0.9]))
+            executor._command = kill_after_norms
+            with pytest.raises(ShardedExecutionError, match="(?s)'sample_local'.*worker died"):
+                sim.sample(100, rng=0)
+        finally:
+            sharded.close()
+        assert not any(proc.is_alive() for proc in executor._procs)
+
+
 class TestShardedLifecycle:
     def test_batch_reshape_roundtrip(self):
         sharded = _sharded("maxcut", 6, "x", 1, 2)
@@ -429,6 +455,9 @@ class TestShardedLifecycle:
             assert labels.shape == (4000,)
             counts = np.bincount(labels, minlength=probs.size) / 4000.0
             assert np.abs(counts - probs).max() < 0.05
+            # one sampling broadcast, counted like every other op
+            assert sharded.executor.op_times()["sample_local"]["calls"] == 1
+            np.testing.assert_array_equal(sim.sample(4000, rng=7), labels)
         finally:
             sharded.close()
 

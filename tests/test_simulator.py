@@ -15,6 +15,7 @@ from repro.core import (
     evolve_state_batch,
     expectation_value_batch,
     get_exp_value,
+    join_angles_batch,
     random_angles,
     simulate,
     split_angles_batch,
@@ -29,15 +30,25 @@ class TestAngleHandling:
     def test_split_angles_layout(self, tf_mixer_6):
         schedule = MixerSchedule(tf_mixer_6, rounds=3)
         angles = np.arange(6.0)
-        betas, gammas = split_angles_batch(angles, schedule)
+        betas, gammas = split_angles_batch(angles, schedule.beta_counts())
         assert len(betas) == 3
         assert np.allclose(np.concatenate(betas).ravel(), [0, 1, 2])
         assert np.allclose(gammas.ravel(), [3, 4, 5])
 
     def test_split_angles_length_check(self, tf_mixer_6):
         schedule = MixerSchedule(tf_mixer_6, rounds=2)
-        with pytest.raises(ValueError):
-            split_angles_batch(np.zeros(5), schedule)
+        with pytest.raises(ValueError, match="angle matrix"):
+            split_angles_batch(np.zeros(5), schedule.beta_counts())
+
+    @pytest.mark.parametrize("beta_counts", [[1], [1, 1, 1], [3, 1], [2, 2]])
+    def test_join_angles_inverts_the_split(self, beta_counts):
+        angles = np.random.default_rng(0).random((4, sum(beta_counts) + len(beta_counts)))
+        betas, gammas = split_angles_batch(angles, beta_counts)
+        assert [block.shape for block in betas] == [(count, 4) for count in beta_counts]
+        assert gammas.shape == (len(beta_counts), 4)
+        joined = join_angles_batch(betas, gammas)
+        assert joined.flags.c_contiguous
+        np.testing.assert_array_equal(joined, angles)
 
     def test_random_angles_range_and_shape(self):
         angles = random_angles(4, rng=0)
