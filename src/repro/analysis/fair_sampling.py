@@ -37,14 +37,18 @@ def amplitude_spread_by_value(statevector: np.ndarray, obj_vals: np.ndarray) -> 
 
 
 def is_fair_sampling(result: QAOAResult, atol: float = 1e-10) -> bool:
-    """Whether a dense simulation result samples fairly (per value class)."""
-    spread = amplitude_spread_by_value(result.statevector, result.cost.values)
+    """Whether a dense simulation result samples fairly (per value class).
+
+    Reads the evolved ``state``, which lines up with ``cost.values`` (on the
+    flip-symmetric half too, whose pairs share their amplitude).
+    """
+    spread = amplitude_spread_by_value(result.state, result.cost.values)
     return all(v <= atol for v in spread.values())
 
 
 def value_class_probabilities(result: QAOAResult) -> dict[float, float]:
     """Total measurement probability of each objective-value class."""
-    probs = result.probabilities()
+    probs = np.abs(result.state) ** 2
     obj_vals = result.cost.values
     out: dict[float, float] = {}
     for value in np.unique(obj_vals):

@@ -22,6 +22,14 @@ Priority: compressed beats sharded beats dense (the compressed state is
 ``O(distinct)`` — smaller than any shard).  Strategies that rebuild per-round
 ansatze (``iterative``, ``fourier``) always run dense: they consume the dense
 cost object and per-layer schedules.
+
+Flip symmetry: on the dense and sharded engines a flip-symmetric problem
+under the ``x``, ``multiangle_x`` or full-space ``grover`` mixer runs on
+``n - 1`` qubits (:func:`~repro.core.symmetry.flip_reducible`, the function
+the solver and ``QAOAAnsatz.from_problem`` call too).  The plan's ``dim``
+stays the problem's; the auto-shard threshold and the shard-count checks
+compare the dimension the engine holds, and a shard count the halved state
+cannot hold runs unreduced.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
+from ..core.symmetry import flip_reducible
 from ..grover.compress import (
     CompressedObjective,
     compress_streaming,
@@ -85,6 +94,8 @@ class ExecutionPlan:
     dim: int
     shards: int | None = None
     distinct: int | None = None
+    #: the engine runs on the flip-symmetric half, of dimension ``dim // 2``
+    flip_reduced: bool = False
 
     def describe(self) -> str:
         """One human-readable line (what ``repro solve --explain`` prints)."""
@@ -93,7 +104,11 @@ class ExecutionPlan:
             extras.append(f"shards={self.shards}")
         if self.distinct is not None:
             extras.append(f"distinct={self.distinct}")
-        return f"{self.path} ({', '.join(extras)}): {self.reason}"
+        flip = ""
+        if self.flip_reduced:
+            flip = (f", flip-reduced to n-1 = {self.dim.bit_length() - 2} qubits "
+                    f"(dim {self.dim // 2})")
+        return f"{self.path} ({', '.join(extras)}){flip}: {self.reason}"
 
     def to_dict(self) -> dict:
         return {
@@ -102,6 +117,7 @@ class ExecutionPlan:
             "dim": self.dim,
             "shards": self.shards,
             "distinct": self.distinct,
+            "flip_reduced": self.flip_reduced,
         }
 
 
@@ -223,16 +239,18 @@ def select_execution_path(
     ``shards`` overrides the ``REPRO_SHARDS`` environment knob.
     """
     structure = memoized_structure(spec.problem)
-    dim = structure.dim
     mixer = _canonical(MIXERS, spec.mixer.name)
     strategy = _canonical(STRATEGIES, spec.strategy.name)
+    dim = structure.dim
+    # the dense engine's reduction, and the dimension it holds
+    flip = flip_reducible(structure, mixer)
+    held = dim >> flip
+
+    def dense(reason: str) -> ExecutionPlan:
+        return ExecutionPlan("dense", reason, dim, flip_reduced=flip)
 
     if strategy in DENSE_ONLY_STRATEGIES:
-        return ExecutionPlan(
-            "dense",
-            f"strategy {strategy!r} rebuilds per-round dense ansatze",
-            dim,
-        )
+        return dense(f"strategy {strategy!r} rebuilds per-round dense ansatze")
 
     if mixer == "grover" and dim > COMPRESSED_MIN_DIM:
         spectrum = spectrum_for(spec.problem)
@@ -256,41 +274,38 @@ def select_execution_path(
 
     if requested is not None:
         if not shardable:
-            return ExecutionPlan(
-                "dense",
+            return dense(
                 f"{source} ignored: mixer {mixer!r} "
                 "has no sharded decomposition"
-                + ("" if structure.k is None else " on a Dicke subspace"),
-                dim,
+                + ("" if structure.k is None else " on a Dicke subspace")
             )
         count = requested
-        if mixer != "grover" and (count & (count - 1) or dim % count):
-            return ExecutionPlan(
-                "dense",
+        # a count the halved state cannot hold runs unreduced
+        sharded_flip = flip_reducible(structure, mixer, shards=count)
+        sharded_held = dim >> sharded_flip
+        if mixer != "grover" and (count & (count - 1) or sharded_held % count):
+            return dense(
                 f"{source} ignored: WHT mixers need a "
-                f"power-of-two shard count dividing dim={dim}",
-                dim,
+                f"power-of-two shard count dividing dim={sharded_held}"
             )
-        count = min(count, dim)
         return ExecutionPlan(
-            "sharded", f"{source} requested {requested} shards", dim, shards=count
+            "sharded", f"{source} requested {requested} shards", dim,
+            shards=min(count, sharded_held), flip_reduced=sharded_flip,
         )
 
-    if dim >= SHARDED_AUTO_DIM and shardable:
-        count = _auto_shards(dim)
+    if held >= SHARDED_AUTO_DIM and shardable:
         return ExecutionPlan(
             "sharded",
-            f"dim {dim} >= {SHARDED_AUTO_DIM} exceeds the single-process "
+            f"dim {held} >= {SHARDED_AUTO_DIM} exceeds the single-process "
             "comfort zone",
             dim,
-            shards=count,
+            shards=_auto_shards(held),
+            flip_reduced=flip,
         )
 
-    if dim >= SHARDED_AUTO_DIM:
-        return ExecutionPlan(
-            "dense",
-            f"dim {dim} is large but mixer {mixer!r} has no sharded or "
-            "compressed path — expect heavy memory use",
-            dim,
+    if held >= SHARDED_AUTO_DIM:
+        return dense(
+            f"dim {held} is large but mixer {mixer!r} has no sharded or "
+            "compressed path — expect heavy memory use"
         )
-    return ExecutionPlan("dense", "statevector fits one process", dim)
+    return dense("statevector fits one process")

@@ -22,7 +22,7 @@ import json
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
 import numpy as np
@@ -31,6 +31,7 @@ from ..angles.result import AngleResult
 from ..core.ansatz import QAOAAnsatz
 from ..core.engine import Engine
 from ..core.simulator import QAOAResult
+from ..core.symmetry import flip_half, flip_reducible
 from ..mixers.base import Mixer
 from ..portfolio.budget import Budget
 from ..problems.registry import ProblemInstance, make_problem
@@ -256,9 +257,13 @@ class QAOASolver:
     ``plan`` optionally pins the execution path (an
     :class:`~repro.api.routing.ExecutionPlan`); by default
     :func:`~repro.api.routing.select_execution_path` routes the spec to the
-    dense, sharded or compressed engine.  Non-dense solvers never materialize
-    the feasible space — ``problem``/``mixer`` stay ``None``; every engine
-    carries its own optimum.  Sharded solvers own worker processes; call
+    dense, sharded or compressed engine.  On the dense and sharded engines a
+    flip-symmetric problem under a flip-invariant mixer runs on ``n - 1``
+    qubits (:func:`~repro.core.symmetry.flip_reducible`, decided here from
+    the problem, the mixer and the plan's shard count, as routing decides
+    it; ``plan.flip_reduced`` reports it, for a pinned plan too).  Non-dense
+    solvers never materialize the feasible space — ``problem``/``mixer``
+    stay ``None``; every engine carries its own optimum.  Sharded solvers own worker processes; call
     :meth:`close` (or use ``solve()``, which does) when finished.
 
     The construction seconds are reported once, as ``setup_s`` of the first
@@ -277,9 +282,9 @@ class QAOASolver:
         self.spec = spec
         if plan is None:
             plan = select_execution_path(spec)
-        self.plan = plan
         self.problem: ProblemInstance | None = None
         self.mixer: Mixer | None = None
+        flip = False
         if plan.path == "compressed":
             from ..grover.ansatz import CompressedGroverAnsatz
 
@@ -294,22 +299,29 @@ class QAOASolver:
                 maximize=structure.maximize,
             )
         elif plan.path == "sharded":
-            from ..hpc.sharded import ShardedAnsatz
+            from ..hpc.sharded import ShardedAnsatz, sharded_mixer_config
 
             structure = memoized_structure(spec.problem)
-            self.ansatz = ShardedAnsatz(
-                structure,
-                spec.mixer.name,
-                spec.p,
-                plan.shards,
-                mixer_params=dict(spec.mixer.params),
+            config = sharded_mixer_config(
+                spec.mixer.name, structure.n, dict(spec.mixer.params)
             )
+            flip = flip_reducible(structure, config.kind, shards=plan.shards)
+            if flip:
+                config = config.flip_folded(structure.n)
+                structure = flip_half(structure)
+            self.ansatz = ShardedAnsatz(structure, config, spec.p, plan.shards)
         else:
+            # from_problem runs a flip-symmetric problem on n - 1 qubits; the
+            # full-space mixer built here only describes the spec (its
+            # spectrum is built on first use, which folding avoids)
             self.problem = memoized_problem(spec.problem)
             self.mixer = make_mixer(
                 spec.mixer.name, self.problem.space, **spec.mixer.params
             )
             self.ansatz = QAOAAnsatz.from_problem(self.problem, self.mixer, spec.p)
+            flip = self.ansatz.cost.flip_pairs
+        # a pinned plan reports the reduction the engine was built with
+        self.plan = replace(plan, flip_reduced=flip)
         #: construction seconds not yet reported by a result
         self._unreported_setup_s = time.perf_counter() - started
 

@@ -24,6 +24,7 @@ from .engine import Engine
 from .gradients import EvaluationCounter, qaoa_value_and_gradient_batch
 from .precompute import PrecomputedCost
 from .simulator import QAOAResult, expectation_value_batch, simulate
+from .symmetry import flip_folded_mixer, flip_half_cost, flip_reducible
 from .workspace import BatchedWorkspace
 
 __all__ = ["QAOAAnsatz"]
@@ -93,7 +94,7 @@ class QAOAAnsatz(Engine):
         self.p = schedule.p
         self.beta_counts = schedule.beta_counts()
         self.num_angles = sum(self.beta_counts) + schedule.p
-        self.n = schedule.space.n
+        self.n = schedule.space.n + self.cost.flip_pairs  # the problem's qubits
         # Lazily created on the first kernel call; grown (never shrunk) to
         # the largest batch seen, then reused across every call.
         self._batched_workspace: BatchedWorkspace | None = None
@@ -116,12 +117,24 @@ class QAOAAnsatz(Engine):
         space and its optimization sense is honoured — the bridge the
         spec-driven :func:`repro.api.solve` facade uses.  ``problem`` is any
         object with ``objective_values()``, ``space`` and ``maximize``.
+
+        When :func:`~repro.core.symmetry.flip_reducible` holds (a
+        flip-symmetric quadratic objective under flip-invariant mixers, and no
+        custom ``initial_state``), the ansatz runs on the flip-symmetric half:
+        the objective at labels ``[0, 2^{n-1})`` and the folded mixers, an
+        ``n - 1``-qubit QAOA whose values and gradients are the full one's
+        and whose results expand to the full space.  Nothing full-space is
+        built: the full-space objective is never evaluated.
         """
-        cost = PrecomputedCost(
-            values=np.asarray(problem.objective_values(), dtype=np.float64),
-            space=problem.space,
-            maximize=problem.maximize,
-        )
+        if initial_state is None and flip_reducible(problem, mixer):
+            cost = flip_half_cost(problem)
+            mixer = flip_folded_mixer(mixer)
+        else:
+            cost = PrecomputedCost(
+                values=np.asarray(problem.objective_values(), dtype=np.float64),
+                space=problem.space,
+                maximize=problem.maximize,
+            )
         return cls(cost, mixer, p, initial_state=initial_state, maximize=problem.maximize)
 
     # ------------------------------------------------------------------

@@ -32,9 +32,12 @@ class Engine(abc.ABC):
     ``dim``
         Length of the state the batched kernels evolve per angle set (the
         distinct-value count for the compressed engine, the global dimension
-        for the sharded one); batched strategies size their batches from it.
+        for the sharded one, ``2^{n-1}`` on the flip-symmetric half of
+        :mod:`repro.core.symmetry`); batched strategies size their batches
+        from it.
     ``p``, ``num_angles``, ``n``
-        Rounds, flat angle-vector length (betas then gammas) and qubits.
+        Rounds, flat angle-vector length (betas then gammas) and the
+        problem's qubits.
     ``beta_counts``
         Betas each round consumes (a list of ``p`` ints: 1, or the term
         count of a multi-angle layer); evolution-order sweeps such as

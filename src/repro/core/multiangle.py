@@ -18,6 +18,7 @@ import numpy as np
 
 from ..mixers.schedules import MixerSchedule
 from ..mixers.xmixer import MultiAngleXMixer
+from .simulator import split_angles_batch
 
 __all__ = [
     "multi_angle_schedule",
@@ -58,11 +59,8 @@ def pack_angles(betas_per_round: Sequence[Sequence[float]], gammas: Sequence[flo
 def unpack_angles(
     angles: np.ndarray, schedule: MixerSchedule
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """Inverse of :func:`pack_angles` for a given schedule."""
+    """Inverse of :func:`pack_angles` for a given schedule (one row of
+    :func:`~repro.core.simulator.split_angles_batch`, which checks the length)."""
     angles = np.asarray(angles, dtype=np.float64).ravel()
-    expected = num_multi_angles(schedule)
-    if angles.size != expected:
-        raise ValueError(f"expected {expected} angles, got {angles.size}")
-    betas = schedule.split_betas(angles[: schedule.total_betas])
-    gammas = angles[schedule.total_betas :]
-    return betas, gammas
+    betas, gammas = split_angles_batch(angles, schedule.beta_counts())
+    return [chunk[:, 0] for chunk in betas], gammas[:, 0]

@@ -48,12 +48,19 @@ class PrecomputedCost:
     offset:
         Constant added to the raw objective (used to make all values share a
         sign, as recommended in Sec. 3 of the paper).
+    flip_pairs:
+        ``True`` for the flip-symmetric half of an objective with
+        ``C(x) = C(x̄)`` on one more qubit (see :mod:`repro.core.symmetry`):
+        entry ``x`` is the value at label ``x``, whose top bit is clear, and
+        at its complement, and a state's amplitude there stands for the pair
+        ``(|x> + |x̄>) / sqrt(2)``.  Results expand it to the full space.
     """
 
     values: np.ndarray
     space: FeasibleSpace | None = None
     maximize: bool = True
     offset: float = 0.0
+    flip_pairs: bool = False
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
@@ -127,6 +134,7 @@ class PrecomputedCost:
             space=self.space,
             maximize=self.maximize,
             offset=offset,
+            flip_pairs=self.flip_pairs,
         )
 
 

@@ -36,6 +36,7 @@ from ..backend.base import DiagonalPhase, distinct_levels
 from ..mixers.base import Mixer, weighted_sq_norms
 from ..mixers.schedules import MixerSchedule, as_schedule
 from .precompute import PrecomputedCost
+from .symmetry import complement_half, expand_flip_pairs
 from .workspace import BatchedWorkspace
 
 __all__ = [
@@ -111,24 +112,40 @@ def random_angles(
 class QAOAResult:
     """Output of one QAOA statevector simulation.
 
-    Stores the final statevector together with the objective values it was
-    evolved under, so that expectation values, per-state amplitudes and
-    ground-state (optimal-state) probabilities can all be extracted without
-    re-simulating — the behaviour of the special object returned by the
-    paper's ``simulate()``.
+    Stores the final state together with the objective values it was evolved
+    under, so that expectation values, per-state amplitudes and ground-state
+    (optimal-state) probabilities can all be extracted without re-simulating
+    — the behaviour of the special object returned by the paper's
+    ``simulate()``.  ``state`` holds the evolved amplitudes over the cost's
+    space; for a flip-reduced cost (``cost.flip_pairs``, see
+    :mod:`repro.core.symmetry`) that is the flip-symmetric half, which the
+    scalars reduce directly and the per-label quantities expand to all
+    ``2^n`` labels when asked for.
     """
 
-    statevector: np.ndarray
+    state: np.ndarray
     cost: PrecomputedCost
     angles: np.ndarray
     _cache: dict = field(default_factory=dict, repr=False)
 
     # -- core quantities -------------------------------------------------
+    @property
+    def statevector(self) -> np.ndarray:
+        """The final state over the feasible space (expanded to the full space,
+        and cached, for a flip-reduced run)."""
+        if not self.cost.flip_pairs:
+            return self.state
+        if "statevector" not in self._cache:
+            self._cache["statevector"] = expand_flip_pairs(self.state)
+        return self._cache["statevector"]
+
+    def _sq_norm(self, weights: np.ndarray) -> float:
+        return float(weighted_sq_norms(weights, self.state[:, None])[0])
+
     def expectation(self) -> float:
         """``<psi| C |psi>`` — the quantity the angle-finding loop optimizes."""
         if "expectation" not in self._cache:
-            probs = self.probabilities()
-            self._cache["expectation"] = float(np.dot(probs, self.cost.values))
+            self._cache["expectation"] = self._sq_norm(self.cost.values)
         return self._cache["expectation"]
 
     def probabilities(self) -> np.ndarray:
@@ -145,13 +162,20 @@ class QAOAResult:
         """Amplitude of the feasible state with full-space label ``label``."""
         if self.cost.space is None:
             raise ValueError("amplitude_of requires the feasible space to be attached")
-        return complex(self.statevector[self.cost.space.index_of(label)])
+        if self.cost.flip_pairs:
+            dim = self.state.size
+            if not 0 <= label < 2 * dim:
+                raise KeyError(f"state {label} is not in the feasible space")
+            index = label if label < dim else 2 * dim - 1 - label
+            return complex(self.state[index] / np.sqrt(2.0))
+        return complex(self.state[self.cost.space.index_of(label)])
 
     def ground_state_probability(self) -> float:
         """Total probability of measuring an optimal (best objective) state."""
         if "gs_prob" not in self._cache:
-            idx = self.cost.optimal_indices()
-            self._cache["gs_prob"] = float(self.probabilities()[idx].sum())
+            optimal = np.zeros(self.cost.dim)
+            optimal[self.cost.optimal_indices()] = 1.0
+            self._cache["gs_prob"] = self._sq_norm(optimal)
         return self._cache["gs_prob"]
 
     def approximation_ratio(self) -> float:
@@ -163,23 +187,26 @@ class QAOAResult:
 
     def norm(self) -> float:
         """Norm of the statevector (should be 1 up to round-off)."""
-        return float(np.linalg.norm(self.statevector))
+        return float(np.linalg.norm(self.state))
 
     # -- sampling ----------------------------------------------------------
     def sample(self, shots: int, rng: np.random.Generator | int | None = None) -> np.ndarray:
         """Draw measurement outcomes; returns full-space labels when available,
-        otherwise subspace indices."""
+        otherwise subspace indices.  A flip-reduced run draws a half label and
+        complements it with probability 1/2."""
         if shots < 1:
             raise ValueError("shots must be positive")
         if not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(rng)
         if "probs_normalized" not in self._cache:
-            probs = self.probabilities()
+            probs = np.abs(self.state) ** 2
             self._cache["probs_normalized"] = probs / probs.sum()
         probs = self._cache["probs_normalized"]
         indices = rng.choice(len(probs), size=shots, p=probs)
         if self.cost.space is not None:
-            return self.cost.space.labels[indices]
+            indices = self.cost.space.labels[indices]
+        if self.cost.flip_pairs:
+            return complement_half(indices, self.state.size, rng)
         return indices
 
     @property
@@ -439,7 +466,8 @@ def simulate_batch(
     if isinstance(obj_vals, PrecomputedCost):
         cost = obj_vals
         if cost.maximize != maximize:
-            cost = PrecomputedCost(values=cost.values.copy(), space=cost.space, maximize=maximize)
+            cost = PrecomputedCost(values=cost.values.copy(), space=cost.space,
+                                   maximize=maximize, flip_pairs=cost.flip_pairs)
     else:
         cost = PrecomputedCost(
             values=np.asarray(obj_vals, dtype=np.float64),
@@ -461,7 +489,7 @@ def simulate_batch(
     )
     results = []
     for j in range(angles.shape[0]):
-        result = QAOAResult(statevector=psi[:, j].copy(), cost=cost, angles=angles[j].copy())
+        result = QAOAResult(state=psi[:, j].copy(), cost=cost, angles=angles[j].copy())
         result._cache["p"] = schedule.p
         results.append(result)
     return results

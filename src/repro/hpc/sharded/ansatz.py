@@ -81,10 +81,14 @@ class ShardedAnsatz(Engine):
     Parameters
     ----------
     structure:
-        A :class:`~repro.problems.registry.ProblemStructure`.
-    mixer_name / mixer_params:
-        Mixer family spec, resolved via :func:`sharded_mixer_config`
-        (``x``, ``multiangle_x``, ``grover``).
+        A :class:`~repro.problems.registry.ProblemStructure` (the
+        flip-symmetric half of one, from
+        :func:`~repro.core.symmetry.flip_half`, runs on ``n - 1``
+        qubits and reports full-space results).
+    mixer / mixer_params:
+        Mixer family name, resolved via :func:`sharded_mixer_config`
+        (``x``, ``multiangle_x``, ``grover``), or a resolved
+        :class:`ShardedMixerConfig`.
     p:
         Number of QAOA rounds.
     shards:
@@ -94,19 +98,21 @@ class ShardedAnsatz(Engine):
     def __init__(
         self,
         structure,
-        mixer_name: str,
+        mixer: str | ShardedMixerConfig,
         p: int,
         shards: int,
         *,
         mixer_params: dict | None = None,
     ):
-        config = sharded_mixer_config(mixer_name, structure.n, mixer_params)
+        config = mixer
+        if isinstance(mixer, str):
+            config = sharded_mixer_config(mixer, structure.n, mixer_params)
         self.executor = ShardedExecutor(structure, config, p, shards)
         self.structure = structure
         self.maximize = bool(structure.maximize)
         self.dim = int(structure.dim)
         self.p = int(p)
-        self.n = int(structure.n)
+        self.n = int(structure.n) + structure.flip_pairs  # the problem's qubits
         self.beta_counts = self.executor.beta_counts
         self._total_betas = sum(self.beta_counts)
         self.num_angles = self.executor.num_angles

@@ -84,6 +84,15 @@ where it used to transform ``m``.  Recorded layers and the final state are
 written at full width, so reductions, sampling and gathers see one column
 per row.
 
+Flip symmetry
+-------------
+A flip-symmetric problem arrives as the ``n - 1``-qubit structure of its
+flip-symmetric half (:func:`~repro.core.symmetry.flip_half`, marked
+``flip_pairs``) with folded masks (:meth:`ShardedMixerConfig.flip_folded`),
+and runs like any other ``n - 1``-qubit problem on half the shared memory.
+Only :meth:`ShardedExecutor.sample` (complement each label with probability
+1/2) and :meth:`ShardedExecutor.gather_state` (expand) know about the pairs.
+
 Every op's compute seconds (per worker) and round-trip wall time (at the
 coordinator) are summed; :meth:`ShardedExecutor.op_times` reports them.
 """
@@ -96,7 +105,7 @@ import multiprocessing as mp
 import os
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
@@ -111,9 +120,16 @@ from ...backend.base import (
 )
 from ...core.precompute import OPTIMAL_ATOL, OPTIMAL_RTOL
 from ...core.simulator import _prefix_runs, join_angles_batch, split_angles_batch
+from ...core.symmetry import complement_half, expand_flip_pairs
 from ...io.locking import FileLock
 from ...mixers.base import weighted_imag_vdot, weighted_sq_norms
-from ...mixers.xmixer import fold_x_terms, term_mask, x_mask_diagonal, x_order_terms
+from ...mixers.xmixer import (
+    flip_fold_mask,
+    fold_x_terms,
+    term_mask,
+    x_mask_diagonal,
+    x_order_terms,
+)
 from ...problems.registry import ProblemStructure, objective_on_labels
 from ..partition import Chunk, chunk_labels, split_dicke_space, split_full_space
 from .workspace import ShardedWorkspace, attach_segment
@@ -157,6 +173,12 @@ class ShardedMixerConfig:
     def needs_wht(self) -> bool:
         """Whether applying this mixer requires the Walsh–Hadamard pipeline."""
         return self.kind in ("x", "multiangle_x")
+
+    def flip_folded(self, n: int) -> "ShardedMixerConfig":
+        """This ``n``-qubit mixer on the flip-symmetric half: every mask through
+        :func:`~repro.mixers.xmixer.flip_fold_mask`, same order and coefficients
+        (Grover has no masks: it is Grover on the half)."""
+        return replace(self, masks=tuple(flip_fold_mask(mask, n) for mask in self.masks))
 
 
 def sharded_mixer_config(name: str, n: int, params: dict | None = None) -> ShardedMixerConfig:
@@ -895,7 +917,9 @@ class ShardedExecutor:
 
         Two-stage exact sampling: shard totals give a multinomial split of
         the shots, then one broadcast has each worker sample its local
-        distribution, with a seed drawn for every shard that got shots.
+        distribution, with a seed drawn for every shard that got shots.  On
+        the flip-symmetric half (``structure.flip_pairs``) each label is then
+        complemented with probability 1/2.
         """
         if shots < 1:
             raise ValueError("shots must be positive")
@@ -906,17 +930,23 @@ class ShardedExecutor:
         counts = rng.multinomial(shots, totals / totals.sum())
         seeds = [int(rng.integers(0, 2 ** 63 - 1)) if count else None for count in counts]
         out = np.concatenate(self._command("sample_local", slot, col, counts, seeds))
-        return out[rng.permutation(out.size)]
+        out = out[rng.permutation(out.size)]
+        if self.structure.flip_pairs:
+            return complement_half(out, self.dim, rng)
+        return out
 
     def gather_state(self, *, col: int = 0) -> np.ndarray:
-        """Concatenate the resident final state (small dims only; tests)."""
-        if self.dim > GATHER_LIMIT:
+        """Concatenate the resident final state (small dims only; tests),
+        expanded to the full space on the flip-symmetric half."""
+        flip = self.structure.flip_pairs
+        if self.dim << flip > GATHER_LIMIT:
             raise ValueError(
-                f"refusing to gather a dim-{self.dim} statevector into the "
+                f"refusing to gather a dim-{self.dim << flip} statevector into the "
                 f"coordinator (limit {GATHER_LIMIT})"
             )
         slot = self._require_state()
-        return np.concatenate(self._command("gather", slot, col))
+        state = np.concatenate(self._command("gather", slot, col))
+        return expand_flip_pairs(state) if flip else state
 
     # -- checkpointing ----------------------------------------------------
     def checkpoint(self, directory: str | os.PathLike) -> None:

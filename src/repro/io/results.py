@@ -35,7 +35,7 @@ def result_to_dict(result: QAOAResult, *, include_statevector: bool = False) -> 
         "p": result.p,
         "angles": result.angles.tolist(),
         "optimum": result.cost.optimum,
-        "dim": result.cost.dim,
+        "dim": result.cost.dim << result.cost.flip_pairs,  # the full space's
     }
     if include_statevector:
         payload["statevector_real"] = np.real(result.statevector).tolist()

@@ -236,6 +236,16 @@ class Mixer(abc.ABC):
     # ------------------------------------------------------------------
     # defaults
     # ------------------------------------------------------------------
+    #: Whether the mixer commutes with the global flip ``X^{⊗n}`` and starts
+    #: from a flip-invariant state, so that :meth:`flip_folded` exists.
+    flip_invariant: bool = False
+
+    def flip_folded(self) -> "Mixer":
+        """This mixer on the flip-symmetric half of its space, as an ordinary
+        ``n - 1``-qubit mixer (only when :attr:`flip_invariant`; see
+        :mod:`repro.core.symmetry`)."""
+        raise TypeError(f"{type(self).__name__} does not commute with the global flip")
+
     def initial_state(self, dtype=np.complex128) -> np.ndarray:
         """Default QAOA initial state: uniform superposition over the space."""
         return self.space.initial_state(dtype=dtype)

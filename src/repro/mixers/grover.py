@@ -21,6 +21,8 @@ exploits.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from ..backend import kernels
@@ -35,18 +37,40 @@ class GroverMixer(Mixer):
 
     def __init__(self, space: FeasibleSpace, initial: np.ndarray | None = None):
         super().__init__(space)
-        if initial is None:
-            initial = space.initial_state()
-        initial = np.asarray(initial, dtype=np.complex128)
-        if initial.shape != (space.dim,):
-            raise ValueError(f"initial state has shape {initial.shape}, expected ({space.dim},)")
-        norm = np.linalg.norm(initial)
-        if not np.isclose(norm, 1.0):
-            if norm == 0:
-                raise ValueError("initial state must be non-zero")
-            initial = initial / norm
-        self.psi0 = initial
-        self._psi0_conj = initial.conj()
+        if initial is not None:
+            initial = np.asarray(initial, dtype=np.complex128)
+            if initial.shape != (space.dim,):
+                raise ValueError(
+                    f"initial state has shape {initial.shape}, expected ({space.dim},)"
+                )
+            norm = np.linalg.norm(initial)
+            if not np.isclose(norm, 1.0):
+                if norm == 0:
+                    raise ValueError("initial state must be non-zero")
+                initial = initial / norm
+        self._initial = initial
+
+    @cached_property
+    def psi0(self) -> np.ndarray:
+        """The start state the mixer projects onto (the uniform one built on first use)."""
+        return self.space.initial_state() if self._initial is None else self._initial
+
+    @cached_property
+    def _psi0_conj(self) -> np.ndarray:
+        return self.psi0.conj()
+
+    @property
+    def flip_invariant(self) -> bool:
+        """The uniform state over the full space is flip-invariant; other spaces
+        and custom start states are not taken to be."""
+        return self._initial is None and self.space.is_full
+
+    def flip_folded(self) -> "GroverMixer":
+        """The Grover mixer of the flip-symmetric half: the uniform state over
+        the half is the full uniform state, so it is Grover on ``FullSpace(n - 1)``."""
+        if not self.flip_invariant:
+            return super().flip_folded()
+        return GroverMixer(FullSpace(self.n - 1))
 
     def _add_psi0(self, out: np.ndarray, factors: np.ndarray, workspace) -> None:
         """``out += |psi0> factors``: one outer-product update of every column."""

@@ -81,16 +81,15 @@ class MixerSchedule:
         return sum(self.beta_counts())
 
     def split_betas(self, betas: np.ndarray) -> list[np.ndarray]:
-        """Split a flat beta vector into per-round angle chunks."""
+        """Split a flat beta vector into per-round angle chunks (the beta part
+        of :func:`~repro.core.simulator.split_angles_batch`)."""
+        from ..core.simulator import split_angles_batch  # core builds on this module
+
         betas = np.asarray(betas, dtype=np.float64).ravel()
         if betas.size != self.total_betas:
             raise ValueError(f"expected {self.total_betas} beta angles, got {betas.size}")
-        chunks = []
-        cursor = 0
-        for count in self.beta_counts():
-            chunks.append(betas[cursor : cursor + count])
-            cursor += count
-        return chunks
+        rounds, _ = split_angles_batch(np.append(betas, np.zeros(self.p)), self.beta_counts())
+        return [chunk[:, 0] for chunk in rounds]
 
     def initial_state(self, dtype=np.complex128) -> np.ndarray:
         """Initial state proposed by the first mixer in the schedule."""

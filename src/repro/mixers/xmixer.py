@@ -22,11 +22,16 @@ The diagonal entries follow from ``Z_{i1}...Z_{ik} |x> = (-1)^{popcount(x & mask
     d[x] = sum_t  c_t  (-1)^{popcount(x & mask_t)} ,
 
 which is itself the unnormalized Walsh–Hadamard transform of the term
-coefficients scattered at their masks — one transform builds ``d``.
+coefficients scattered at their masks — one transform builds ``d`` (on
+first use, so building a mixer only to fold it costs nothing).
+
+X strings commute with the global flip; :func:`flip_fold_mask` gives a term
+on the flip-symmetric half (see :mod:`repro.core.symmetry`).
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -40,6 +45,7 @@ from .base import Mixer, front_view, layer_buffers, per_input, weighted_imag_vdo
 __all__ = [
     "walsh_hadamard_transform",
     "term_mask",
+    "flip_fold_mask",
     "fold_x_terms",
     "x_mask_diagonal",
     "x_term_diagonal",
@@ -146,6 +152,24 @@ def term_mask(term: Sequence[int], n: int) -> int:
     return mask
 
 
+def flip_fold_mask(mask: int, n: int) -> int:
+    """An ``n``-qubit X-string mask as it acts on the flip-symmetric half.
+
+    On states with equal amplitudes at ``x`` and its complement, X on the top
+    qubit equals X on the ``n - 1`` others, so a mask with the top bit set
+    becomes ``(mask ^ top) ^ (top - 1)`` on the low ``n - 1`` qubits (the
+    all-qubit string becomes the identity, mask 0); others are unchanged.
+    """
+    top = 1 << (n - 1)
+    return mask ^ top ^ (top - 1) if mask & top else mask
+
+
+def _flip_folded_terms(masks: Sequence[int], n: int) -> list[tuple[int, ...]]:
+    """Qubit tuples of :func:`flip_fold_mask` of every mask, in term order."""
+    folded = [flip_fold_mask(mask, n) for mask in masks]
+    return [tuple(q for q in range(n - 1) if mask >> q & 1) for mask in folded]
+
+
 def fold_x_terms(
     masks: Sequence[int], coefficients: Sequence[float], n: int, high: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -233,14 +257,29 @@ class XMixer(Mixer):
         if len(coefficients) != len(terms):
             raise ValueError("coefficients and terms must have the same length")
         self.terms = terms
+        self.masks = [term_mask(term, n) for term in terms]
         self.coefficients = coefficients
-        # The pre-computed Hadamard-basis diagonal: the only per-mixer data the
-        # simulation loop ever touches.
-        self.diagonal = x_term_diagonal(terms, coefficients, n)
+
+    #: X strings commute with the global flip (see :meth:`flip_folded`).
+    flip_invariant = True
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """The Hadamard-basis diagonal: the only per-mixer data the simulation
+        loop ever touches (built on first use)."""
+        return x_mask_diagonal(self.masks, self.coefficients, self.n)
+
+    @cached_property
+    def _levels(self) -> tuple[np.ndarray, np.ndarray]:
         # X-mixer spectra take few distinct values (the transverse field has
         # n + 1), so batched eigenphases are an exp over (levels, M) plus a
         # gather instead of an exp over the full (dim, M) matrix.
-        self._levels = distinct_levels(self.diagonal)
+        return distinct_levels(self.diagonal)
+
+    def flip_folded(self) -> "XMixer":
+        """This mixer on the flip-symmetric half: the ``n - 1``-qubit X mixer of
+        the folded terms (:func:`flip_fold_mask`), same order and coefficients."""
+        return XMixer(self.n - 1, _flip_folded_terms(self.masks, self.n), self.coefficients)
 
     def _phase_factors(self, betas: np.ndarray, sign: float, phases: np.ndarray) -> np.ndarray:
         """Eigenphases ``exp(sign i beta_j d) / dim`` (the ``1/dim`` absorbs both
@@ -362,10 +401,26 @@ class MultiAngleXMixer(Mixer):
         if not terms:
             raise ValueError("a multi-angle X mixer needs at least one term")
         self.terms = terms
-        self.term_diagonals = np.stack([x_term_diagonal([t], [1.0], n) for t in terms], axis=0)
+        self.masks = [term_mask(term, n) for term in terms]
+
+    #: X strings commute with the global flip (see :meth:`flip_folded`).
+    flip_invariant = True
+
+    @cached_property
+    def term_diagonals(self) -> np.ndarray:
+        """``(num_terms, dim)`` Hadamard-basis diagonals, one per term (built on first use)."""
+        return np.stack([x_mask_diagonal([mask], [1.0], self.n) for mask in self.masks])
+
+    @cached_property
+    def _term_diag_T_negj(self) -> np.ndarray:
         # (dim, num_terms) factor pre-scaled by -i, so the batched per-column
         # phase exponents are a single GEMM with the (num_terms, M) angles.
-        self._term_diag_T_negj = np.ascontiguousarray(-1j * self.term_diagonals.T)
+        return np.ascontiguousarray(-1j * self.term_diagonals.T)
+
+    def flip_folded(self) -> "MultiAngleXMixer":
+        """This mixer on the flip-symmetric half: the folded terms
+        (:func:`flip_fold_mask`) in the same order, so the angle layout is unchanged."""
+        return MultiAngleXMixer(self.n - 1, _flip_folded_terms(self.masks, self.n))
 
     @property
     def num_angles(self) -> int:

@@ -1,6 +1,6 @@
 """Quadratic objectives evaluated directly on integer labels.
 
-Six registry families are degree-2 polynomials in the bits of a state:
+Seven registry families are degree-2 polynomials in the bits of a state:
 
     C(x) = const + sum_i h_i x_i + sum_{i<j} J_ij x_i x_j .
 
@@ -106,6 +106,20 @@ class QuadraticForm:
         out += g[hi]
         return out
 
+    @cached_property
+    def flip_symmetric(self) -> bool:
+        """Whether ``C(x) == C(x̄)`` for every ``x`` (``x̄`` the complement of ``x``).
+
+        ``C(x̄) - C(x)`` is affine in ``x``, so the form is symmetric exactly
+        when ``linear[i] == -1/2 sum_j (pairs[i, j] + pairs[j, i])`` for every
+        ``i``; the constant then cancels.  The comparison is exact: the
+        integer families (MaxCut, ``hamming``, field-free ``ising``) meet it,
+        and a form that misses it by an ulp counts as not symmetric.
+        """
+        return bool(np.array_equal(
+            self.linear, -0.5 * (self.pairs.sum(axis=0) + self.pairs.sum(axis=1))
+        ))
+
 
 @dataclass(frozen=True)
 class PenalizedForm:
@@ -123,6 +137,11 @@ class PenalizedForm:
     def values(self, labels: np.ndarray) -> np.ndarray:
         """The penalized objective at each full-space label (strictly ascending)."""
         return self.objective.values(labels) - self.penalty * self.violations.values(labels)
+
+    @property
+    def flip_symmetric(self) -> bool:
+        """Whether both forms are flip-symmetric (see :attr:`QuadraticForm.flip_symmetric`)."""
+        return self.objective.flip_symmetric and self.violations.flip_symmetric
 
 
 def _form(n: int, const: float, linear: np.ndarray, pairs: np.ndarray) -> QuadraticForm:

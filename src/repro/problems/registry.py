@@ -121,6 +121,10 @@ class ProblemStructure:
         :class:`~repro.problems.quadratic.PenalizedForm`) when it is a
         degree-2 polynomial of the bits (``None`` otherwise);
         :func:`objective_on_labels` then evaluates it without a bit matrix.
+    flip_pairs:
+        ``True`` for the flip-symmetric half of an ``n + 1``-bit problem
+        (:func:`repro.core.symmetry.flip_half`): label ``x`` stands
+        for ``x`` and its ``n + 1``-bit complement.
     """
 
     name: str
@@ -132,6 +136,7 @@ class ProblemStructure:
     metadata: dict = field(default_factory=dict)
     value_of_weight: Callable[[int], float] | None = None
     quadratic: QuadraticForm | PenalizedForm | None = None
+    flip_pairs: bool = False
 
     @property
     def dim(self) -> int:
