@@ -5,8 +5,9 @@ the same amplitude, so only the distinct values and their degeneracies are
 needed.  This example:
 
 1. verifies the compressed engine against the dense simulator at n = 10,
-2. runs a 3-SAT Grover-QAOA whose spectrum is counted in parallel worker
-   processes without ever materializing the 2^n objective vector,
+2. runs a 3-SAT Grover-QAOA on the spectrum ``solve()``'s routing builds
+   (``spectrum_for``: the objective enumerated once, then only its distinct
+   values and their degeneracies kept),
 3. simulates a 100-qubit Hamming-weight objective whose degeneracies are known
    analytically, and optimizes its angles with the compressed adjoint gradient.
 
@@ -18,16 +19,14 @@ Run with:  python examples/grover_large_n.py
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 from scipy.optimize import minimize
 
-from repro import grover_mixer, simulate, state_matrix
+from repro import ProblemSpec, grover_mixer, simulate, state_matrix
+from repro.api.routing import spectrum_for
 from repro.grover import CompressedGroverAnsatz, compress_objective, hamming_weight_spectrum
-from repro.hpc import parallel_compress
 from repro.problems import erdos_renyi, maxcut_values
-from repro.problems.ksat import ksat_values, random_ksat
+from repro.problems.registry import make_problem_structure
 
 
 def main() -> None:
@@ -44,10 +43,10 @@ def main() -> None:
     print(f"[n={n} MaxCut]  dense <C> = {dense:.6f}   compressed <C> = {compressed:.6f}")
     print(f"               distinct objective values: {spectrum.num_distinct} of {spectrum.total}")
 
-    # --- 2. parallel degeneracy counting for a 3-SAT instance --------------
+    # --- 2. the routed spectrum of a 3-SAT instance -----------------------
     n_sat = 16
-    instance = random_ksat(n_sat, k=3, clause_density=6.0, seed=1)
-    spectrum_sat = parallel_compress(partial(ksat_values, instance), n_sat, processes=4)
+    instance = make_problem_structure("ksat", n_sat, seed=1).metadata["instance"]
+    spectrum_sat = spectrum_for(ProblemSpec("ksat", n_sat, seed=1))
     engine_sat = CompressedGroverAnsatz(spectrum_sat, 3, n=n_sat)
     result = engine_sat.simulate(engine_sat.random_angles(rng))
     print(

@@ -13,8 +13,9 @@ Every spec-driven solve runs through exactly one of three engines:
 * **compressed** — :class:`~repro.grover.ansatz.CompressedGroverAnsatz`:
   Grover-mixer evolution over the distinct-value spectrum (paper Sec. 2.4).
   Selected for Grover-mixer specs whose spectrum is both *obtainable*
-  (analytic for Hamming-weight objectives at any ``n``, streamed degeneracy
-  counting below :data:`STREAMING_SPECTRUM_LIMIT`) and *degenerate enough*
+  (analytic for Hamming-weight objectives at any ``n``, otherwise enumerated
+  with :func:`~repro.problems.registry.objective_on_labels` up to
+  :data:`STREAMING_SPECTRUM_LIMIT` states) and *degenerate enough*
   (``distinct * COMPRESSED_ADVANTAGE <= dim``) above
   :data:`COMPRESSED_MIN_DIM`.
 
@@ -41,13 +42,10 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..core.symmetry import flip_reducible
-from ..grover.compress import (
-    CompressedObjective,
-    compress_streaming,
-    compress_streaming_dicke,
-    hamming_weight_spectrum,
-)
-from ..problems.registry import ProblemStructure, make_problem_structure
+from ..grover.compress import CompressedObjective, compress_objective, hamming_weight_spectrum
+from ..hilbert.dicke import dicke_labels
+from ..hilbert.states import state_labels
+from ..problems.registry import ProblemStructure, make_problem_structure, objective_on_labels
 from .mixers import MIXERS
 from .spec import ProblemSpec, SolveSpec
 from .strategies import STRATEGIES
@@ -74,8 +72,9 @@ COMPRESSED_ADVANTAGE = 8
 #: Full-space dimension at which sharding engages without ``REPRO_SHARDS``.
 SHARDED_AUTO_DIM = 1 << 24
 
-#: Largest dimension the router will *stream over* to discover a spectrum.
-#: Above it only analytic (Hamming-weight) spectra are available.
+#: Largest dimension the router enumerates to discover a spectrum: its label
+#: and value arrays take at most 8 MB each.  Above it only analytic
+#: (Hamming-weight) spectra are available.
 STREAMING_SPECTRUM_LIMIT = 1 << 20
 
 #: Mixer families with a sharded decomposition.
@@ -163,10 +162,12 @@ def memoized_structure(problem: ProblemSpec) -> ProblemStructure:
 def spectrum_for(problem: ProblemSpec) -> CompressedObjective | None:
     """The compressed value spectrum of ``problem``, or ``None`` if unobtainable.
 
-    Analytic Hamming-weight spectra work at any ``n``; otherwise the objective
-    is streamed over the feasible space (chunked, never materialized) up to
-    :data:`STREAMING_SPECTRUM_LIMIT` states.  Results — including the
-    negative ``None`` — are memoized per problem spec.
+    Analytic Hamming-weight spectra work at any ``n``.  Otherwise, up to
+    :data:`STREAMING_SPECTRUM_LIMIT` states, the spectrum is
+    :func:`~repro.grover.compress.compress_objective` of
+    :func:`~repro.problems.registry.objective_on_labels` over the feasible
+    labels: the values dense construction computes, bit for bit.  Results —
+    including the negative ``None`` — are memoized per problem spec.
     """
     key = _problem_key(problem)
     with _memo_lock:
@@ -178,12 +179,9 @@ def spectrum_for(problem: ProblemSpec) -> CompressedObjective | None:
     if structure.k is None and structure.value_of_weight is not None:
         spectrum = hamming_weight_spectrum(structure.n, structure.value_of_weight)
     elif structure.dim <= STREAMING_SPECTRUM_LIMIT:
-        if structure.k is None:
-            spectrum = compress_streaming(structure.cost_vectorized, structure.n)
-        else:
-            spectrum = compress_streaming_dicke(
-                structure.cost_vectorized, structure.n, structure.k
-            )
+        labels = (state_labels(structure.n) if structure.k is None
+                  else dicke_labels(structure.n, structure.k))
+        spectrum = compress_objective(objective_on_labels(structure, labels))
     with _memo_lock:
         _spectrum_memo[key] = spectrum
         _spectrum_memo.move_to_end(key)

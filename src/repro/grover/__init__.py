@@ -5,8 +5,6 @@ from .compress import (
     CompressedObjective,
     binomial_spectrum,
     compress_objective,
-    compress_streaming,
-    compress_streaming_dicke,
     hamming_weight_spectrum,
 )
 
@@ -16,7 +14,5 @@ __all__ = [
     "CompressedSimulation",
     "binomial_spectrum",
     "compress_objective",
-    "compress_streaming",
-    "compress_streaming_dicke",
     "hamming_weight_spectrum",
 ]

@@ -6,12 +6,12 @@ the simulation only needs the *distinct* objective values and how many states
 take each value (the degeneracies), not the full ``2^n`` value vector.  That
 compressed spectrum is what enables Grover-QAOA simulation up to ``n ≈ 100``.
 
-Three ways of obtaining the compressed spectrum are provided:
+Two ways of obtaining the compressed spectrum are provided:
 
-* :func:`compress_objective` — from an explicit value vector (small ``n``),
-* :func:`compress_streaming` — by streaming over the feasible space in chunks
-  without ever materializing the full vector (this is the path that
-  parallelizes across workers; see :mod:`repro.grover.parallel`),
+* :func:`compress_objective` — from an explicit value vector.  Routing
+  (:func:`repro.api.routing.spectrum_for`) enumerates a spectrum this way,
+  from :func:`repro.problems.registry.objective_on_labels` over the feasible
+  labels, up to ``2^20`` states,
 * analytic constructors for structured objectives
   (:func:`hamming_weight_spectrum`, :func:`binomial_spectrum`) where the
   degeneracies follow from counting arguments and arbitrary ``n`` is possible.
@@ -28,13 +28,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..hilbert.bitops import gosper_iter, ints_to_bit_matrix
-
 __all__ = [
     "CompressedObjective",
     "compress_objective",
-    "compress_streaming",
-    "compress_streaming_dicke",
     "hamming_weight_spectrum",
     "binomial_spectrum",
 ]
@@ -101,17 +97,6 @@ class CompressedObjective:
         degs = self.degeneracy_array()
         return float(np.dot(self.values, degs) / float(self.total))
 
-    def merge(self, other: "CompressedObjective") -> "CompressedObjective":
-        """Combine two partial spectra (e.g. from different workers)."""
-        combined: dict[float, int] = {}
-        for value, deg in zip(self.values, self.degeneracies):
-            combined[float(value)] = combined.get(float(value), 0) + deg
-        for value, deg in zip(other.values, other.degeneracies):
-            combined[float(value)] = combined.get(float(value), 0) + deg
-        values = np.array(sorted(combined), dtype=np.float64)
-        degs = tuple(combined[float(v)] for v in values)
-        return CompressedObjective(values=values, degeneracies=degs, total=self.total + other.total)
-
     def expand(self) -> np.ndarray:
         """The full (sorted) objective vector — only sensible for small totals."""
         if self.total > 1 << 22:
@@ -139,83 +124,6 @@ def compress_objective(
         degeneracies=tuple(int(c) for c in counts),
         total=int(vals.size),
     )
-
-
-def compress_streaming(
-    cost_vectorized: Callable[[np.ndarray], np.ndarray],
-    n: int,
-    *,
-    start: int = 0,
-    stop: int | None = None,
-    chunk_size: int = 1 << 14,
-    decimals: int | None = None,
-) -> CompressedObjective:
-    """Compress the objective over labels ``[start, stop)`` without storing all values.
-
-    The label range is processed in chunks; each chunk is converted to a bit
-    matrix, evaluated with ``cost_vectorized`` and folded into a running
-    value → count dictionary.  Partitioning ``[0, 2^n)`` across workers and
-    merging the partial spectra reproduces the paper's multi-worker degeneracy
-    counting for unconstrained problems.
-    """
-    if stop is None:
-        stop = 1 << n
-    if not 0 <= start <= stop <= (1 << n):
-        raise ValueError(f"invalid label range [{start}, {stop}) for n={n}")
-    if chunk_size < 1:
-        raise ValueError("chunk size must be positive")
-    counts: dict[float, int] = {}
-    position = start
-    while position < stop:
-        block = np.arange(position, min(position + chunk_size, stop), dtype=np.int64)
-        bits = ints_to_bit_matrix(block, n)
-        vals = np.asarray(cost_vectorized(bits), dtype=np.float64)
-        if decimals is not None:
-            vals = np.round(vals, decimals)
-        distinct, block_counts = np.unique(vals, return_counts=True)
-        for value, count in zip(distinct, block_counts):
-            counts[float(value)] = counts.get(float(value), 0) + int(count)
-        position += chunk_size
-    values = np.array(sorted(counts), dtype=np.float64)
-    degs = tuple(counts[float(v)] for v in values)
-    return CompressedObjective(values=values, degeneracies=degs, total=stop - start)
-
-
-def compress_streaming_dicke(
-    cost_vectorized: Callable[[np.ndarray], np.ndarray],
-    n: int,
-    k: int,
-    *,
-    chunk_size: int = 1 << 14,
-    decimals: int | None = None,
-) -> CompressedObjective:
-    """Compress the objective over all Hamming-weight-``k`` states via Gosper iteration."""
-    counts: dict[float, int] = {}
-    buffer: list[int] = []
-    total = 0
-
-    def flush() -> None:
-        nonlocal total
-        if not buffer:
-            return
-        bits = ints_to_bit_matrix(np.array(buffer, dtype=np.int64), n)
-        vals = np.asarray(cost_vectorized(bits), dtype=np.float64)
-        if decimals is not None:
-            vals = np.round(vals, decimals)
-        distinct, block_counts = np.unique(vals, return_counts=True)
-        for value, count in zip(distinct, block_counts):
-            counts[float(value)] = counts.get(float(value), 0) + int(count)
-        total += len(buffer)
-        buffer.clear()
-
-    for label in gosper_iter(n, k):
-        buffer.append(label)
-        if len(buffer) >= chunk_size:
-            flush()
-    flush()
-    values = np.array(sorted(counts), dtype=np.float64)
-    degs = tuple(counts[float(v)] for v in values)
-    return CompressedObjective(values=values, degeneracies=degs, total=total)
 
 
 def hamming_weight_spectrum(n: int, value_of_weight: Callable[[int], float]) -> CompressedObjective:

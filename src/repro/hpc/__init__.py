@@ -1,4 +1,8 @@
-"""HPC helpers: state-space partitioning, multi-process pre-computation, memory accounting."""
+"""HPC helpers: state-space partitioning, worker pools, memory accounting.
+
+The statevector and its objective precompute are distributed across shard
+worker processes by :mod:`repro.hpc.sharded`.
+"""
 
 from .memory import (
     dense_unitary_bytes,
@@ -8,13 +12,7 @@ from .memory import (
     simulator_memory_estimate,
     statevector_bytes,
 )
-from .parallel import (
-    default_workers,
-    evaluate_chunk,
-    parallel_compress,
-    parallel_imap_unordered,
-    parallel_objective_values,
-)
+from .parallel import default_workers, parallel_imap_unordered
 from .partition import Chunk, chunk_labels, split_dicke_space, split_full_space, split_range
 
 __all__ = [
@@ -25,10 +23,7 @@ __all__ = [
     "simulator_memory_estimate",
     "statevector_bytes",
     "default_workers",
-    "evaluate_chunk",
-    "parallel_compress",
     "parallel_imap_unordered",
-    "parallel_objective_values",
     "Chunk",
     "chunk_labels",
     "split_dicke_space",

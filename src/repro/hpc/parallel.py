@@ -1,13 +1,13 @@
-"""Multi-process evaluation of objective values and degeneracy counts.
+"""Worker pools for independent jobs: experiment sweeps and figure runs.
 
-This is the CPU analogue of the paper's "spread across many threads or GPUs"
-pre-computation: the feasible space is partitioned into chunks
-(:mod:`repro.hpc.partition`), each worker evaluates its chunk with the
-vectorized cost function, and the partial results are concatenated (objective
-vectors) or merged (compressed degeneracy spectra).
+:func:`parallel_imap_unordered` hands each item to a worker process and
+yields the results as they complete; :func:`default_workers` sizes the pool.
+The multi-worker objective precompute lives in the shard workers
+(:mod:`repro.hpc.sharded`), which evaluate their chunk of the feasible space
+with :func:`~repro.problems.registry.objective_on_labels`.
 
-Callables passed to the process pool must be picklable (module-level functions
-or :func:`functools.partial` of them).  ``processes=1`` short-circuits to a
+The worker passed to a pool must be picklable (a module-level function or a
+:func:`functools.partial` of one).  ``processes=1`` short-circuits to a
 serial loop so the same code path works in restricted environments and in
 tests.
 """
@@ -18,19 +18,10 @@ import os
 import warnings
 from functools import partial
 from multiprocessing import get_context
-from typing import Callable, Iterable, Iterator, Sequence
-
-import numpy as np
-
-from ..grover.compress import CompressedObjective, compress_objective
-from ..hilbert.bitops import ints_to_bit_matrix
-from .partition import Chunk, chunk_labels, split_dicke_space, split_full_space
+from typing import Callable, Iterable, Iterator
 
 __all__ = [
     "default_workers",
-    "evaluate_chunk",
-    "parallel_objective_values",
-    "parallel_compress",
     "parallel_imap_unordered",
 ]
 
@@ -59,44 +50,6 @@ def _pool_context():
         return get_context()
 
 
-def evaluate_chunk(
-    chunk: Chunk,
-    cost_vectorized: Callable[[np.ndarray], np.ndarray],
-    n: int,
-    k: int | None = None,
-) -> np.ndarray:
-    """Objective values of a single chunk (runs inside a worker process)."""
-    labels = chunk_labels(chunk, n, k)
-    if labels.size == 0:
-        return np.zeros(0, dtype=np.float64)
-    bits = ints_to_bit_matrix(labels, n)
-    return np.asarray(cost_vectorized(bits), dtype=np.float64)
-
-
-def _compress_chunk(
-    chunk: Chunk,
-    cost_vectorized: Callable[[np.ndarray], np.ndarray],
-    n: int,
-    k: int | None = None,
-    decimals: int | None = None,
-) -> CompressedObjective | None:
-    vals = evaluate_chunk(chunk, cost_vectorized, n, k)
-    if vals.size == 0:
-        # An empty chunk contributes nothing.  It must NOT be encoded as a
-        # value-0.0 single-state spectrum: merge() would fold that phantom
-        # state in as real, inflating the total, shifting the mean, and even
-        # becoming the reported optimum when all true values are negative.
-        return None
-    return compress_objective(vals, decimals=decimals)
-
-
-def _run_chunks(worker, chunks: Sequence[Chunk], processes: int):
-    if processes <= 1 or len(chunks) <= 1:
-        return [worker(chunk) for chunk in chunks]
-    with _pool_context().Pool(processes=min(processes, len(chunks))) as pool:
-        return pool.map(worker, chunks)
-
-
 def _apply_indexed(worker, indexed):
     index, item = indexed
     return index, worker(item)
@@ -110,13 +63,13 @@ def parallel_imap_unordered(
 ) -> Iterator[tuple[int, object]]:
     """Yield ``(index, worker(item))`` pairs as results complete, in any order.
 
-    This is the streaming analogue of :func:`_run_chunks` used by the
-    experiment runner: results are handed back as soon as a worker finishes so
-    the caller can persist them incrementally (crash-safe sweeps).  With
-    ``processes<=1`` or a single item the work runs serially in-process, which
-    keeps the code path identical in restricted environments and in tests.
-    ``worker`` must be picklable (a module-level function or
-    :func:`functools.partial` of one) when more than one process is used.
+    The experiment runner uses it: results are handed back as soon as a
+    worker finishes so the caller can persist them incrementally (crash-safe
+    sweeps).  With ``processes<=1`` or a single item the work runs serially
+    in-process, which keeps the code path identical in restricted
+    environments and in tests.  ``worker`` must be picklable (a module-level
+    function or :func:`functools.partial` of one) when more than one process
+    is used.
     """
     items = list(items)
     processes = default_workers() if processes is None else max(1, processes)
@@ -126,59 +79,3 @@ def parallel_imap_unordered(
         return
     with _pool_context().Pool(processes=min(processes, len(items))) as pool:
         yield from pool.imap_unordered(partial(_apply_indexed, worker), enumerate(items))
-
-
-def parallel_objective_values(
-    cost_vectorized: Callable[[np.ndarray], np.ndarray],
-    n: int,
-    *,
-    k: int | None = None,
-    processes: int | None = None,
-) -> np.ndarray:
-    """Objective values over the full (or weight-``k``) space, computed across workers.
-
-    Returns the values in the canonical state order (ascending labels for the
-    full space, ascending weight-``k`` labels for Dicke spaces), matching what
-    the serial pre-computation would produce.
-    """
-    processes = default_workers() if processes is None else max(1, processes)
-    chunks = (
-        split_full_space(n, processes) if k is None else split_dicke_space(n, k, processes)
-    )
-    worker = partial(evaluate_chunk, cost_vectorized=cost_vectorized, n=n, k=k)
-    pieces = _run_chunks(worker, chunks, processes)
-    return np.concatenate([p for p in pieces if p.size]) if pieces else np.zeros(0)
-
-
-def parallel_compress(
-    cost_vectorized: Callable[[np.ndarray], np.ndarray],
-    n: int,
-    *,
-    k: int | None = None,
-    processes: int | None = None,
-    decimals: int | None = None,
-) -> CompressedObjective:
-    """Distinct objective values + degeneracies computed across workers and merged.
-
-    This is the multi-worker degeneracy counting of Sec. 2.4: each worker
-    compresses its own chunk, and the partial spectra are merged without any
-    worker (or the parent) ever holding the full value vector.
-    """
-    processes = default_workers() if processes is None else max(1, processes)
-    chunks = (
-        split_full_space(n, processes) if k is None else split_dicke_space(n, k, processes)
-    )
-    chunks = [c for c in chunks if c.size > 0]
-    worker = partial(_compress_chunk, cost_vectorized=cost_vectorized, n=n, k=k, decimals=decimals)
-    pieces = [p for p in _run_chunks(worker, chunks, processes) if p is not None]
-    if not pieces:
-        # Mirrors CompressedObjective.__post_init__'s contract instead of the
-        # bare IndexError a pieces[0] lookup would raise.
-        raise ValueError(
-            "cannot compress an empty feasible space: "
-            "compressed spectrum must contain at least one value"
-        )
-    merged = pieces[0]
-    for piece in pieces[1:]:
-        merged = merged.merge(piece)
-    return merged

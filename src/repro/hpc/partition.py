@@ -1,7 +1,7 @@
-"""Partitioning of state spaces across workers.
+"""Partitioning of state spaces across shard workers.
 
-The pre-computation step (objective evaluation, Grover degeneracy counting) is
-embarrassingly parallel once the feasible space is split into disjoint chunks.
+Each shard worker (:mod:`repro.hpc.sharded`) owns one disjoint chunk of the
+feasible space and evaluates its objective there, with no communication.
 The paper notes that the full hypercube partitions trivially as integer ranges
 and that Hamming-weight-``k`` spaces can be walked with Gosper's hack; the
 combinatorial ranking of :mod:`repro.hilbert.dicke` lets us jump straight to

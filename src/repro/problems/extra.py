@@ -88,13 +88,20 @@ def number_partition(weights: Sequence[float], x: np.ndarray) -> float:
 
 
 def number_partition_values(weights: Sequence[float], bits: np.ndarray) -> np.ndarray:
-    """Vectorized number-partitioning objective."""
+    """Vectorized number-partitioning objective.
+
+    The imbalance accumulates one item at a time, so each row's value does
+    not depend on the other rows (a BLAS ``signs @ w`` splits rows across
+    threads and kernels by the matrix's height), and a state and its
+    complement score exactly the same.
+    """
     w = np.asarray(weights, dtype=np.float64)
     bits = np.asarray(bits)
     if bits.ndim != 2 or bits.shape[1] != w.shape[0]:
         raise ValueError(f"bit matrix has shape {bits.shape}, expected (*, {w.shape[0]})")
-    signs = 2.0 * bits - 1.0
-    imbalance = signs @ w
+    imbalance = np.zeros(bits.shape[0])
+    for i, weight in enumerate(w):
+        imbalance += (2.0 * bits[:, i] - 1.0) * weight
     return -(imbalance**2)
 
 

@@ -9,16 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api.routing import spectrum_for
+from repro.api.spec import ProblemSpec
 from repro.grover.compress import (
     CompressedObjective,
     binomial_spectrum,
     compress_objective,
-    compress_streaming,
-    compress_streaming_dicke,
     hamming_weight_spectrum,
 )
-from repro.hilbert import DickeSpace, state_matrix
-from repro.problems import densest_subgraph_values, maxcut_values
+from repro.hilbert import state_matrix
+from repro.problems import PROBLEM_NAMES, make_problem
+from repro.problems.registry import make_problem_structure, objective_on_labels
 
 
 class TestCompressedObjective:
@@ -42,14 +43,6 @@ class TestCompressedObjective:
         assert spec.optimum == 5.0
         assert spec.optimum_degeneracy == 1
         assert np.isclose(spec.mean(), (0 * 2 + 1 * 5 + 5 * 1) / 8)
-
-    def test_merge(self):
-        a = CompressedObjective(values=np.array([0.0, 1.0]), degeneracies=(2, 2), total=4)
-        b = CompressedObjective(values=np.array([1.0, 3.0]), degeneracies=(1, 3), total=4)
-        merged = a.merge(b)
-        assert merged.total == 8
-        assert np.array_equal(merged.values, [0.0, 1.0, 3.0])
-        assert merged.degeneracies == (2, 3, 3)
 
     def test_expand_roundtrip(self):
         vals = np.array([0.0, 0.0, 1.0, 2.0, 2.0, 2.0])
@@ -90,39 +83,76 @@ class TestCompressObjective:
 
 
 class TestStreamingCompression:
-    def test_full_space_matches_dense(self, small_graph, maxcut_obj):
-        spec_stream = compress_streaming(
-            lambda bits: maxcut_values(small_graph, bits), 6, chunk_size=7
-        )
+    """Enumerated spectra: ``objective_on_labels`` over the feasible labels.
+
+    ``spectrum_for`` builds them; the bit-matrix families stream through
+    ``objective_on_labels`` in blocks of ``BIT_MATRIX_BLOCK`` labels.
+    """
+
+    def test_full_space_matches_dense(self, maxcut_obj):
+        # conftest's small_graph is the seed-1 MaxCut instance's graph
+        spec_stream = spectrum_for(ProblemSpec("maxcut", 6, seed=1))
         spec_dense = compress_objective(maxcut_obj)
         assert np.array_equal(spec_stream.values, spec_dense.values)
         assert spec_stream.degeneracies == spec_dense.degeneracies
 
-    def test_partial_range(self, small_graph, maxcut_obj):
-        spec = compress_streaming(
-            lambda bits: maxcut_values(small_graph, bits), 6, start=10, stop=30, chunk_size=8
-        )
+    def test_partial_range(self, maxcut_obj):
+        structure = make_problem_structure("maxcut", 6, seed=1)
+        spec = compress_objective(objective_on_labels(structure, np.arange(10, 30)))
         expected = compress_objective(maxcut_obj[10:30])
         assert np.array_equal(spec.values, expected.values)
         assert spec.degeneracies == expected.degeneracies
         assert spec.total == 20
 
-    def test_invalid_range(self, small_graph):
-        with pytest.raises(ValueError):
-            compress_streaming(lambda b: np.zeros(len(b)), 4, start=5, stop=3)
-        with pytest.raises(ValueError):
-            compress_streaming(lambda b: np.zeros(len(b)), 4, chunk_size=0)
-
-    def test_dicke_space_matches_dense(self, small_graph):
-        space = DickeSpace(6, 3)
-        dense_vals = densest_subgraph_values(small_graph, space.bits)
-        spec_stream = compress_streaming_dicke(
-            lambda bits: densest_subgraph_values(small_graph, bits), 6, 3, chunk_size=6
-        )
-        spec_dense = compress_objective(dense_vals)
+    def test_dicke_space_matches_dense(self, dks_obj):
+        spec_stream = spectrum_for(ProblemSpec("densest_subgraph", 6, seed=1, params={"k": 3}))
+        spec_dense = compress_objective(dks_obj)
         assert np.array_equal(spec_stream.values, spec_dense.values)
         assert spec_stream.degeneracies == spec_dense.degeneracies
         assert spec_stream.total == comb(6, 3)
+
+
+#: Families on a Dicke space (the others run on the full space).
+DICKE_FAMILIES = ("densest_subgraph", "vertex_cover")
+
+#: Families with non-integer values, where the quadratic kernel and the
+#: bit-matrix ``*_values`` functions may round differently.
+FLOAT_FAMILIES = ("ising", "qubo")
+
+
+@st.composite
+def routed_problems(draw):
+    name = draw(st.sampled_from(PROBLEM_NAMES))
+    n = draw(st.integers(min_value=3, max_value=10))
+    params = {"k": draw(st.integers(min_value=0, max_value=n))} if name in DICKE_FAMILIES else {}
+    return name, n, draw(st.integers(min_value=0, max_value=2**16)), params
+
+
+@given(routed_problems())
+@settings(max_examples=80, deadline=None)
+def test_property_routed_spectrum_is_the_dense_objective(problem):
+    """Routing's spectrum is the dense engine's objective vector, compressed."""
+    name, n, seed, params = problem
+    instance = make_problem(name, n, seed=seed, **params)
+    spectrum = spectrum_for(ProblemSpec(name, n, seed=seed, params=params))
+
+    dense = compress_objective(instance.objective_values())
+    assert np.array_equal(spectrum.values, dense.values)
+    assert spectrum.degeneracies == dense.degeneracies
+    assert spectrum.total == dense.total == instance.space.dim
+
+    # Independent reference: the family's bit-matrix function on every state.
+    reference = compress_objective(instance.cost_vectorized(instance.space.bits))
+    if name in FLOAT_FAMILIES:
+        assert np.allclose(spectrum.expand(), reference.expand(), rtol=0.0, atol=1e-12)
+    else:
+        assert np.array_equal(spectrum.values, reference.values)
+        assert spectrum.degeneracies == reference.degeneracies
+
+    if name == "number_partition":
+        # Every value is negative: a phantom 0.0 state (an empty chunk once
+        # counted as one) would show up as the optimum and in the total.
+        assert spectrum.optimum == instance.objective_values().max() < 0
 
 
 class TestAnalyticSpectra:

@@ -1,8 +1,7 @@
-"""Tests for state-space partitioning, parallel pre-computation and memory accounting."""
+"""Tests for state-space partitioning, chunked objective evaluation, worker pools and memory."""
 
 from __future__ import annotations
 
-from functools import partial
 from math import comb
 
 import numpy as np
@@ -10,16 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.grover import compress_objective
-from repro.hilbert import DickeSpace, dicke_labels, state_matrix
+from repro.hilbert import DickeSpace, dicke_labels, state_labels, state_matrix
 from repro.hpc import (
     Chunk,
     chunk_labels,
     default_workers,
-    evaluate_chunk,
-    parallel_compress,
     parallel_imap_unordered,
-    parallel_objective_values,
     split_dicke_space,
     split_full_space,
     split_range,
@@ -32,20 +27,25 @@ from repro.hpc.memory import (
     simulator_memory_estimate,
     statevector_bytes,
 )
-from repro.hpc.parallel import _compress_chunk
-from repro.problems import erdos_renyi
 from repro.problems.maxcut import maxcut_values
+from repro.problems.registry import make_problem_structure, objective_on_labels
 
 
 @pytest.fixture(scope="module")
-def graph8():
-    return erdos_renyi(8, 0.5, seed=20)
+def maxcut8():
+    """MaxCut on ``erdos_renyi(8, 0.5, seed=20)``, as the shard workers receive it."""
+    return make_problem_structure("maxcut", 8, seed=20)
 
 
-def _negated_weight_cost(bits, offset=0.0):
-    """All-negative objective with several distinct values (picklable for pools)."""
-    weights = np.arange(1, bits.shape[1] + 1, dtype=np.float64)
-    return -(bits @ weights) - offset
+@pytest.fixture(scope="module")
+def graph8(maxcut8):
+    return maxcut8.metadata["graph"]
+
+
+def _maxcut8_chunk_values(chunk):
+    """One worker's share: the ``maxcut8`` objective on its chunk (picklable for pools)."""
+    structure = make_problem_structure("maxcut", 8, seed=20)
+    return objective_on_labels(structure, chunk_labels(chunk, 8))
 
 
 class TestSplitRange:
@@ -118,76 +118,33 @@ class TestSpacePartitioning:
 
 
 class TestParallelPrecompute:
-    def test_serial_matches_direct(self, graph8):
+    """Each shard worker evaluates its chunk with ``objective_on_labels``."""
+
+    def test_serial_matches_direct(self, maxcut8, graph8):
         expected = maxcut_values(graph8, state_matrix(8))
-        values = parallel_objective_values(partial(maxcut_values, graph8), 8, processes=1)
+        values = objective_on_labels(maxcut8, state_labels(8))
+        assert np.allclose(values, expected)
+
+    def test_dicke_space_parallel(self, maxcut8, graph8):
+        expected = maxcut_values(graph8, DickeSpace(8, 4).bits)
+        values = np.concatenate([
+            objective_on_labels(maxcut8, chunk_labels(chunk, 8, 4))
+            for chunk in split_dicke_space(8, 4, 2)
+        ])
         assert np.allclose(values, expected)
 
     def test_multiprocess_matches_direct(self, graph8):
         expected = maxcut_values(graph8, state_matrix(8))
-        values = parallel_objective_values(partial(maxcut_values, graph8), 8, processes=3)
-        assert np.allclose(values, expected)
+        chunks = split_full_space(8, 3)
+        pieces = dict(parallel_imap_unordered(_maxcut8_chunk_values, chunks, processes=3))
+        values = np.concatenate([pieces[i] for i in range(len(chunks))])
+        assert np.array_equal(values, expected)
 
-    def test_dicke_space_parallel(self, graph8):
-        space = DickeSpace(8, 4)
-        expected = maxcut_values(graph8, space.bits)
-        values = parallel_objective_values(partial(maxcut_values, graph8), 8, k=4, processes=2)
-        assert np.allclose(values, expected)
-
-    def test_parallel_compress_matches_serial(self, graph8):
-        expected = compress_objective(maxcut_values(graph8, state_matrix(8)))
-        spec = parallel_compress(partial(maxcut_values, graph8), 8, processes=3)
-        assert np.array_equal(spec.values, expected.values)
-        assert spec.degeneracies == expected.degeneracies
-        assert spec.total == expected.total
-
-    def test_parallel_compress_dicke(self, graph8):
-        space = DickeSpace(8, 3)
-        expected = compress_objective(maxcut_values(graph8, space.bits))
-        spec = parallel_compress(partial(maxcut_values, graph8), 8, k=3, processes=2)
-        assert np.array_equal(spec.values, expected.values)
-        assert spec.degeneracies == expected.degeneracies
-
-    def test_evaluate_chunk(self, graph8):
+    def test_evaluate_chunk(self, maxcut8, graph8):
         chunk = Chunk(index=0, start=10, stop=20)
-        vals = evaluate_chunk(chunk, partial(maxcut_values, graph8), 8)
+        vals = objective_on_labels(maxcut8, chunk_labels(chunk, 8))
         expected = maxcut_values(graph8, state_matrix(8))[10:20]
         assert np.allclose(vals, expected)
-
-    def test_compress_chunk_empty_is_none_not_phantom_state(self, graph8):
-        # Regression: an empty chunk used to come back as a value-0.0
-        # single-state "sentinel" spectrum that merge() folded in as real.
-        empty = Chunk(index=0, start=7, stop=7)
-        assert _compress_chunk(empty, partial(maxcut_values, graph8), 8) is None
-
-    @pytest.mark.parametrize("processes", [7, 64])
-    def test_parallel_compress_matches_serial_with_excess_processes(self, processes):
-        # processes > number of feasible states is the regime that produces
-        # empty chunks; the merged spectrum must still agree exactly with the
-        # serial path — including for all-negative objectives, where the old
-        # phantom 0.0 state became the reported optimum.
-        n, k = 4, 2  # comb(4, 2) = 6 feasible states
-        space = DickeSpace(n, k)
-        cost = partial(_negated_weight_cost, offset=5.0)
-        expected = compress_objective(cost(space.bits))
-        spec = parallel_compress(cost, n, k=k, processes=processes)
-        assert np.array_equal(spec.values, expected.values)
-        assert spec.degeneracies == expected.degeneracies
-        assert spec.total == expected.total == 6
-        assert spec.optimum == expected.optimum < 0
-        assert spec.mean() == pytest.approx(expected.mean())
-
-    def test_parallel_objective_values_with_excess_processes(self, graph8):
-        space = DickeSpace(8, 1)  # 8 states, far fewer than workers
-        expected = maxcut_values(graph8, space.bits)
-        values = parallel_objective_values(partial(maxcut_values, graph8), 8, k=1, processes=32)
-        assert np.allclose(values, expected)
-
-    def test_parallel_compress_empty_space_raises_cleanly(self, graph8):
-        # comb(4, 5) = 0 feasible states: a clear ValueError mirroring the
-        # CompressedObjective contract, not a bare IndexError on pieces[0].
-        with pytest.raises(ValueError, match="at least one value"):
-            parallel_compress(partial(maxcut_values, graph8), 4, k=5, processes=4)
 
     def test_default_workers_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "3")

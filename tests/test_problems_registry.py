@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.hilbert import dicke_labels, ints_to_bit_matrix
 from repro.problems import PROBLEM_NAMES, make_problem
+from repro.problems.registry import BIT_MATRIX_BLOCK, make_problem_structure, objective_on_labels
 
 
 class TestMakeProblem:
@@ -110,3 +112,24 @@ class TestMakeProblem:
         inst = problem.metadata["instance"]
         assert inst.k == 2
         assert inst.num_clauses == 24
+
+
+class TestObjectiveOnLabelsBlocks:
+    """The bit-matrix families evaluate in blocks of ``BIT_MATRIX_BLOCK`` labels."""
+
+    @pytest.mark.parametrize("name", ["ksat", "number_partition"])
+    @pytest.mark.parametrize(
+        "n,labels",
+        [
+            (16, np.arange(3, 2 * BIT_MATRIX_BLOCK + 5)),  # a range starting mid-block
+            (15, np.arange((1 << 15) - 1)),  # the full space minus its last state
+            (17, dicke_labels(17, 8)),  # 24310 labels with gaps
+        ],
+        ids=["range", "full", "dicke"],
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_blocks_match_one_call(self, name, n, labels, seed):
+        assert labels.size > BIT_MATRIX_BLOCK and labels.size % BIT_MATRIX_BLOCK
+        structure = make_problem_structure(name, n, seed=seed)
+        one_call = structure.cost_vectorized(ints_to_bit_matrix(labels, n))
+        assert np.array_equal(objective_on_labels(structure, labels), one_call)
