@@ -26,7 +26,7 @@ from repro import ProblemSpec, grover_mixer, simulate, state_matrix
 from repro.api.routing import spectrum_for
 from repro.grover import CompressedGroverAnsatz, compress_objective, hamming_weight_spectrum
 from repro.problems import erdos_renyi, maxcut_values
-from repro.problems.registry import make_problem_structure
+from repro.problems.registry import make_problem
 
 
 def main() -> None:
@@ -45,7 +45,7 @@ def main() -> None:
 
     # --- 2. the routed spectrum of a 3-SAT instance -----------------------
     n_sat = 16
-    instance = make_problem_structure("ksat", n_sat, seed=1).metadata["instance"]
+    instance = make_problem("ksat", n_sat, seed=1).metadata["instance"]
     spectrum_sat = spectrum_for(ProblemSpec("ksat", n_sat, seed=1))
     engine_sat = CompressedGroverAnsatz(spectrum_sat, 3, n=n_sat)
     result = engine_sat.simulate(engine_sat.random_angles(rng))

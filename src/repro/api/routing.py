@@ -37,15 +37,14 @@ from __future__ import annotations
 
 import json
 import os
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ..core.symmetry import flip_reducible
 from ..grover.compress import CompressedObjective, compress_objective, hamming_weight_spectrum
 from ..hilbert.dicke import dicke_labels
 from ..hilbert.states import state_labels
-from ..problems.registry import ProblemStructure, make_problem_structure, objective_on_labels
+from ..problems.registry import ProblemInstance, make_problem, objective_on_labels
 from .mixers import MIXERS
 from .spec import ProblemSpec, SolveSpec
 from .strategies import STRATEGIES
@@ -53,7 +52,8 @@ from .strategies import STRATEGIES
 __all__ = [
     "ExecutionPlan",
     "select_execution_path",
-    "memoized_structure",
+    "memoized_problem",
+    "clear_routing_memo",
     "spectrum_for",
     "env_shards",
     "COMPRESSED_MIN_DIM",
@@ -121,42 +121,42 @@ class ExecutionPlan:
 
 
 # ---------------------------------------------------------------------------
-# memoized structure + spectrum discovery
+# the problem memo + spectrum discovery
 # ---------------------------------------------------------------------------
-
-_STRUCTURE_MEMO_CAPACITY = 32
-_structure_memo: OrderedDict[str, ProblemStructure] = OrderedDict()
-_spectrum_memo: OrderedDict[str, CompressedObjective | None] = OrderedDict()
-_memo_lock = threading.Lock()
-
 
 def _problem_key(problem: ProblemSpec) -> str:
     return json.dumps(problem.to_dict(), sort_keys=True)
 
 
-def memoized_structure(problem: ProblemSpec) -> ProblemStructure:
-    """The space-free :class:`ProblemStructure` for ``problem``, memoized.
+@lru_cache(maxsize=16)
+def _problem_from_key(key: str) -> ProblemInstance:
+    spec = json.loads(key)
+    return make_problem(spec["name"], spec["n"], seed=spec["seed"], **spec["params"])
 
-    Structures never materialize the feasible space, so they are cheap — but
-    routing consults them on every solve and the closures inside are reused
-    by the sharded workers, so one instance per spec keeps everything
-    consistent.
+
+def memoized_problem(problem: ProblemSpec) -> ProblemInstance:
+    """The :class:`ProblemInstance` for ``problem``, memoized per spec.
+
+    Problem regeneration is deterministic in the spec, so routing and every
+    engine's construction share one instance, as do repeated solver
+    constructions for the same problem (a sweep's params-only grid, repeated
+    ``run(seed=...)`` calls, the solver service): its objective values are
+    computed once.  The instance builds its feasible space only when the
+    dense path reads it.  A small LRU bounds residency.
     """
-    key = _problem_key(problem)
-    with _memo_lock:
-        cached = _structure_memo.get(key)
-        if cached is not None:
-            _structure_memo.move_to_end(key)
-            return cached
-    structure = make_problem_structure(
-        problem.name, problem.n, seed=problem.seed, **problem.params
-    )
-    with _memo_lock:
-        _structure_memo[key] = structure
-        _structure_memo.move_to_end(key)
-        while len(_structure_memo) > _STRUCTURE_MEMO_CAPACITY:
-            _structure_memo.popitem(last=False)
-    return structure
+    return _problem_from_key(_problem_key(problem))
+
+
+@lru_cache(maxsize=32)
+def _spectrum_from_key(key: str) -> CompressedObjective | None:
+    problem = _problem_from_key(key)
+    if problem.k is None and problem.value_of_weight is not None:
+        return hamming_weight_spectrum(problem.n, problem.value_of_weight)
+    if problem.dim <= STREAMING_SPECTRUM_LIMIT:
+        labels = (state_labels(problem.n) if problem.k is None
+                  else dicke_labels(problem.n, problem.k))
+        return compress_objective(objective_on_labels(problem, labels))
+    return None
 
 
 def spectrum_for(problem: ProblemSpec) -> CompressedObjective | None:
@@ -169,32 +169,13 @@ def spectrum_for(problem: ProblemSpec) -> CompressedObjective | None:
     labels: the values dense construction computes, bit for bit.  Results —
     including the negative ``None`` — are memoized per problem spec.
     """
-    key = _problem_key(problem)
-    with _memo_lock:
-        if key in _spectrum_memo:
-            _spectrum_memo.move_to_end(key)
-            return _spectrum_memo[key]
-    structure = memoized_structure(problem)
-    spectrum: CompressedObjective | None = None
-    if structure.k is None and structure.value_of_weight is not None:
-        spectrum = hamming_weight_spectrum(structure.n, structure.value_of_weight)
-    elif structure.dim <= STREAMING_SPECTRUM_LIMIT:
-        labels = (state_labels(structure.n) if structure.k is None
-                  else dicke_labels(structure.n, structure.k))
-        spectrum = compress_objective(objective_on_labels(structure, labels))
-    with _memo_lock:
-        _spectrum_memo[key] = spectrum
-        _spectrum_memo.move_to_end(key)
-        while len(_spectrum_memo) > _STRUCTURE_MEMO_CAPACITY:
-            _spectrum_memo.popitem(last=False)
-    return spectrum
+    return _spectrum_from_key(_problem_key(problem))
 
 
 def clear_routing_memo() -> None:
-    """Drop memoized structures and spectra (tests)."""
-    with _memo_lock:
-        _structure_memo.clear()
-        _spectrum_memo.clear()
+    """Drop memoized problems and spectra (a cold start; tests)."""
+    _problem_from_key.cache_clear()
+    _spectrum_from_key.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +217,12 @@ def select_execution_path(
 
     ``shards`` overrides the ``REPRO_SHARDS`` environment knob.
     """
-    structure = memoized_structure(spec.problem)
+    problem = memoized_problem(spec.problem)
     mixer = _canonical(MIXERS, spec.mixer.name)
     strategy = _canonical(STRATEGIES, spec.strategy.name)
-    dim = structure.dim
+    dim = problem.dim
     # the dense engine's reduction, and the dimension it holds
-    flip = flip_reducible(structure, mixer)
+    flip = flip_reducible(problem, mixer)
     held = dim >> flip
 
     def dense(reason: str) -> ExecutionPlan:
@@ -268,18 +249,18 @@ def select_execution_path(
     shardable = mixer in SHARDED_MIXERS
     if shardable and mixer != "grover":
         # WHT mixers shard the full space over power-of-two worker counts.
-        shardable = structure.k is None
+        shardable = problem.k is None
 
     if requested is not None:
         if not shardable:
             return dense(
                 f"{source} ignored: mixer {mixer!r} "
                 "has no sharded decomposition"
-                + ("" if structure.k is None else " on a Dicke subspace")
+                + ("" if problem.k is None else " on a Dicke subspace")
             )
         count = requested
         # a count the halved state cannot hold runs unreduced
-        sharded_flip = flip_reducible(structure, mixer, shards=count)
+        sharded_flip = flip_reducible(problem, mixer, shards=count)
         sharded_held = dim >> sharded_flip
         if mixer != "grover" and (count & (count - 1) or sharded_held % count):
             return dense(

@@ -18,10 +18,7 @@ equivalence with the legacy calls testable.
 
 from __future__ import annotations
 
-import json
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
@@ -34,10 +31,16 @@ from ..core.simulator import QAOAResult
 from ..core.symmetry import flip_half, flip_reducible
 from ..mixers.base import Mixer
 from ..portfolio.budget import Budget
-from ..problems.registry import ProblemInstance, make_problem
+from ..problems.registry import ProblemInstance
 from .mixers import MIXERS, make_mixer
-from .routing import ExecutionPlan, memoized_structure, select_execution_path, spectrum_for
-from .spec import ProblemSpec, SolveSpec
+from .routing import (
+    ExecutionPlan,
+    clear_routing_memo,
+    memoized_problem,
+    select_execution_path,
+    spectrum_for,
+)
+from .spec import SolveSpec
 from .strategies import run_strategy
 
 __all__ = [
@@ -48,41 +51,9 @@ __all__ = [
     "clear_problem_memo",
 ]
 
-#: How many distinct problem instances the module-level memo keeps warm.
-_PROBLEM_MEMO_CAPACITY = 16
-
-_problem_memo: OrderedDict[str, ProblemInstance] = OrderedDict()
-_problem_memo_lock = threading.Lock()
-
-
-def memoized_problem(problem: ProblemSpec) -> ProblemInstance:
-    """The regenerated :class:`ProblemInstance` for ``problem``, memoized.
-
-    Problem regeneration (graph/instance sampling plus objective values over
-    the feasible space) is deterministic in the spec, so repeated solver
-    constructions for the same problem — a sweep's params-only grid, repeated
-    ``run(seed=...)`` calls, the solver service — share one instance instead
-    of rebuilding it per call.  A small LRU bounds residency; thread-safe.
-    """
-    key = json.dumps(problem.to_dict(), sort_keys=True)
-    with _problem_memo_lock:
-        cached = _problem_memo.get(key)
-        if cached is not None:
-            _problem_memo.move_to_end(key)
-            return cached
-    instance = make_problem(problem.name, problem.n, seed=problem.seed, **problem.params)
-    with _problem_memo_lock:
-        _problem_memo[key] = instance
-        _problem_memo.move_to_end(key)
-        while len(_problem_memo) > _PROBLEM_MEMO_CAPACITY:
-            _problem_memo.popitem(last=False)
-    return instance
-
-
-def clear_problem_memo() -> None:
-    """Drop all memoized problem instances (tests and memory-pressure hooks)."""
-    with _problem_memo_lock:
-        _problem_memo.clear()
+#: The problem memo lives in :mod:`repro.api.routing`; clearing it clears
+#: the memoized spectra too, so nothing memoized survives a cold start.
+clear_problem_memo = clear_routing_memo
 
 
 @dataclass
@@ -261,10 +232,13 @@ class QAOASolver:
     flip-symmetric problem under a flip-invariant mixer runs on ``n - 1``
     qubits (:func:`~repro.core.symmetry.flip_reducible`, decided here from
     the problem, the mixer and the plan's shard count, as routing decides
-    it; ``plan.flip_reduced`` reports it, for a pinned plan too).  Non-dense
-    solvers never materialize the feasible space — ``problem``/``mixer``
-    stay ``None``; every engine carries its own optimum.  Sharded solvers own worker processes; call
-    :meth:`close` (or use ``solve()``, which does) when finished.
+    it; ``plan.flip_reduced`` reports it, for a pinned plan too).  Every
+    engine reads the one memoized problem
+    (:func:`~repro.api.routing.memoized_problem`); non-dense solvers never
+    build its feasible space — ``problem``/``mixer`` stay ``None``, and
+    every engine carries its own optimum.  Sharded solvers own worker
+    processes; call :meth:`close` (or use ``solve()``, which does) when
+    finished.
 
     The construction seconds are reported once, as ``setup_s`` of the first
     result this solver produces.
@@ -282,43 +256,42 @@ class QAOASolver:
         self.spec = spec
         if plan is None:
             plan = select_execution_path(spec)
+        problem = memoized_problem(spec.problem)
         self.problem: ProblemInstance | None = None
         self.mixer: Mixer | None = None
         flip = False
         if plan.path == "compressed":
             from ..grover.ansatz import CompressedGroverAnsatz
 
-            structure = memoized_structure(spec.problem)
             spectrum = spectrum_for(spec.problem)
             if spectrum is None:  # pragma: no cover - the router checked this
                 raise RuntimeError("compressed plan without an obtainable spectrum")
             self.ansatz = CompressedGroverAnsatz(
                 spectrum,
                 spec.p,
-                n=structure.n,
-                maximize=structure.maximize,
+                n=problem.n,
+                maximize=problem.maximize,
             )
         elif plan.path == "sharded":
             from ..hpc.sharded import ShardedAnsatz, sharded_mixer_config
 
-            structure = memoized_structure(spec.problem)
             config = sharded_mixer_config(
-                spec.mixer.name, structure.n, dict(spec.mixer.params)
+                spec.mixer.name, problem.n, dict(spec.mixer.params)
             )
-            flip = flip_reducible(structure, config.kind, shards=plan.shards)
+            flip = flip_reducible(problem, config.kind, shards=plan.shards)
             if flip:
-                config = config.flip_folded(structure.n)
-                structure = flip_half(structure)
-            self.ansatz = ShardedAnsatz(structure, config, spec.p, plan.shards)
+                config = config.flip_folded(problem.n)
+                problem = flip_half(problem)
+            self.ansatz = ShardedAnsatz(problem, config, spec.p, plan.shards)
         else:
             # from_problem runs a flip-symmetric problem on n - 1 qubits; the
             # full-space mixer built here only describes the spec (its
             # spectrum is built on first use, which folding avoids)
-            self.problem = memoized_problem(spec.problem)
+            self.problem = problem
             self.mixer = make_mixer(
-                spec.mixer.name, self.problem.space, **spec.mixer.params
+                spec.mixer.name, problem.space, **spec.mixer.params
             )
-            self.ansatz = QAOAAnsatz.from_problem(self.problem, self.mixer, spec.p)
+            self.ansatz = QAOAAnsatz.from_problem(problem, self.mixer, spec.p)
             flip = self.ansatz.cost.flip_pairs
         # a pinned plan reports the reduction the engine was built with
         self.plan = replace(plan, flip_reduced=flip)

@@ -30,7 +30,7 @@ from ..angles.grid import grid_search
 from ..angles.iterative import find_angles
 from ..angles.median import evaluate_median_angles, median_angles
 from ..angles.multistart import multistart_minimize
-from ..angles.random_restart import find_angles_random
+from ..angles.random_restart import find_angles_random, random_restart_seeds
 from ..angles.result import AngleResult
 from ..core.ansatz import QAOAAnsatz
 from ..portfolio.racing import race_portfolio
@@ -195,8 +195,7 @@ def _median(ansatz, *, rng=None, iters: int = 20, polish: bool = False, **params
 @_register("multistart", "multistart_minimize", implements=(multistart_minimize,))
 def _multistart(ansatz, *, rng=None, iters: int = 32, budget=None, on_incumbent=None, **params):
     """Lock-step vectorized BFGS refinement of ``iters`` random seeds."""
-    rng = _as_rng(rng)
-    seeds = 2.0 * np.pi * rng.random((int(iters), ansatz.num_angles))
+    seeds = random_restart_seeds(ansatz, int(iters), rng)
     report = multistart_minimize(
         ansatz, seeds, budget=budget, checkpoint=on_incumbent, **params
     )

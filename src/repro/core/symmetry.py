@@ -27,10 +27,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..hilbert.subspace import FullSpace
 from ..mixers.base import Mixer
 from ..mixers.schedules import MixerSchedule
-from ..problems.registry import ProblemStructure
 from .precompute import PrecomputedCost
 
 __all__ = [
@@ -56,20 +54,16 @@ def _layers(mixer) -> list:
 def flip_reducible(problem, mixer, *, shards: int | None = None) -> bool:
     """Whether ``problem`` under ``mixer`` runs on the flip-symmetric half.
 
-    ``problem`` is a :class:`~repro.problems.registry.ProblemStructure` or
-    :class:`~repro.problems.registry.ProblemInstance`.  ``mixer`` is a
-    canonical mixer family name (before anything is built) or the built
-    mixer, per-round mixers or schedule.  The answer is yes for a full-space
-    problem of at least two qubits whose quadratic form is flip-symmetric,
-    under mixers that are all flip-invariant (the ``x``, ``multiangle_x``
-    and full-space ``grover`` families), when the halved state can still
-    give each of ``shards`` shards (if given) one state.
+    ``problem`` is a :class:`~repro.problems.registry.ProblemInstance`;
+    ``mixer`` is a canonical mixer family name (before anything is built)
+    or the built mixer, per-round mixers or schedule.  The answer is yes for
+    a full-space problem of at least two qubits whose quadratic form is
+    flip-symmetric, under mixers that are all flip-invariant (the ``x``,
+    ``multiangle_x`` and full-space ``grover`` families), when the halved
+    state can still give each of ``shards`` shards (if given) one state.
     """
     form = getattr(problem, "quadratic", None)
-    if form is None or problem.n < 2:
-        return False
-    space = getattr(problem, "space", None)
-    if not (problem.k is None if space is None else space.is_full):
+    if form is None or problem.n < 2 or problem.k is not None:
         return False
     if shards is not None and shards > 1 << (problem.n - 1):
         return False
@@ -94,23 +88,22 @@ def flip_folded_mixer(mixer):
 
 
 def flip_half(problem):
-    """The ``n - 1``-qubit problem of the flip-symmetric half of ``problem``.
+    """The ``n - 1``-qubit problem of the flip-symmetric half of ``problem``
+    (a :class:`~repro.problems.registry.ProblemInstance`).
 
-    ``problem`` is a :class:`~repro.problems.registry.ProblemStructure` (for
-    the sharded engine; the half is marked ``flip_pairs``) or a
-    :class:`~repro.problems.registry.ProblemInstance` (over ``FullSpace(n -
-    1)``).  Its labels are the ``n``-bit labels with the top bit clear, so
-    the ``n``-bit quadratic form evaluates it as it is; the bit-matrix
-    callables get that clear top bit appended.
+    The half is marked ``flip_pairs`` and its feasible space is
+    ``FullSpace(n - 1)``.  Its labels are the ``n``-bit labels with the top
+    bit clear, so the ``n``-bit quadratic form evaluates it as it is; the
+    bit-matrix callables get that clear top bit appended.
     """
-    callables = dict(
+    return replace(
+        problem,
+        n=problem.n - 1,
+        value_of_weight=None,
+        flip_pairs=True,
         cost=lambda x: problem.cost(np.append(x, 0)),
         cost_vectorized=lambda bits: problem.cost_vectorized(np.pad(bits, ((0, 0), (0, 1)))),
     )
-    if isinstance(problem, ProblemStructure):
-        return replace(problem, n=problem.n - 1, value_of_weight=None, flip_pairs=True,
-                       **callables)
-    return replace(problem, space=FullSpace(problem.n - 1), _cache={}, **callables)
 
 
 def flip_half_cost(problem) -> PrecomputedCost:

@@ -80,8 +80,8 @@ class ShardedAnsatz(Engine):
 
     Parameters
     ----------
-    structure:
-        A :class:`~repro.problems.registry.ProblemStructure` (the
+    problem:
+        A :class:`~repro.problems.registry.ProblemInstance` (the
         flip-symmetric half of one, from
         :func:`~repro.core.symmetry.flip_half`, runs on ``n - 1``
         qubits and reports full-space results).
@@ -97,7 +97,7 @@ class ShardedAnsatz(Engine):
 
     def __init__(
         self,
-        structure,
+        problem,
         mixer: str | ShardedMixerConfig,
         p: int,
         shards: int,
@@ -106,13 +106,12 @@ class ShardedAnsatz(Engine):
     ):
         config = mixer
         if isinstance(mixer, str):
-            config = sharded_mixer_config(mixer, structure.n, mixer_params)
-        self.executor = ShardedExecutor(structure, config, p, shards)
-        self.structure = structure
-        self.maximize = bool(structure.maximize)
-        self.dim = int(structure.dim)
+            config = sharded_mixer_config(mixer, problem.n, mixer_params)
+        self.executor = ShardedExecutor(problem, config, p, shards)
+        self.maximize = bool(problem.maximize)
+        self.dim = int(problem.dim)
         self.p = int(p)
-        self.n = int(structure.n) + structure.flip_pairs  # the problem's qubits
+        self.n = int(problem.n) + problem.flip_pairs  # the problem's qubits
         self.beta_counts = self.executor.beta_counts
         self._total_betas = sum(self.beta_counts)
         self.num_angles = self.executor.num_angles

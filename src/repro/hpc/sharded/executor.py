@@ -86,7 +86,7 @@ per row.
 
 Flip symmetry
 -------------
-A flip-symmetric problem arrives as the ``n - 1``-qubit structure of its
+A flip-symmetric problem arrives as the ``n - 1``-qubit problem of its
 flip-symmetric half (:func:`~repro.core.symmetry.flip_half`, marked
 ``flip_pairs``) with folded masks (:meth:`ShardedMixerConfig.flip_folded`),
 and runs like any other ``n - 1``-qubit problem on half the shared memory.
@@ -130,7 +130,7 @@ from ...mixers.xmixer import (
     x_mask_diagonal,
     x_order_terms,
 )
-from ...problems.registry import ProblemStructure, objective_on_labels
+from ...problems.registry import ProblemInstance, objective_on_labels
 from ..partition import Chunk, chunk_labels, split_dicke_space, split_full_space
 from .workspace import ShardedWorkspace, attach_segment
 
@@ -233,7 +233,7 @@ class _WorkerConfig:
     n: int
     k: int | None
     shards: int
-    problem: ProblemStructure
+    problem: ProblemInstance
     mixer: ShardedMixerConfig
     value_chunk: int = 1 << 16
 
@@ -581,8 +581,9 @@ class ShardedExecutor:
 
     Parameters
     ----------
-    structure:
-        A :class:`~repro.problems.registry.ProblemStructure` (space-free).
+    problem:
+        A :class:`~repro.problems.registry.ProblemInstance`; its feasible
+        space is never built (each worker evaluates its chunk's labels).
     mixer:
         A :class:`ShardedMixerConfig` (see :func:`sharded_mixer_config`).
     p:
@@ -594,20 +595,20 @@ class ShardedExecutor:
         Initial number of statevector columns.
     """
 
-    def __init__(self, structure, mixer: ShardedMixerConfig, p: int,
+    def __init__(self, problem: ProblemInstance, mixer: ShardedMixerConfig, p: int,
                  shards: int, *, batch: int = 1):
         if p < 1:
             raise ValueError("a QAOA needs at least one round")
         if shards < 2:
             raise ValueError("sharded execution needs at least 2 shards")
-        self.structure = structure
+        self.problem = problem
         self.mixer = mixer
         self.p = int(p)
         self.beta_counts = [mixer.betas_per_round] * self.p
-        self.n = int(structure.n)
-        self.k = structure.k
-        self.dim = int(structure.dim)
-        self.maximize = bool(structure.maximize)
+        self.n = int(problem.n)
+        self.k = problem.k
+        self.dim = int(problem.dim)
+        self.maximize = bool(problem.maximize)
         if shards > self.dim:
             raise ValueError(f"cannot split dim {self.dim} into {shards} shards")
 
@@ -643,7 +644,7 @@ class ShardedExecutor:
                 n=self.n,
                 k=self.k,
                 shards=self.shards,
-                problem=structure,
+                problem=problem,
                 mixer=mixer,
             )
             proc = ctx.Process(target=_worker_main, args=(cfg, child), daemon=True)
@@ -918,7 +919,7 @@ class ShardedExecutor:
         Two-stage exact sampling: shard totals give a multinomial split of
         the shots, then one broadcast has each worker sample its local
         distribution, with a seed drawn for every shard that got shots.  On
-        the flip-symmetric half (``structure.flip_pairs``) each label is then
+        the flip-symmetric half (``problem.flip_pairs``) each label is then
         complemented with probability 1/2.
         """
         if shots < 1:
@@ -931,14 +932,14 @@ class ShardedExecutor:
         seeds = [int(rng.integers(0, 2 ** 63 - 1)) if count else None for count in counts]
         out = np.concatenate(self._command("sample_local", slot, col, counts, seeds))
         out = out[rng.permutation(out.size)]
-        if self.structure.flip_pairs:
+        if self.problem.flip_pairs:
             return complement_half(out, self.dim, rng)
         return out
 
     def gather_state(self, *, col: int = 0) -> np.ndarray:
         """Concatenate the resident final state (small dims only; tests),
         expanded to the full space on the flip-symmetric half."""
-        flip = self.structure.flip_pairs
+        flip = self.problem.flip_pairs
         if self.dim << flip > GATHER_LIMIT:
             raise ValueError(
                 f"refusing to gather a dim-{self.dim << flip} statevector into the "

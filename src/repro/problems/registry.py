@@ -1,25 +1,20 @@
 """Uniform problem descriptions and a name-based registry.
 
 The simulator itself only ever consumes a vector of pre-computed objective
-values over a feasible space (the paper's central design decision).  For the
-benchmark harness and examples it is convenient to bundle together a cost
-function, its vectorized form, the feasible space it is meant to be evaluated
-on and its brute-force optimum.  :class:`ProblemInstance` provides that
-bundle, and :func:`make_problem` builds the standard instances used in the
-paper's figures from a name plus a seed.
-
+values over a feasible space (the paper's central design decision).  A
+:class:`ProblemInstance` is one problem: its cost callables, its
+optimization sense, its ``(n, k)`` geometry and, built the first time it is
+read, its feasible space (:class:`~repro.hilbert.subspace.FullSpace` or
+:class:`~repro.hilbert.subspace.DickeSpace`).  :func:`make_problem` builds
+the standard instances used in the paper's figures from a name plus a seed.
 Large-n execution paths (sharded statevectors, the compressed Grover
-simulator) cannot afford to materialize the feasible space's ``2^n`` label
-array just to know what the cost function is.  :func:`make_problem_structure`
-therefore exposes the *space-free* half of the construction — the cost
-callables, the optimization sense and the (n, k) geometry — as a
-:class:`ProblemStructure`; :func:`make_problem` is now a thin wrapper that
-attaches the eager space on top.
+simulator) take the same instance and read only ``n``, ``k`` and ``dim``,
+so they never materialize the space's ``2^n`` label array.
 
 Evaluating the objective over the feasible space is the one large
 construction cost.  ``maxcut``, ``densest_subgraph``, ``vertex_cover``,
 ``max_independent_set``, ``ising``, ``qubo`` and ``hamming`` are degree-2
-polynomials of the bits, so their structures carry a
+polynomials of the bits, so their instances carry a
 :class:`~repro.problems.quadratic.QuadraticForm` (for
 ``max_independent_set``, a :class:`~repro.problems.quadratic.PenalizedForm`
 of two; for ``hamming``, the cut form of the complete graph,
@@ -45,6 +40,7 @@ from typing import Callable
 import networkx as nx  # noqa: F401  (re-exported context for metadata graphs)
 import numpy as np
 
+from ..core.precompute import OPTIMAL_ATOL, OPTIMAL_RTOL
 from ..hilbert.bitops import ints_to_bit_matrix
 from ..hilbert.subspace import DickeSpace, FeasibleSpace, FullSpace
 from .densest_subgraph import densest_subgraph as _densest_subgraph
@@ -69,7 +65,6 @@ from .vertex_cover import vertex_cover_values as _vertex_cover_values
 
 __all__ = [
     "ProblemInstance",
-    "ProblemStructure",
     "make_problem",
     "make_problem_structure",
     "objective_on_labels",
@@ -90,14 +85,13 @@ PROBLEM_NAMES = (
 
 
 @dataclass
-class ProblemStructure:
-    """The space-free description of a problem instance.
+class ProblemInstance:
+    """A problem instance: an objective over a feasible space.
 
     Everything :func:`make_problem` derives deterministically from
-    ``(name, n, seed, params)`` *except* the materialized feasible space:
-    the cost callables, the optimization sense and the geometry.  This is
-    what the sharded and compressed execution paths consume — they can ask
-    for ``dim`` without ever allocating a ``2^n`` label array.
+    ``(name, n, seed, params)``.  The feasible space is built the first time
+    :attr:`space` is read, so the sharded and compressed execution paths can
+    read ``dim`` without allocating a ``2^n`` label array.
 
     Attributes
     ----------
@@ -108,8 +102,15 @@ class ProblemStructure:
     k:
         Hamming-weight constraint for Dicke-space problems, ``None`` for
         full-space problems.
-    cost / cost_vectorized / maximize / metadata:
-        As on :class:`ProblemInstance`.
+    cost:
+        Scalar cost function ``cost(x) -> float`` over 0/1 arrays.
+    cost_vectorized:
+        Vectorized cost over a ``(m, n)`` bit matrix.
+    maximize:
+        Whether the objective is to be maximized (the Ising energy is
+        minimized; every other registry family is maximized).
+    metadata:
+        Free-form description of the instance (graph, clauses, seed, ...).
     value_of_weight:
         Optional analytic hook ``w -> C(x)`` for objectives that depend on a
         bitstring only through its Hamming weight.  When present the full
@@ -137,6 +138,9 @@ class ProblemStructure:
     value_of_weight: Callable[[int], float] | None = None
     quadratic: QuadraticForm | PenalizedForm | None = None
     flip_pairs: bool = False
+    #: the built space and objective values; ``dataclasses.replace`` starts
+    #: a new instance with an empty one
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -145,48 +149,14 @@ class ProblemStructure:
             return 1 << self.n
         return comb(self.n, self.k)
 
-    def build_space(self) -> FeasibleSpace:
-        """Materialize the feasible space (the eager ``make_problem`` half)."""
-        if self.k is None:
-            return FullSpace(self.n)
-        return DickeSpace(self.n, self.k)
-
-
-@dataclass
-class ProblemInstance:
-    """A concrete optimization problem instance ready for QAOA simulation.
-
-    Attributes
-    ----------
-    name:
-        Problem family name (e.g. ``"maxcut"``).
-    space:
-        The feasible space the objective is evaluated over.
-    cost:
-        Scalar cost function ``cost(x) -> float`` over 0/1 arrays.
-    cost_vectorized:
-        Vectorized cost over a ``(m, n)`` bit matrix.
-    maximize:
-        Whether the objective is to be maximized (all paper problems are).
-    metadata:
-        Free-form description of the instance (graph, clauses, seed, ...).
-    quadratic:
-        As on :class:`ProblemStructure`.
-    """
-
-    name: str
-    space: FeasibleSpace
-    cost: Callable[[np.ndarray], float]
-    cost_vectorized: Callable[[np.ndarray], np.ndarray]
-    maximize: bool = True
-    metadata: dict = field(default_factory=dict)
-    _cache: dict = field(default_factory=dict, repr=False)
-    quadratic: QuadraticForm | PenalizedForm | None = None
-
     @property
-    def n(self) -> int:
-        """Number of qubits."""
-        return self.space.n
+    def space(self) -> FeasibleSpace:
+        """The feasible space, built the first time it is read."""
+        if "space" not in self._cache:
+            self._cache["space"] = (
+                FullSpace(self.n) if self.k is None else DickeSpace(self.n, self.k)
+            )
+        return self._cache["space"]
 
     def objective_values(self) -> np.ndarray:
         """Objective values across the feasible space (cached)."""
@@ -200,10 +170,10 @@ class ProblemInstance:
         return float(vals.max() if self.maximize else vals.min())
 
     def optimal_states(self) -> np.ndarray:
-        """Full-space labels of the optimal feasible states."""
+        """Full-space labels of the optimal feasible states (the engines' tolerances)."""
         vals = self.objective_values()
-        target = vals.max() if self.maximize else vals.min()
-        return self.space.labels[np.isclose(vals, target)]
+        optimal = np.isclose(vals, self.optimum(), rtol=OPTIMAL_RTOL, atol=OPTIMAL_ATOL)
+        return self.space.labels[optimal]
 
     def approximation_ratio(self, expectation: float) -> float:
         """``expectation / optimum`` (for maximization problems with a positive optimum)."""
@@ -219,9 +189,7 @@ class ProblemInstance:
 BIT_MATRIX_BLOCK = 1 << 14
 
 
-def objective_on_labels(
-    problem: ProblemStructure | ProblemInstance, labels: np.ndarray
-) -> np.ndarray:
+def objective_on_labels(problem: ProblemInstance, labels: np.ndarray) -> np.ndarray:
     """``problem``'s objective at strictly ascending full-space ``labels``.
 
     This is the one place that decides how an objective is evaluated: a
@@ -247,164 +215,6 @@ def objective_on_labels(
             )
         values[lo:lo + block.size] = block_values
     return values
-
-
-def make_problem_structure(
-    name: str,
-    n: int,
-    seed: int = 0,
-    *,
-    k: int | None = None,
-    edge_probability: float = 0.5,
-    clause_density: float = 6.0,
-    sat_k: int = 3,
-    penalty: float = 2.0,
-) -> ProblemStructure:
-    """Construct the space-free :class:`ProblemStructure` of a registered family.
-
-    Deterministic in ``(name, n, seed, params)`` exactly like
-    :func:`make_problem` (which wraps this), but never touches a ``2^n``
-    array — safe to call at any n the large-scale execution paths support.
-    """
-    name = str(name).lower()
-    if name not in PROBLEM_NAMES:
-        raise ValueError(f"unknown problem {name!r}; choose from {sorted(PROBLEM_NAMES)}")
-
-    if name == "maxcut":
-        graph = erdos_renyi(n, edge_probability, seed=seed)
-        return ProblemStructure(
-            name="maxcut",
-            n=n,
-            k=None,
-            cost=lambda x, g=graph: _maxcut(g, x),
-            cost_vectorized=lambda bits, g=graph: _maxcut_values(g, bits),
-            metadata={"graph": graph, "seed": seed, "edge_probability": edge_probability},
-            quadratic=graph_form(graph, edge_linear=1.0, edge_pair=-2.0),
-        )
-
-    if name == "ksat":
-        instance = _random_ksat(n, k=sat_k, clause_density=clause_density, seed=seed)
-        return ProblemStructure(
-            name="ksat",
-            n=n,
-            k=None,
-            cost=lambda x, inst=instance: _ksat(inst, x),
-            cost_vectorized=lambda bits, inst=instance: _ksat_values(inst, bits),
-            metadata={
-                "instance": instance,
-                "seed": seed,
-                "clause_density": clause_density,
-                "k": sat_k,
-            },
-        )
-
-    if name == "max_independent_set":
-        graph = erdos_renyi(n, edge_probability, seed=seed)
-        return ProblemStructure(
-            name="max_independent_set",
-            n=n,
-            k=None,
-            cost=lambda x, g=graph, w=penalty: _max_independent_set(g, x, penalty=w),
-            cost_vectorized=lambda bits, g=graph, w=penalty: _max_independent_set_values(
-                g, bits, penalty=w
-            ),
-            metadata={
-                "graph": graph,
-                "seed": seed,
-                "penalty": penalty,
-                "edge_probability": edge_probability,
-            },
-            quadratic=PenalizedForm(
-                graph_form(graph, node_linear=1.0), graph_form(graph, edge_pair=1.0), penalty
-            ),
-        )
-
-    if name == "number_partition":
-        rng = np.random.default_rng(seed)
-        weights = rng.uniform(0.1, 1.0, size=n)
-        return ProblemStructure(
-            name="number_partition",
-            n=n,
-            k=None,
-            cost=lambda x, w=weights: _number_partition(w, x),
-            cost_vectorized=lambda bits, w=weights: _number_partition_values(w, bits),
-            metadata={"weights": weights, "seed": seed},
-        )
-
-    if name == "ising":
-        rng = np.random.default_rng(seed)
-        h = rng.uniform(-1.0, 1.0, size=n)
-        J = np.triu(rng.uniform(-1.0, 1.0, size=(n, n)), k=1)
-        return ProblemStructure(
-            name="ising",
-            n=n,
-            k=None,
-            cost=lambda x, hh=h, jj=J: _ising_energy(hh, jj, x),
-            cost_vectorized=lambda bits, hh=h, jj=J: _ising_energy_values(hh, jj, bits),
-            maximize=False,  # the classical convention: minimize the energy
-            metadata={"h": h, "J": J, "seed": seed},
-            quadratic=ising_form(h, J),
-        )
-
-    if name == "qubo":
-        rng = np.random.default_rng(seed)
-        Q = rng.uniform(-1.0, 1.0, size=(n, n))
-        Q = (Q + Q.T) / 2.0
-        return ProblemStructure(
-            name="qubo",
-            n=n,
-            k=None,
-            cost=lambda x, q=Q: _qubo_value(q, x),
-            cost_vectorized=lambda bits, q=Q: _qubo_values(q, bits),
-            metadata={"Q": Q, "seed": seed},
-            quadratic=qubo_form(Q),
-        )
-
-    if name == "hamming":
-        # C(x) = w(x) * (n - w(x)): the balanced-weight objective.  It depends
-        # on a bitstring only through its Hamming weight, so the full value
-        # spectrum is analytic (binomial degeneracies) at any n — the
-        # reference workload for compressed Grover simulation.
-        return ProblemStructure(
-            name="hamming",
-            n=n,
-            k=None,
-            cost=lambda x, nn=n: float(int(np.sum(x)) * (nn - int(np.sum(x)))),
-            cost_vectorized=lambda bits, nn=n: (
-                bits.sum(axis=1) * (nn - bits.sum(axis=1))
-            ).astype(np.float64),
-            metadata={"seed": seed},
-            value_of_weight=lambda w, nn=n: float(w * (nn - w)),
-            # the cut form of the complete graph: sum_{i<j} (x_i + x_j - 2 x_i x_j)
-            quadratic=graph_form(complete_graph(n), edge_linear=1.0, edge_pair=-2.0),
-        )
-
-    if k is None:
-        k = n // 2
-
-    if name == "densest_subgraph":
-        graph = erdos_renyi(n, edge_probability, seed=seed)
-        return ProblemStructure(
-            name="densest_subgraph",
-            n=n,
-            k=k,
-            cost=lambda x, g=graph: _densest_subgraph(g, x),
-            cost_vectorized=lambda bits, g=graph: _densest_subgraph_values(g, bits),
-            metadata={"graph": graph, "seed": seed, "k": k, "edge_probability": edge_probability},
-            quadratic=graph_form(graph, edge_pair=1.0),
-        )
-
-    # vertex_cover
-    graph = erdos_renyi(n, edge_probability, seed=seed)
-    return ProblemStructure(
-        name="vertex_cover",
-        n=n,
-        k=k,
-        cost=lambda x, g=graph: _vertex_cover(g, x),
-        cost_vectorized=lambda bits, g=graph: _vertex_cover_values(g, bits),
-        metadata={"graph": graph, "seed": seed, "k": k, "edge_probability": edge_probability},
-        quadratic=graph_form(graph, edge_linear=1.0, edge_pair=-1.0),
-    )
 
 
 def make_problem(
@@ -447,22 +257,146 @@ def make_problem(
         Edge-violation penalty of the unconstrained Max-Independent-Set
         formulation.
     """
-    structure = make_problem_structure(
-        name,
-        n,
-        seed,
-        k=k,
-        edge_probability=edge_probability,
-        clause_density=clause_density,
-        sat_k=sat_k,
-        penalty=penalty,
-    )
+    name = str(name).lower()
+    if name not in PROBLEM_NAMES:
+        raise ValueError(f"unknown problem {name!r}; choose from {sorted(PROBLEM_NAMES)}")
+
+    if name == "maxcut":
+        graph = erdos_renyi(n, edge_probability, seed=seed)
+        return ProblemInstance(
+            name="maxcut",
+            n=n,
+            k=None,
+            cost=lambda x, g=graph: _maxcut(g, x),
+            cost_vectorized=lambda bits, g=graph: _maxcut_values(g, bits),
+            metadata={"graph": graph, "seed": seed, "edge_probability": edge_probability},
+            quadratic=graph_form(graph, edge_linear=1.0, edge_pair=-2.0),
+        )
+
+    if name == "ksat":
+        instance = _random_ksat(n, k=sat_k, clause_density=clause_density, seed=seed)
+        return ProblemInstance(
+            name="ksat",
+            n=n,
+            k=None,
+            cost=lambda x, inst=instance: _ksat(inst, x),
+            cost_vectorized=lambda bits, inst=instance: _ksat_values(inst, bits),
+            metadata={
+                "instance": instance,
+                "seed": seed,
+                "clause_density": clause_density,
+                "k": sat_k,
+            },
+        )
+
+    if name == "max_independent_set":
+        graph = erdos_renyi(n, edge_probability, seed=seed)
+        return ProblemInstance(
+            name="max_independent_set",
+            n=n,
+            k=None,
+            cost=lambda x, g=graph, w=penalty: _max_independent_set(g, x, penalty=w),
+            cost_vectorized=lambda bits, g=graph, w=penalty: _max_independent_set_values(
+                g, bits, penalty=w
+            ),
+            metadata={
+                "graph": graph,
+                "seed": seed,
+                "penalty": penalty,
+                "edge_probability": edge_probability,
+            },
+            quadratic=PenalizedForm(
+                graph_form(graph, node_linear=1.0), graph_form(graph, edge_pair=1.0), penalty
+            ),
+        )
+
+    if name == "number_partition":
+        rng = np.random.default_rng(seed)
+        weights = rng.uniform(0.1, 1.0, size=n)
+        return ProblemInstance(
+            name="number_partition",
+            n=n,
+            k=None,
+            cost=lambda x, w=weights: _number_partition(w, x),
+            cost_vectorized=lambda bits, w=weights: _number_partition_values(w, bits),
+            metadata={"weights": weights, "seed": seed},
+        )
+
+    if name == "ising":
+        rng = np.random.default_rng(seed)
+        h = rng.uniform(-1.0, 1.0, size=n)
+        J = np.triu(rng.uniform(-1.0, 1.0, size=(n, n)), k=1)
+        return ProblemInstance(
+            name="ising",
+            n=n,
+            k=None,
+            cost=lambda x, hh=h, jj=J: _ising_energy(hh, jj, x),
+            cost_vectorized=lambda bits, hh=h, jj=J: _ising_energy_values(hh, jj, bits),
+            maximize=False,  # the classical convention: minimize the energy
+            metadata={"h": h, "J": J, "seed": seed},
+            quadratic=ising_form(h, J),
+        )
+
+    if name == "qubo":
+        rng = np.random.default_rng(seed)
+        Q = rng.uniform(-1.0, 1.0, size=(n, n))
+        Q = (Q + Q.T) / 2.0
+        return ProblemInstance(
+            name="qubo",
+            n=n,
+            k=None,
+            cost=lambda x, q=Q: _qubo_value(q, x),
+            cost_vectorized=lambda bits, q=Q: _qubo_values(q, bits),
+            metadata={"Q": Q, "seed": seed},
+            quadratic=qubo_form(Q),
+        )
+
+    if name == "hamming":
+        # C(x) = w(x) * (n - w(x)): the balanced-weight objective.  It depends
+        # on a bitstring only through its Hamming weight, so the full value
+        # spectrum is analytic (binomial degeneracies) at any n — the
+        # reference workload for compressed Grover simulation.
+        return ProblemInstance(
+            name="hamming",
+            n=n,
+            k=None,
+            cost=lambda x, nn=n: float(int(np.sum(x)) * (nn - int(np.sum(x)))),
+            cost_vectorized=lambda bits, nn=n: (
+                bits.sum(axis=1) * (nn - bits.sum(axis=1))
+            ).astype(np.float64),
+            metadata={"seed": seed},
+            value_of_weight=lambda w, nn=n: float(w * (nn - w)),
+            # the cut form of the complete graph: sum_{i<j} (x_i + x_j - 2 x_i x_j)
+            quadratic=graph_form(complete_graph(n), edge_linear=1.0, edge_pair=-2.0),
+        )
+
+    if k is None:
+        k = n // 2
+
+    if name == "densest_subgraph":
+        graph = erdos_renyi(n, edge_probability, seed=seed)
+        return ProblemInstance(
+            name="densest_subgraph",
+            n=n,
+            k=k,
+            cost=lambda x, g=graph: _densest_subgraph(g, x),
+            cost_vectorized=lambda bits, g=graph: _densest_subgraph_values(g, bits),
+            metadata={"graph": graph, "seed": seed, "k": k, "edge_probability": edge_probability},
+            quadratic=graph_form(graph, edge_pair=1.0),
+        )
+
+    # vertex_cover
+    graph = erdos_renyi(n, edge_probability, seed=seed)
     return ProblemInstance(
-        name=structure.name,
-        space=structure.build_space(),
-        cost=structure.cost,
-        cost_vectorized=structure.cost_vectorized,
-        maximize=structure.maximize,
-        metadata=structure.metadata,
-        quadratic=structure.quadratic,
+        name="vertex_cover",
+        n=n,
+        k=k,
+        cost=lambda x, g=graph: _vertex_cover(g, x),
+        cost_vectorized=lambda bits, g=graph: _vertex_cover_values(g, bits),
+        metadata={"graph": graph, "seed": seed, "k": k, "edge_probability": edge_probability},
+        quadratic=graph_form(graph, edge_linear=1.0, edge_pair=-1.0),
     )
+
+
+#: A second name for :func:`make_problem`; the benchmark tracer wraps both names.
+make_problem_structure = make_problem

@@ -28,11 +28,7 @@ from repro.mixers import GroverMixer, MultiAngleXMixer, mixer_x
 from repro.mixers.xmixer import flip_fold_mask
 from repro.problems.extra import ising_energy, ising_energy_values
 from repro.problems.quadratic import PenalizedForm, QuadraticForm, ising_form
-from repro.problems.registry import (
-    ProblemInstance,
-    make_problem,
-    make_problem_structure,
-)
+from repro.problems.registry import ProblemInstance, make_problem
 from repro.service.pools import WarmPool
 
 FAMILIES = ("maxcut", "hamming", "ising")
@@ -46,14 +42,14 @@ def _instance(family: str, n: int, seed: int, maximize: bool) -> ProblemInstance
         J = np.triu(np.random.default_rng(seed).uniform(-1.0, 1.0, (n, n)), k=1)
         h = np.zeros(n)
         return ProblemInstance(
-            name="ising", space=FullSpace(n),
+            name="ising", n=n, k=None,
             cost=lambda x: ising_energy(h, J, x),
             cost_vectorized=lambda bits: ising_energy_values(h, J, bits),
             maximize=maximize, quadratic=ising_form(h, J),
         )
     base = make_problem(family, n, seed=seed)
     return ProblemInstance(
-        name=base.name, space=base.space, cost=base.cost,
+        name=base.name, n=n, k=None, cost=base.cost,
         cost_vectorized=base.cost_vectorized, maximize=maximize, quadratic=base.quadratic,
     )
 
@@ -74,7 +70,7 @@ class TestDetection:
         np.testing.assert_allclose(values, values[::-1], rtol=0, atol=1e-12)
 
     def test_seeded_ising_with_fields_is_not_reduced(self):
-        structure = make_problem_structure("ising", 6, seed=0)
+        structure = make_problem("ising", 6, seed=0)
         assert not structure.quadratic.flip_symmetric
         assert not flip_reducible(structure, "x")
         spec = SolveSpec.build("ising", 6, mixer="x", p=1)
@@ -86,14 +82,14 @@ class TestDetection:
     @pytest.mark.parametrize("family", ["ksat", "number_partition", "qubo",
                                         "max_independent_set"])
     def test_other_full_space_families_run_unreduced(self, family):
-        structure = make_problem_structure(family, 6, seed=1)
+        structure = make_problem(family, 6, seed=1)
         assert not flip_reducible(structure, "x")
 
     def test_only_flip_invariant_mixers_qualify(self):
-        structure = make_problem_structure("maxcut", 6, seed=1)
+        structure = make_problem("maxcut", 6, seed=1)
         assert all(flip_reducible(structure, name) for name in MIXERS)
         assert not flip_reducible(structure, "clique")
-        dicke = make_problem_structure("densest_subgraph", 6, seed=1)
+        dicke = make_problem("densest_subgraph", 6, seed=1)
         assert not flip_reducible(dicke, "grover")
         problem = make_problem("maxcut", 4, seed=1)
         custom = np.arange(1, 17, dtype=np.complex128)
@@ -101,15 +97,15 @@ class TestDetection:
         assert not flip_reducible(problem, GroverMixer(problem.space, custom))
 
     def test_a_form_off_by_one_ulp_is_not_symmetric(self):
-        form = make_problem_structure("maxcut", 6, seed=2).quadratic
+        form = make_problem("maxcut", 6, seed=2).quadratic
         linear = form.linear.copy()
         linear[3] = np.nextafter(linear[3], np.inf)
         assert not QuadraticForm(form.const, linear, form.pairs).flip_symmetric
 
     def test_penalized_form_needs_both_forms_symmetric(self):
-        cut = make_problem_structure("maxcut", 5, seed=1).quadratic
+        cut = make_problem("maxcut", 5, seed=1).quadratic
         assert PenalizedForm(cut, cut, 2.0).flip_symmetric
-        mis = make_problem_structure("max_independent_set", 5, seed=1).quadratic
+        mis = make_problem("max_independent_set", 5, seed=1).quadratic
         assert not mis.flip_symmetric
 
     def test_shard_counts_the_half_cannot_hold_run_unreduced(self):

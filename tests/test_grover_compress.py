@@ -19,7 +19,7 @@ from repro.grover.compress import (
 )
 from repro.hilbert import state_matrix
 from repro.problems import PROBLEM_NAMES, make_problem
-from repro.problems.registry import make_problem_structure, objective_on_labels
+from repro.problems.registry import objective_on_labels
 
 
 class TestCompressedObjective:
@@ -97,7 +97,7 @@ class TestStreamingCompression:
         assert spec_stream.degeneracies == spec_dense.degeneracies
 
     def test_partial_range(self, maxcut_obj):
-        structure = make_problem_structure("maxcut", 6, seed=1)
+        structure = make_problem("maxcut", 6, seed=1)
         spec = compress_objective(objective_on_labels(structure, np.arange(10, 30)))
         expected = compress_objective(maxcut_obj[10:30])
         assert np.array_equal(spec.values, expected.values)

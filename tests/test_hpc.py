@@ -28,13 +28,13 @@ from repro.hpc.memory import (
     statevector_bytes,
 )
 from repro.problems.maxcut import maxcut_values
-from repro.problems.registry import make_problem_structure, objective_on_labels
+from repro.problems.registry import make_problem, objective_on_labels
 
 
 @pytest.fixture(scope="module")
 def maxcut8():
     """MaxCut on ``erdos_renyi(8, 0.5, seed=20)``, as the shard workers receive it."""
-    return make_problem_structure("maxcut", 8, seed=20)
+    return make_problem("maxcut", 8, seed=20)
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +44,7 @@ def graph8(maxcut8):
 
 def _maxcut8_chunk_values(chunk):
     """One worker's share: the ``maxcut8`` objective on its chunk (picklable for pools)."""
-    structure = make_problem_structure("maxcut", 8, seed=20)
+    structure = make_problem("maxcut", 8, seed=20)
     return objective_on_labels(structure, chunk_labels(chunk, 8))
 
 

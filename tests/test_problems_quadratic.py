@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from repro.hilbert import dicke_labels, ints_to_bit_matrix
 from repro.problems import PROBLEM_NAMES, make_problem
 from repro.problems.quadratic import ising_form, qubo_form
-from repro.problems.registry import make_problem_structure, objective_on_labels
+from repro.problems.registry import objective_on_labels
 
 QUADRATIC = (
     "maxcut", "densest_subgraph", "vertex_cover", "max_independent_set", "ising", "qubo",
@@ -70,7 +70,7 @@ def structures(draw):
     if name == "max_independent_set":
         # non-dyadic penalties too: the violation count is scaled once
         params["penalty"] = draw(st.sampled_from([2.0, 1.5, 3.0, 0.3, 0.7, 1.1]))
-    return make_problem_structure(name, n, seed=seed, **params)
+    return make_problem(name, n, seed=seed, **params)
 
 
 @settings(max_examples=150, deadline=None)
@@ -97,7 +97,7 @@ def test_chunked_evaluation_equals_one_shot(data):
 @pytest.mark.parametrize("name", QUADRATIC)
 def test_edgeless_graphs_and_single_bit(name):
     for n in (1, 2, 5):
-        structure = make_problem_structure(name, n, seed=1, edge_probability=0.0)
+        structure = make_problem(name, n, seed=1, edge_probability=0.0)
         labels = np.arange(1 << n)
         _assert_matches(name, objective_on_labels(structure, labels),
                         _reference(structure, labels))
@@ -114,14 +114,14 @@ def test_the_evaluator_is_chosen_by_the_coefficients(name):
         def no_bits(bits):
             raise AssertionError("the bit-matrix path ran for a quadratic family")
 
-        problem = dataclasses.replace(problem, cost_vectorized=no_bits, _cache={})
+        problem = dataclasses.replace(problem, cost_vectorized=no_bits)
     _assert_matches(name, problem.objective_values(), expected)
 
 
 @pytest.mark.parametrize("penalty", [0.3, 0.7, 1.1])
 def test_non_dyadic_penalty_keeps_degenerate_states_equal(penalty):
     """A penalty folded into the pair coefficients would split equal states by an ulp."""
-    structure = make_problem_structure(
+    structure = make_problem(
         "max_independent_set", 10, seed=3, edge_probability=0.5, penalty=penalty
     )
     labels = np.arange(1 << 10)
@@ -132,7 +132,7 @@ def test_non_dyadic_penalty_keeps_degenerate_states_equal(penalty):
 
 
 def test_bit_path_checks_the_returned_shape():
-    structure = make_problem_structure("ksat", 4, seed=0)
+    structure = make_problem("ksat", 4, seed=0)
     structure.cost_vectorized = lambda bits: np.zeros(3)
     with pytest.raises(ValueError, match="vectorized cost returned shape"):
         objective_on_labels(structure, np.arange(16))

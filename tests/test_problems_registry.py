@@ -5,9 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.precompute import PrecomputedCost
+from repro.core.symmetry import flip_half
 from repro.hilbert import dicke_labels, ints_to_bit_matrix
 from repro.problems import PROBLEM_NAMES, make_problem
-from repro.problems.registry import BIT_MATRIX_BLOCK, make_problem_structure, objective_on_labels
+from repro.problems.registry import BIT_MATRIX_BLOCK, objective_on_labels
 
 
 class TestMakeProblem:
@@ -84,6 +86,16 @@ class TestMakeProblem:
         second = problem.objective_values()
         assert first is second
 
+    def test_space_is_built_on_first_read_and_never_replaced_over(self):
+        problem = make_problem("maxcut", 6, seed=2)
+        assert problem.dim == 64 and "space" not in problem._cache
+        space = problem.space
+        assert problem.space is space and space.is_full and space.dim == 64
+        half = flip_half(problem)
+        assert half.n == 5 and half.flip_pairs and "space" not in half._cache
+        assert half.space.dim == 32
+        np.testing.assert_array_equal(half.objective_values(), problem.objective_values()[:32])
+
     def test_optimum_and_optimal_states(self):
         problem = make_problem("maxcut", 6, seed=3)
         vals = problem.objective_values()
@@ -93,6 +105,16 @@ class TestMakeProblem:
         for label in labels:
             idx = problem.space.index_of(int(label))
             assert vals[idx] == problem.optimum()
+
+    @pytest.mark.parametrize("seed, count", [(1, 4), (2, 2), (4, 2)])
+    def test_optimal_states_use_the_engines_tolerances(self, seed, count):
+        # number_partition's float optima have near-ties that np.isclose's
+        # default rtol=1e-5 counted as optimal (6/4/4 states on these seeds)
+        problem = make_problem("number_partition", 16, seed=seed)
+        cost = PrecomputedCost(problem.objective_values(), space=problem.space,
+                               maximize=problem.maximize)
+        assert len(problem.optimal_states()) == count
+        np.testing.assert_array_equal(problem.optimal_states(), cost.optimal_labels())
 
     def test_approximation_ratio(self):
         problem = make_problem("maxcut", 6, seed=3)
@@ -130,6 +152,6 @@ class TestObjectiveOnLabelsBlocks:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_blocks_match_one_call(self, name, n, labels, seed):
         assert labels.size > BIT_MATRIX_BLOCK and labels.size % BIT_MATRIX_BLOCK
-        structure = make_problem_structure(name, n, seed=seed)
+        structure = make_problem(name, n, seed=seed)
         one_call = structure.cost_vectorized(ints_to_bit_matrix(labels, n))
         assert np.array_equal(objective_on_labels(structure, labels), one_call)

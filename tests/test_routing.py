@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import time
+
 import numpy as np
 import pytest
 
@@ -10,10 +13,10 @@ from repro.api.routing import (
     ExecutionPlan,
     clear_routing_memo,
     env_shards,
-    memoized_structure,
+    memoized_problem,
     spectrum_for,
 )
-from repro.api.solver import QAOASolver
+from repro.api.solver import QAOASolver, clear_problem_memo
 from repro.cli import main as cli_main
 
 
@@ -130,13 +133,72 @@ class TestSelectExecutionPath:
         assert "compressed" in text and "dim=" in text and "distinct=" in text
 
     def test_structure_dim_never_materialized(self):
-        structure = memoized_structure(_spec(n=100).problem)
-        assert structure.dim == 1 << 100
+        problem = memoized_problem(_spec(n=100).problem)
+        assert problem.dim == 1 << 100
+        assert "space" not in problem._cache
 
     def test_spectrum_memoized_including_negative(self):
         spec = _spec(problem="qubo", n=8)
         first = spectrum_for(spec.problem)
         assert first is spectrum_for(spec.problem)
+
+
+class TestOneProblemMemo:
+    """Routing and every engine read one memoized problem per spec."""
+
+    @pytest.mark.parametrize(
+        "problem, n, mixer", [("maxcut", 18, "x"), ("densest_subgraph", 11, "clique")]
+    )
+    def test_cold_solver_builds_the_problem_once(self, monkeypatch, problem, n, mixer):
+        import repro.api.routing as routing
+
+        calls = []
+        build = routing.make_problem
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(routing, "make_problem", counted)
+        clear_problem_memo()
+        clear_routing_memo()
+        solver = QAOASolver(_spec(problem=problem, n=n, mixer=mixer))
+        assert solver.plan.path == "dense"
+        assert len(calls) == 1
+        assert solver.problem is memoized_problem(solver.spec.problem)
+
+    @pytest.mark.parametrize(
+        "overrides, plan",
+        [
+            (dict(problem="maxcut", n=8, mixer="x"),
+             ExecutionPlan("sharded", "forced", 1 << 8, shards=2)),
+            (dict(problem="densest_subgraph", n=9, mixer="grover"),
+             ExecutionPlan("sharded", "forced", 126, shards=2)),
+            (dict(problem="ksat", n=13, mixer="grover"),
+             ExecutionPlan("compressed", "forced", 1 << 13)),
+            (dict(problem="hamming", n=16), None),
+        ],
+        ids=["sharded-x", "sharded-dicke", "compressed-enumerated", "compressed-analytic"],
+    )
+    def test_nondense_solvers_leave_the_space_unbuilt(self, overrides, plan):
+        spec = _spec(p=1, **overrides)
+        solver = QAOASolver(spec, plan=plan)
+        try:
+            assert solver.plan.path != "dense" and solver.problem is None
+            result = solver.run()
+        finally:
+            solver.close()
+        assert result.execution == solver.plan.path
+        assert "space" not in memoized_problem(spec.problem)._cache
+
+    def test_clearing_both_memos_leaves_nothing_memoized(self):
+        spec = _spec(problem="ksat", n=13)
+        first = memoized_problem(spec.problem)
+        spectrum = spectrum_for(spec.problem)
+        clear_problem_memo()
+        clear_routing_memo()
+        assert memoized_problem(spec.problem) is not first
+        assert spectrum_for(spec.problem) is not spectrum
 
 
 class TestSolveAcrossEngines:
@@ -302,3 +364,21 @@ class TestExplainCli:
         assert code == 0
         assert "execution path: sharded (dim=256, shards=2)" in out
         assert "engine=sharded" in out
+
+    def test_routing_counts_as_construction(self, monkeypatch, tmp_path, capsys):
+        import repro.api.routing as routing
+
+        route = routing.select_execution_path
+
+        def slow_route(*args, **kwargs):
+            time.sleep(0.05)
+            return route(*args, **kwargs)
+
+        monkeypatch.setattr(routing, "select_execution_path", slow_route)
+        path = tmp_path / "row.json"
+        code = cli_main(["solve", "--problem", "maxcut", "--n", "6", "--strategy", "random",
+                         "--param", "iters=2", "--json", str(path)])
+        assert code == 0
+        row = json.loads(path.read_text())["result"]
+        assert row["setup_s"] >= 0.05
+        assert f"construction             : {row['setup_s']:.3f}s" in capsys.readouterr().out

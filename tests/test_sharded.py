@@ -25,7 +25,7 @@ from repro.hpc.sharded import (
     sharded_mixer_config,
 )
 from repro.hpc.sharded.executor import _openblas_calls, _WorkerConfig, _WorkerState
-from repro.problems.registry import ProblemStructure, make_problem, make_problem_structure
+from repro.problems.registry import ProblemInstance, make_problem
 from repro.problems.weighted import random_weighted_graph, weighted_maxcut_values
 
 
@@ -37,7 +37,7 @@ def _dense(name, n, mixer, p, *, k=None, mixer_params=None):
 
 
 def _sharded(name, n, mixer, p, shards, *, k=None, mixer_params=None):
-    structure = make_problem_structure(name, n, seed=3, k=k)
+    structure = make_problem(name, n, seed=3, k=k)
     return ShardedAnsatz(structure, mixer, p, shards, mixer_params=mixer_params)
 
 
@@ -214,7 +214,7 @@ class TestShardedWorkerKernels:
     @pytest.mark.parametrize("key", ["cost", "x"])
     def test_table_phase_equals_full_exp(self, key):
         n, batch = 10, 3
-        structure = make_problem_structure("maxcut", n, seed=3)
+        structure = make_problem("maxcut", n, seed=3)
         chunk = split_full_space(n, 2)[1]
         state = _WorkerState(_WorkerConfig(
             index=chunk.index, chunk=chunk, n=n, k=None, shards=2,
@@ -255,7 +255,7 @@ class TestShardedWorkerKernels:
 
 def _weighted_maxcut_structure(n, seed):
     graph = random_weighted_graph(n, 0.5, seed=seed)
-    return ProblemStructure(
+    return ProblemInstance(
         name="weighted_maxcut", n=n, k=None,
         cost=lambda x: float(weighted_maxcut_values(graph, np.atleast_2d(x))[0]),
         cost_vectorized=partial(weighted_maxcut_values, graph),
@@ -269,9 +269,9 @@ class TestShardedPhaseTables:
         if weighted:  # distinct float weights: too many levels for a table
             structure = _weighted_maxcut_structure(n, seed=5)
         else:
-            structure = make_problem_structure("maxcut", n, seed=5)
+            structure = make_problem("maxcut", n, seed=5)
         obj = structure.cost_vectorized(state_matrix(n))
-        dense = QAOAAnsatz(obj, make_mixer("x", structure.build_space()), p)
+        dense = QAOAAnsatz(obj, make_mixer("x", structure.space), p)
         sharded = ShardedAnsatz(structure, "x", p, 2)
         try:
             rng = np.random.default_rng(8)
@@ -526,19 +526,19 @@ class TestShardedValidation:
             sharded_mixer_config("xy", 6)
 
     def test_wht_mixers_need_power_of_two_shards(self):
-        structure = make_problem_structure("maxcut", 6, seed=3)
+        structure = make_problem("maxcut", 6, seed=3)
         config = sharded_mixer_config("x", 6)
         with pytest.raises(ValueError, match="power-of-two"):
             ShardedExecutor(structure, config, 1, 3)
 
     def test_wht_mixers_reject_dicke_subspaces(self):
-        structure = make_problem_structure("densest_subgraph", 7, seed=3, k=3)
+        structure = make_problem("densest_subgraph", 7, seed=3, k=3)
         config = sharded_mixer_config("x", 7)
         with pytest.raises(ValueError, match="Grover"):
             ShardedExecutor(structure, config, 1, 2)
 
     def test_too_many_shards(self):
-        structure = make_problem_structure("densest_subgraph", 5, seed=3, k=1)
+        structure = make_problem("densest_subgraph", 5, seed=3, k=1)
         config = sharded_mixer_config("grover", 5)
         with pytest.raises(ValueError, match="shards"):
             ShardedExecutor(structure, config, 1, 9)
