@@ -52,6 +52,7 @@ from .strategies import STRATEGIES
 __all__ = [
     "ExecutionPlan",
     "select_execution_path",
+    "routing_inputs",
     "memoized_problem",
     "clear_routing_memo",
     "spectrum_for",
@@ -210,16 +211,34 @@ def _canonical(registry, name: str) -> str:
         return name.lower()
 
 
+def routing_inputs(spec: SolveSpec) -> dict:
+    """Everything :func:`select_execution_path` reads, as a JSON-able dict.
+
+    The problem spec, the canonical mixer family, whether the strategy is
+    dense-only, and the ``REPRO_SHARDS`` request: equal inputs route alike.
+    Reading them builds nothing, so a key over them (the solver service's
+    pool fingerprint) leaves routing, and its construction work, to
+    :class:`~repro.api.solver.QAOASolver`.
+    """
+    return {
+        "problem": spec.problem.to_dict(),
+        "mixer": _canonical(MIXERS, spec.mixer.name),
+        "dense_only": _canonical(STRATEGIES, spec.strategy.name) in DENSE_ONLY_STRATEGIES,
+        "shards": env_shards(),
+    }
+
+
 def select_execution_path(
     spec: SolveSpec, *, shards: int | None = None
 ) -> ExecutionPlan:
-    """Pick the engine for ``spec`` (see the module docstring for the rules).
+    """Pick the engine for ``spec`` from its :func:`routing_inputs` (see the
+    module docstring for the rules).
 
     ``shards`` overrides the ``REPRO_SHARDS`` environment knob.
     """
+    inputs = routing_inputs(spec)
     problem = memoized_problem(spec.problem)
-    mixer = _canonical(MIXERS, spec.mixer.name)
-    strategy = _canonical(STRATEGIES, spec.strategy.name)
+    mixer = inputs["mixer"]
     dim = problem.dim
     # the dense engine's reduction, and the dimension it holds
     flip = flip_reducible(problem, mixer)
@@ -228,7 +247,8 @@ def select_execution_path(
     def dense(reason: str) -> ExecutionPlan:
         return ExecutionPlan("dense", reason, dim, flip_reduced=flip)
 
-    if strategy in DENSE_ONLY_STRATEGIES:
+    if inputs["dense_only"]:
+        strategy = _canonical(STRATEGIES, spec.strategy.name)
         return dense(f"strategy {strategy!r} rebuilds per-round dense ansatze")
 
     if mixer == "grover" and dim > COMPRESSED_MIN_DIM:
@@ -244,7 +264,7 @@ def select_execution_path(
                     distinct=distinct,
                 )
 
-    requested = shards if shards is not None else env_shards()
+    requested = shards if shards is not None else inputs["shards"]
     source = "shards override" if shards is not None else f"REPRO_SHARDS={requested}"
     shardable = mixer in SHARDED_MIXERS
     if shardable and mixer != "grover":

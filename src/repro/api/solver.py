@@ -234,11 +234,16 @@ class QAOASolver:
     the problem, the mixer and the plan's shard count, as routing decides
     it; ``plan.flip_reduced`` reports it, for a pinned plan too).  Every
     engine reads the one memoized problem
-    (:func:`~repro.api.routing.memoized_problem`); non-dense solvers never
-    build its feasible space — ``problem``/``mixer`` stay ``None``, and
-    every engine carries its own optimum.  Sharded solvers own worker
-    processes; call :meth:`close` (or use ``solve()``, which does) when
-    finished.
+    (:func:`~repro.api.routing.memoized_problem`).  The dense and sharded
+    engines take the one mixer the registry builds
+    (:func:`~repro.api.mixers.make_mixer`, kept as ``mixer``) and fold it
+    with :meth:`~repro.mixers.base.Mixer.flip_folded`; neither builds a
+    label array beyond the objective's (the sharded engine: none, its
+    workers evaluate their own chunks).  ``problem`` is set for dense
+    solvers only; compressed solvers leave ``problem`` and ``mixer``
+    ``None``, and every engine carries its own optimum.  Sharded solvers own
+    worker processes; call :meth:`close` (or use ``solve()``, which does)
+    when finished.
 
     The construction seconds are reported once, as ``setup_s`` of the first
     result this solver produces.
@@ -272,27 +277,23 @@ class QAOASolver:
                 n=problem.n,
                 maximize=problem.maximize,
             )
-        elif plan.path == "sharded":
-            from ..hpc.sharded import ShardedAnsatz, sharded_mixer_config
-
-            config = sharded_mixer_config(
-                spec.mixer.name, problem.n, dict(spec.mixer.params)
-            )
-            flip = flip_reducible(problem, config.kind, shards=plan.shards)
-            if flip:
-                config = config.flip_folded(problem.n)
-                problem = flip_half(problem)
-            self.ansatz = ShardedAnsatz(problem, config, spec.p, plan.shards)
         else:
-            # from_problem runs a flip-symmetric problem on n - 1 qubits; the
-            # full-space mixer built here only describes the spec (its
-            # spectrum is built on first use, which folding avoids)
-            self.problem = problem
-            self.mixer = make_mixer(
-                spec.mixer.name, problem.space, **spec.mixer.params
-            )
-            self.ansatz = QAOAAnsatz.from_problem(problem, self.mixer, spec.p)
-            flip = self.ansatz.cost.flip_pairs
+            # a flip-symmetric problem runs on n - 1 qubits with the folded
+            # mixer; the full-space mixer built here only describes the spec
+            # (its spectrum is built on first use, which folding avoids)
+            self.mixer = make_mixer(spec.mixer.name, problem.space, **spec.mixer.params)
+            if plan.path == "sharded":
+                from ..hpc.sharded import ShardedAnsatz
+
+                mixer = self.mixer
+                flip = flip_reducible(problem, mixer, shards=plan.shards)
+                if flip:
+                    mixer, problem = mixer.flip_folded(), flip_half(problem)
+                self.ansatz = ShardedAnsatz(problem, mixer, spec.p, plan.shards)
+            else:
+                self.problem = problem
+                self.ansatz = QAOAAnsatz.from_problem(problem, self.mixer, spec.p)
+                flip = self.ansatz.cost.flip_pairs
         # a pinned plan reports the reduction the engine was built with
         self.plan = replace(plan, flip_reduced=flip)
         #: construction seconds not yet reported by a result

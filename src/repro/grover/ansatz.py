@@ -33,6 +33,7 @@ import numpy as np
 
 from ..core.engine import Engine
 from ..core.gradients import EvaluationCounter
+from ..core.precompute import OPTIMAL_ATOL, OPTIMAL_RTOL
 from ..core.simulator import join_angles_batch, split_angles_batch
 from ..mixers.base import weighted_imag_vdot, weighted_sq_norms
 from .compress import CompressedObjective
@@ -80,8 +81,11 @@ class CompressedSimulation:
         return float(self.class_probabilities()[idx])
 
     def probability_of_value(self, value: float) -> float:
-        """Probability of measuring a state whose objective equals ``value``."""
-        idx = np.flatnonzero(np.isclose(self.spectrum.values, value))
+        """Probability of measuring a state whose objective equals ``value``
+        (under the tolerances of ``PrecomputedCost.optimal_indices``)."""
+        idx = np.flatnonzero(
+            np.isclose(self.spectrum.values, value, rtol=OPTIMAL_RTOL, atol=OPTIMAL_ATOL)
+        )
         if idx.size == 0:
             raise KeyError(f"objective value {value} is not in the spectrum")
         return float(self.class_probabilities()[idx].sum())

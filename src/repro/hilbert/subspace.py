@@ -13,23 +13,32 @@ The class exposes exactly what the simulator's pre-computation step needs:
 * ``evaluate(cost)`` — the cost function evaluated across all feasible states,
 * ``initial_state()`` — the uniform superposition over the space (the default
   QAOA starting state, per Sec. 3 of the paper).
+
+Derived labels: :func:`FullSpace` and :func:`DickeSpace` are given by ``n``
+(and ``k``) alone.  Their ``dim`` is ``2^n`` or ``C(n, k)``, and their labels
+are :func:`~repro.hilbert.states.state_labels` /
+:func:`~repro.hilbert.dicke.dicke_labels`, built the first time ``labels``
+(or anything that reads them: ``bits``, ``index_of``, ``embed``,
+``project``, ``evaluate``) is read, and never validated, since they are
+correct by construction.  So ``FullSpace(40).dim`` allocates nothing, and a
+run that only needs ``n``, ``dim``, ``is_full`` and ``initial_state()``
+never builds a label array.  Explicit labels (``FeasibleSpace(n, labels)``,
+:func:`CustomSpace`) are outside input and are checked when given.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .bitops import ints_to_bit_matrix
-from .dicke import dicke_labels
-from .states import state_labels
+from .dicke import dicke_dim, dicke_labels
+from .states import num_states, state_labels
 
 __all__ = ["FeasibleSpace", "FullSpace", "DickeSpace", "CustomSpace"]
 
 
-@dataclass(frozen=True)
 class FeasibleSpace:
     """An ordered set of feasible basis states of an ``n``-qubit register.
 
@@ -43,21 +52,18 @@ class FeasibleSpace:
         Human-readable identifier used in caches and reprs.
     hamming_weight:
         If all feasible states share a Hamming weight, that weight; else None.
+
+    ``dim`` is the number of feasible states.
     """
 
-    n: int
-    labels: np.ndarray
-    name: str = "custom"
-    hamming_weight: int | None = None
-    _bits_cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        labels = np.asarray(self.labels, dtype=np.int64)
+    def __init__(self, n: int, labels: np.ndarray, name: str = "custom",
+                 hamming_weight: int | None = None) -> None:
+        labels = np.asarray(labels, dtype=np.int64)
         if labels.ndim != 1:
             raise ValueError("labels must be a 1-D array")
         if labels.size == 0:
             raise ValueError("a feasible space must contain at least one state")
-        if labels.min() < 0 or (self.n < 63 and labels.max() >= (1 << self.n)):
+        if labels.min() < 0 or (n < 63 and labels.max() >= (1 << n)):
             raise ValueError("labels out of range for the given number of qubits")
         # Canonical order is ascending: index_of's binary search relies on it,
         # so a directly-constructed space with unsorted labels used to return
@@ -73,14 +79,31 @@ class FeasibleSpace:
                 "feasible-state labels must be in ascending order (the canonical "
                 "basis order); use CustomSpace(...) to sort arbitrary label lists"
             )
-        object.__setattr__(self, "labels", labels)
+        self.n, self.dim, self.name, self.hamming_weight = n, int(labels.size), name, hamming_weight
+        #: the labels and bit matrix, once built
+        self._cache: dict = {"labels": labels}
+
+    @classmethod
+    def _derived(cls, n: int, dim: int, name: str, hamming_weight: int | None):
+        """A full (``hamming_weight`` None) or Dicke space whose labels are
+        derived on first read (see the module docstring)."""
+        space = cls.__new__(cls)
+        space.n, space.dim, space.name, space.hamming_weight = n, dim, name, hamming_weight
+        space._cache = {}
+        return space
+
+    @property
+    def labels(self) -> np.ndarray:
+        """Full-space labels of the feasible states, ascending (derived ones
+        are built on first read)."""
+        if "labels" not in self._cache:
+            self._cache["labels"] = (
+                state_labels(self.n) if self.hamming_weight is None
+                else dicke_labels(self.n, self.hamming_weight)
+            )
+        return self._cache["labels"]
 
     # -- basic geometry -------------------------------------------------
-    @property
-    def dim(self) -> int:
-        """Number of feasible states."""
-        return int(self.labels.size)
-
     @property
     def is_full(self) -> bool:
         """Whether this space is the complete ``2^n`` hypercube."""
@@ -89,9 +112,9 @@ class FeasibleSpace:
     @property
     def bits(self) -> np.ndarray:
         """Feasible states as a ``(dim, n)`` 0/1 matrix (cached)."""
-        if "bits" not in self._bits_cache:
-            self._bits_cache["bits"] = ints_to_bit_matrix(self.labels, self.n)
-        return self._bits_cache["bits"]
+        if "bits" not in self._cache:
+            self._cache["bits"] = ints_to_bit_matrix(self.labels, self.n)
+        return self._cache["bits"]
 
     # -- pre-computation hooks -------------------------------------------
     def evaluate(self, cost: Callable[[np.ndarray], float]) -> np.ndarray:
@@ -147,18 +170,13 @@ class FeasibleSpace:
 
 
 def FullSpace(n: int) -> FeasibleSpace:
-    """The unconstrained feasible space: all ``2^n`` basis states."""
-    return FeasibleSpace(n=n, labels=state_labels(n), name="full")
+    """The unconstrained feasible space: all ``2^n`` basis states (labels derived)."""
+    return FeasibleSpace._derived(n, num_states(n), "full", None)
 
 
 def DickeSpace(n: int, k: int) -> FeasibleSpace:
-    """The Hamming-weight-``k`` feasible space (Dicke subspace)."""
-    return FeasibleSpace(
-        n=n,
-        labels=dicke_labels(n, k),
-        name=f"dicke_k{k}",
-        hamming_weight=k,
-    )
+    """The Hamming-weight-``k`` feasible space (Dicke subspace; labels derived)."""
+    return FeasibleSpace._derived(n, dicke_dim(n, k), f"dicke_k{k}", k)
 
 
 def CustomSpace(n: int, labels: Sequence[int], name: str = "custom") -> FeasibleSpace:

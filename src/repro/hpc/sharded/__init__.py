@@ -13,12 +13,7 @@ Public surface:
 """
 
 from .ansatz import ShardedAnsatz, ShardedSimulation
-from .executor import (
-    ShardedExecutionError,
-    ShardedExecutor,
-    ShardedMixerConfig,
-    sharded_mixer_config,
-)
+from .executor import ShardedExecutionError, ShardedExecutor
 from .workspace import ShardedWorkspace, attach_segment
 
 __all__ = [
@@ -26,8 +21,6 @@ __all__ = [
     "ShardedSimulation",
     "ShardedExecutor",
     "ShardedExecutionError",
-    "ShardedMixerConfig",
-    "sharded_mixer_config",
     "ShardedWorkspace",
     "attach_segment",
 ]

@@ -18,7 +18,8 @@ import numpy as np
 
 from ...core.engine import Engine
 from ...core.gradients import EvaluationCounter
-from .executor import ShardedExecutor, ShardedMixerConfig, sharded_mixer_config
+from ...mixers.base import Mixer
+from .executor import ShardedExecutor
 
 __all__ = ["ShardedAnsatz", "ShardedSimulation"]
 
@@ -85,29 +86,20 @@ class ShardedAnsatz(Engine):
         flip-symmetric half of one, from
         :func:`~repro.core.symmetry.flip_half`, runs on ``n - 1``
         qubits and reports full-space results).
-    mixer / mixer_params:
-        Mixer family name, resolved via :func:`sharded_mixer_config`
-        (``x``, ``multiangle_x``, ``grover``), or a resolved
-        :class:`ShardedMixerConfig`.
+    mixer:
+        The mixer over the problem's space, as
+        :func:`repro.api.mixers.make_mixer` builds it: an ``x``,
+        ``multiangle_x`` or uniform ``grover`` mixer, folded
+        (:meth:`~repro.mixers.base.Mixer.flip_folded`) for a flip-symmetric
+        half.  The workers read its terms, never its ``2^n`` arrays.
     p:
         Number of QAOA rounds.
     shards:
         Worker count (see :class:`ShardedExecutor` constraints).
     """
 
-    def __init__(
-        self,
-        problem,
-        mixer: str | ShardedMixerConfig,
-        p: int,
-        shards: int,
-        *,
-        mixer_params: dict | None = None,
-    ):
-        config = mixer
-        if isinstance(mixer, str):
-            config = sharded_mixer_config(mixer, problem.n, mixer_params)
-        self.executor = ShardedExecutor(problem, config, p, shards)
+    def __init__(self, problem, mixer: Mixer, p: int, shards: int):
+        self.executor = ShardedExecutor(problem, mixer, p, shards)
         self.maximize = bool(problem.maximize)
         self.dim = int(problem.dim)
         self.p = int(p)
@@ -118,11 +110,6 @@ class ShardedAnsatz(Engine):
         self.counter = EvaluationCounter()
 
     # ------------------------------------------------------------------
-    @property
-    def mixer_config(self) -> ShardedMixerConfig:
-        """The resolved space-free mixer description."""
-        return self.executor.mixer
-
     @property
     def optimum(self) -> float:
         """Best objective value over the feasible space (by sense)."""
@@ -156,6 +143,6 @@ class ShardedAnsatz(Engine):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ShardedAnsatz(n={self.n}, dim={self.executor.dim}, "
-            f"shards={self.executor.shards}, mixer={self.executor.mixer.kind!r}, "
+            f"shards={self.executor.shards}, mixer={type(self.executor.mixer).__name__}, "
             f"p={self.p})"
         )

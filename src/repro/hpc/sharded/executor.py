@@ -16,7 +16,16 @@ writes only its own destination block in the alternate buffer.
 
 Mixer decompositions
 --------------------
-* ``x`` / ``multiangle_x`` (full space, power-of-two shards): the n-qubit
+The executor takes the mixer object the registry builds
+(:func:`repro.api.mixers.make_mixer`), so mixer parameters are parsed in one
+place.  It reads only what is independent of the dimension: the X-product
+``masks``, their coefficients (1.0 per term of a multi-angle mixer) and
+``num_angles``; it never reads a mixer's ``diagonal``, ``term_diagonals`` or
+``psi0``, nor its space's labels.  The mixer's type picks the pipeline:
+
+* :class:`~repro.mixers.xmixer.XMixer` /
+  :class:`~repro.mixers.xmixer.MultiAngleXMixer` (full space, power-of-two
+  shards): the n-qubit
   Walsh–Hadamard transform factors into a *local* transform over the low
   ``n - s`` bits (in-shard, contiguous: the blocked kernel
   :func:`~repro.backend.base.blocked_wht`, ping-ponging through the other
@@ -31,9 +40,9 @@ Mixer decompositions
   OpenBLAS to one thread at its first transform: forked workers inherit the
   coordinator's BLAS threads, and two multithreaded workers on the same
   cores slow each other down.
-* ``grover`` (any space, any shard count): the rank-one update needs one
-  overlap (a per-shard column sum combined by the coordinator) and one
-  broadcast axpy.
+* :class:`~repro.mixers.grover.GroverMixer` over the uniform start state
+  (any space, any shard count): the rank-one update needs one overlap (a
+  per-shard column sum combined by the coordinator) and one broadcast axpy.
 
 The adjoint gradient runs in the transform domain, as the dense
 :func:`~repro.core.gradients.qaoa_value_and_gradient_batch` does: the
@@ -88,8 +97,9 @@ Flip symmetry
 -------------
 A flip-symmetric problem arrives as the ``n - 1``-qubit problem of its
 flip-symmetric half (:func:`~repro.core.symmetry.flip_half`, marked
-``flip_pairs``) with folded masks (:meth:`ShardedMixerConfig.flip_folded`),
-and runs like any other ``n - 1``-qubit problem on half the shared memory.
+``flip_pairs``) with the folded mixer (:meth:`~repro.mixers.base.Mixer.flip_folded`,
+as on the dense engine), and runs like any other ``n - 1``-qubit problem on
+half the shared memory.
 Only :meth:`ShardedExecutor.sample` (complement each label with probability
 1/2) and :meth:`ShardedExecutor.gather_state` (expand) know about the pairs.
 
@@ -105,7 +115,7 @@ import multiprocessing as mp
 import os
 import time
 import traceback
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -122,24 +132,14 @@ from ...core.precompute import OPTIMAL_ATOL, OPTIMAL_RTOL
 from ...core.simulator import _prefix_runs, join_angles_batch, split_angles_batch
 from ...core.symmetry import complement_half, expand_flip_pairs
 from ...io.locking import FileLock
-from ...mixers.base import weighted_imag_vdot, weighted_sq_norms
-from ...mixers.xmixer import (
-    flip_fold_mask,
-    fold_x_terms,
-    term_mask,
-    x_mask_diagonal,
-    x_order_terms,
-)
+from ...mixers.base import Mixer, weighted_imag_vdot, weighted_sq_norms
+from ...mixers.grover import GroverMixer
+from ...mixers.xmixer import MultiAngleXMixer, XMixer, fold_x_terms, x_mask_diagonal
 from ...problems.registry import ProblemInstance, objective_on_labels
 from ..partition import Chunk, chunk_labels, split_dicke_space, split_full_space
 from .workspace import ShardedWorkspace, attach_segment
 
-__all__ = [
-    "ShardedMixerConfig",
-    "sharded_mixer_config",
-    "ShardedExecutor",
-    "ShardedExecutionError",
-]
+__all__ = ["ShardedExecutor", "ShardedExecutionError"]
 
 #: Largest global dimension ``gather_state`` will materialize coordinator-side.
 GATHER_LIMIT = 1 << 22
@@ -147,79 +147,6 @@ GATHER_LIMIT = 1 << 22
 
 class ShardedExecutionError(RuntimeError):
     """A shard worker raised; carries the remote traceback(s)."""
-
-
-# ---------------------------------------------------------------------------
-# mixer configuration (space-free: masks + coefficients, never 2^n arrays)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ShardedMixerConfig:
-    """Space-free description of a mixer family the sharded engine can run.
-
-    ``masks``/``coeffs`` describe the products-of-X terms (``mask_t = sum
-    2^q`` over the term's qubits): the Hadamard-basis eigenvalue at global
-    index ``y`` is ``sum_t c_t (-1)^{popcount(y & mask_t)}``, which each
-    worker builds for its own chunk.  ``betas_per_round`` is 1 except for
-    multi-angle layers (one beta per term).
-    """
-
-    kind: str  # "x" | "multiangle_x" | "grover"
-    masks: tuple[int, ...] = ()
-    coeffs: tuple[float, ...] = ()
-    betas_per_round: int = 1
-
-    @property
-    def needs_wht(self) -> bool:
-        """Whether applying this mixer requires the Walsh–Hadamard pipeline."""
-        return self.kind in ("x", "multiangle_x")
-
-    def flip_folded(self, n: int) -> "ShardedMixerConfig":
-        """This ``n``-qubit mixer on the flip-symmetric half: every mask through
-        :func:`~repro.mixers.xmixer.flip_fold_mask`, same order and coefficients
-        (Grover has no masks: it is Grover on the half)."""
-        return replace(self, masks=tuple(flip_fold_mask(mask, n) for mask in self.masks))
-
-
-def sharded_mixer_config(name: str, n: int, params: dict | None = None) -> ShardedMixerConfig:
-    """Resolve a mixer spec into a :class:`ShardedMixerConfig`.
-
-    Enumerates X terms with :func:`repro.mixers.xmixer.x_order_terms` (as
-    ``mixer_x`` does) and follows the defaults of the mixer registry
-    factories, without building any ``2^n``-sized object.  Raises
-    ``ValueError`` for families without a sharded decomposition (the XY
-    families need dense subspace eigendecompositions).
-    """
-    from ...api.mixers import MIXERS
-
-    params = dict(params or {})
-    canonical = MIXERS.canonical(name)
-    if canonical == "x":
-        orders = params.pop("orders", (1,))
-        coefficients = params.pop("coefficients", None)
-        if params:
-            raise ValueError(f"unknown x-mixer parameters {sorted(params)}")
-        terms, coeffs = x_order_terms(orders, n, coefficients)
-        masks = tuple(term_mask(term, n) for term in terms)
-        return ShardedMixerConfig("x", masks, tuple(coeffs), 1)
-    if canonical == "multiangle_x":
-        terms = params.pop("terms", None)
-        if params:
-            raise ValueError(f"unknown multiangle-x parameters {sorted(params)}")
-        if terms is None:
-            terms = [(i,) for i in range(n)]
-        masks = tuple(term_mask(term, n) for term in terms)
-        if not masks:
-            raise ValueError("a multi-angle X mixer needs at least one term")
-        return ShardedMixerConfig("multiangle_x", masks, (1.0,) * len(masks), len(masks))
-    if canonical == "grover":
-        if params:
-            raise ValueError(f"unknown grover-mixer parameters {sorted(params)}")
-        return ShardedMixerConfig("grover")
-    raise ValueError(
-        f"mixer family {canonical!r} has no sharded execution path "
-        "(supported: 'x', 'multiangle_x', 'grover')"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +161,7 @@ class _WorkerConfig:
     k: int | None
     shards: int
     problem: ProblemInstance
-    mixer: ShardedMixerConfig
+    mixer: Mixer
     value_chunk: int = 1 << 16
 
 
@@ -335,12 +262,18 @@ class _WorkerState:
     def _row_chunk(self) -> int:
         return max(1024, (1 << 20) // max(1, self.batch))
 
+    def _terms(self) -> tuple[list[int], list[float]]:
+        """The mixer's X-product masks and coefficients (1.0 per multi-angle term)."""
+        mixer = self.cfg.mixer
+        if isinstance(mixer, XMixer):
+            return mixer.masks, mixer.coefficients
+        return mixer.masks, [1.0] * len(mixer.masks)
+
     def _chunk_diagonal(self) -> np.ndarray:
         """This chunk's slice of the mixer diagonal, built on first use."""
         if self._diagonal is None:
-            mixer = self.cfg.mixer
             self._diagonal = x_mask_diagonal(
-                mixer.masks, mixer.coeffs, self.local_bits, high=self._chunk_high()
+                *self._terms(), self.local_bits, high=self._chunk_high()
             )
         return self._diagonal
 
@@ -391,15 +324,13 @@ class _WorkerState:
 
     def diag_phase(self, slot: int, betas: np.ndarray, sign: float, scale: float) -> None:
         """Mixer eigenphases (times ``scale``) on the first ``betas.shape[1]`` columns."""
-        mixer = self.cfg.mixer
-        if mixer.kind == "x":
+        if isinstance(self.cfg.mixer, XMixer):
             d = self._chunk_diagonal()
             phases = DiagonalPhase(d, betas[0], sign, scale=scale,
                                    levels=self._level_table("x", d))
         else:  # multi-angle: each column's diagonal is its own angle-weighted sum
             d = x_mask_diagonal(
-                mixer.masks, mixer.coeffs, self.local_bits, high=self._chunk_high(),
-                angles=betas,
+                *self._terms(), self.local_bits, high=self._chunk_high(), angles=betas
             )
             phases = DiagonalPhase(d, 1.0, sign, scale=scale)
         self._phase(self.view(slot, betas.shape[1]), phases)
@@ -481,14 +412,11 @@ class _WorkerState:
         ``x``), against round ``k``'s recorded middle vector ``mid``."""
         phi = self.view(phi_slot)
         psi = self.layers[k, 1]
-        if self.cfg.mixer.kind == "x":
+        if isinstance(self.cfg.mixer, XMixer):
             return weighted_imag_vdot(self._chunk_diagonal(), phi, psi)[None, :]
         # multi-angle: every term diagonal is a signed Hadamard row, so all
         # per-term sums are rows of one transform of the imaginary parts
-        mixer = self.cfg.mixer
-        rows, weights = fold_x_terms(
-            mixer.masks, mixer.coeffs, self.local_bits, high=self._chunk_high()
-        )
+        rows, weights = fold_x_terms(*self._terms(), self.local_bits, high=self._chunk_high())
         imag = phi.real * psi.imag - phi.imag * psi.real
         blocked_wht(imag, np.empty_like(imag), imag, hadamard_blocks(self.local_bits, self.batch))
         return weights[:, None] * imag[rows]
@@ -585,7 +513,12 @@ class ShardedExecutor:
         A :class:`~repro.problems.registry.ProblemInstance`; its feasible
         space is never built (each worker evaluates its chunk's labels).
     mixer:
-        A :class:`ShardedMixerConfig` (see :func:`sharded_mixer_config`).
+        The :class:`~repro.mixers.xmixer.XMixer`,
+        :class:`~repro.mixers.xmixer.MultiAngleXMixer` or
+        :class:`~repro.mixers.grover.GroverMixer` (uniform start state) over
+        the problem's space, as :func:`repro.api.mixers.make_mixer` builds it
+        (folded, for a flip-symmetric half).  Other mixers raise
+        ``ValueError``.
     p:
         Number of QAOA rounds.
     shards:
@@ -595,16 +528,27 @@ class ShardedExecutor:
         Initial number of statevector columns.
     """
 
-    def __init__(self, problem: ProblemInstance, mixer: ShardedMixerConfig, p: int,
+    def __init__(self, problem: ProblemInstance, mixer: Mixer, p: int,
                  shards: int, *, batch: int = 1):
         if p < 1:
             raise ValueError("a QAOA needs at least one round")
         if shards < 2:
             raise ValueError("sharded execution needs at least 2 shards")
+        self._grover = isinstance(mixer, GroverMixer)
+        if not self._grover and not isinstance(mixer, (XMixer, MultiAngleXMixer)):
+            raise ValueError(
+                f"mixer {type(mixer).__name__} has no sharded execution path "
+                "(supported: 'x', 'multiangle_x', 'grover')"
+            )
+        if self._grover and mixer._initial is not None:
+            raise ValueError(
+                "the sharded Grover mixer runs the uniform start state; a "
+                "GroverMixer with a custom start state has no sharded path"
+            )
         self.problem = problem
         self.mixer = mixer
         self.p = int(p)
-        self.beta_counts = [mixer.betas_per_round] * self.p
+        self.beta_counts = [mixer.num_angles] * self.p
         self.n = int(problem.n)
         self.k = problem.k
         self.dim = int(problem.dim)
@@ -612,10 +556,10 @@ class ShardedExecutor:
         if shards > self.dim:
             raise ValueError(f"cannot split dim {self.dim} into {shards} shards")
 
-        if mixer.needs_wht:
+        if not self._grover:
             if self.k is not None:
                 raise ValueError(
-                    f"mixer kind {mixer.kind!r} acts on the full space; Dicke "
+                    f"mixer {type(mixer).__name__} acts on the full space; Dicke "
                     "subspaces shard with the Grover mixer only"
                 )
             if shards & (shards - 1):
@@ -627,6 +571,8 @@ class ShardedExecutor:
             chunks = split_full_space(self.n, shards)
         else:
             chunks = split_dicke_space(self.n, self.k, shards)
+        if mixer.dim != self.dim:  # e.g. an unfolded mixer on a flip-symmetric half
+            raise ValueError(f"the mixer acts on dim {mixer.dim}, the problem on dim {self.dim}")
         self.chunks = chunks
         self.shards = len(chunks)
         self._s = self.shards.bit_length() - 1  # butterfly levels (WHT kinds)
@@ -772,7 +718,7 @@ class ShardedExecutor:
         ``record(slot)``, if given, stores a WHT layer's middle vector (the
         state right after ``diag_phase``); the Grover update records nothing.
         """
-        if self.mixer.kind == "grover":
+        if self._grover:
             if columns is not None:
                 slot = self._gather(slot, columns, width)
             S = np.sum(self._command("colsum", slot, betas_k.shape[1]), axis=0)
@@ -856,7 +802,7 @@ class ShardedExecutor:
         grad_gammas = np.empty((self.p, M), dtype=np.float64)
         for k in range(self.p - 1, -1, -1):
             betas_k = beta_rounds[k]
-            if self.mixer.kind == "grover":
+            if self._grover:
                 S_phi = np.sum(self._command("colsum", cur), axis=0)
                 # <psi0|psi_k> = e^{-i beta} <psi0|chi_k>
                 S_psi = np.exp(-1j * betas_k[0]) * np.sum(
@@ -1037,5 +983,5 @@ class ShardedExecutor:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ShardedExecutor(n={self.n}, k={self.k}, dim={self.dim}, "
-            f"shards={self.shards}, mixer={self.mixer.kind!r}, p={self.p})"
+            f"shards={self.shards}, mixer={type(self.mixer).__name__}, p={self.p})"
         )

@@ -22,7 +22,7 @@ import json
 import threading
 from collections import OrderedDict
 
-from ..api.routing import select_execution_path
+from ..api.routing import routing_inputs
 from ..api.solver import QAOASolver
 from ..api.spec import SolveSpec
 from ..hpc.memory import warm_entry_bytes
@@ -36,17 +36,17 @@ def pool_fingerprint(spec: SolveSpec) -> str:
 
     Two specs with equal fingerprints share problem instance, feasible space,
     mixer spectra and workspaces — everything the warm pool keeps alive.  The
-    strategy and its seed only steer the angle search, so they are excluded.
-    The routed execution path (and its shard count) is included: a
-    ``REPRO_SHARDS`` change must not hit a dense entry.
+    strategy and its seed only steer the angle search, so they are excluded,
+    except for whether the strategy forces the dense engine.  The inputs of
+    routing (:func:`~repro.api.routing.routing_inputs`) are included, so a
+    ``REPRO_SHARDS`` change cannot hit a dense entry; the fingerprint builds
+    nothing, and routing runs inside the entry's timed
+    :class:`~repro.api.solver.QAOASolver` construction.
     """
-    plan = select_execution_path(spec)
     payload = {
-        "problem": spec.problem.to_dict(),
+        "routing": routing_inputs(spec),
         "mixer": spec.mixer.to_dict(),
         "p": spec.p,
-        "execution": plan.path,
-        "shards": plan.shards,
     }
     text = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -68,7 +68,7 @@ class WarmEntry:
         solver = QAOASolver(spec)
         self.plan = solver.plan
         self.problem = solver.problem  # None for non-dense plans
-        self.mixer = solver.mixer  # None for non-dense plans
+        self.mixer = solver.mixer  # None for compressed plans
         self.ansatz = solver.ansatz
         self._unreported_setup_s = solver._unreported_setup_s
         self.lock = threading.Lock()

@@ -20,10 +20,10 @@ from repro.api.solver import QAOASolver, memoized_problem
 from repro.api.spec import SolveSpec
 from repro.cli import main as cli_main
 from repro.core import QAOAAnsatz
-from repro.core.symmetry import flip_half_cost, flip_reducible
-from repro.hilbert import FullSpace
+from repro.core.symmetry import flip_half, flip_half_cost, flip_reducible
+from repro.hpc.partition import split_full_space
+from repro.hpc.sharded.executor import _WorkerConfig, _WorkerState
 from repro.hpc.memory import warm_entry_bytes
-from repro.hpc.sharded import sharded_mixer_config
 from repro.mixers import GroverMixer, MultiAngleXMixer, mixer_x
 from repro.mixers.xmixer import flip_fold_mask
 from repro.problems.extra import ising_energy, ising_energy_values
@@ -134,12 +134,25 @@ class TestFolding:
         assert flip_fold_mask(0b011, 3) == 0b011  # no top bit: unchanged
 
     def test_sharded_config_folds_like_the_dense_mixer(self):
-        n = 6
+        # the shard workers of a flip half read the folded registry mixer;
+        # their diagonal chunks, stacked, are the dense folded diagonal
+        n, shards = 6, 2
         params = {"orders": [1, 2], "coefficients": [0.7, -0.3]}
-        folded = sharded_mixer_config("x", n, params).flip_folded(n)
-        dense = make_mixer("x", FullSpace(n), **params).flip_folded()
-        assert list(folded.masks) == dense.masks
-        assert list(folded.coeffs) == dense.coefficients
+        full = make_problem("maxcut", n, seed=3)
+        half = flip_half(full)
+        folded = make_mixer("x", full.space, **params).flip_folded()
+        assert folded.masks == mixer_x([1, 2], n, [0.7, -0.3]).flip_folded().masks
+        chunks = []
+        for chunk in split_full_space(n - 1, shards):
+            state = _WorkerState(_WorkerConfig(
+                index=chunk.index, chunk=chunk, n=half.n, k=None, shards=shards,
+                problem=half, mixer=folded,
+            ))
+            masks, coeffs = state._terms()
+            assert list(masks) == folded.masks
+            assert list(coeffs) == folded.coefficients
+            chunks.append(state._chunk_diagonal())
+        np.testing.assert_allclose(np.concatenate(chunks), folded.diagonal, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("mixer", [
         mixer_x([1, 5], 5),  # the all-qubit term folds into the identity

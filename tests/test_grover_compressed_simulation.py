@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 from repro.core import QAOAAnsatz, random_angles, simulate
-from repro.grover import CompressedGroverAnsatz, compress_objective, hamming_weight_spectrum
+from repro.grover import (
+    CompressedGroverAnsatz,
+    CompressedObjective,
+    compress_objective,
+    hamming_weight_spectrum,
+)
 from repro.hilbert import DickeSpace, FullSpace, state_matrix
 from repro.mixers import GroverMixer
 from repro.problems import densest_subgraph_values, erdos_renyi, maxcut_values
@@ -83,6 +88,20 @@ class TestCompressedResult:
         assert np.isclose(total, 1.0)
         with pytest.raises(KeyError):
             result.probability_of_value(-123.0)
+
+    def test_probability_of_value_keeps_close_large_values_apart(self):
+        # 1e6 and 1e6 + 5 agree to numpy's default rtol of 1e-5, but they
+        # are distinct classes of the spectrum
+        spectrum = CompressedObjective(
+            values=np.array([0.0, 1e6, 1e6 + 5]), degeneracies=(5, 2, 1), total=8
+        )
+        result = _simulate(np.array([0.7, 1.3e-6]), spectrum, n=3)
+        classes = result.class_probabilities()
+        assert classes[1] != classes[2]
+        for value, probability in zip(spectrum.values, classes):
+            assert result.probability_of_value(value) == probability
+        total = sum(result.probability_of_value(v) for v in spectrum.values)
+        assert np.isclose(total, 1.0)
 
     def test_zero_angles_uniform(self, grover_setup):
         obj, spectrum, _ = grover_setup

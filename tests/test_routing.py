@@ -186,10 +186,53 @@ class TestOneProblemMemo:
         try:
             assert solver.plan.path != "dense" and solver.problem is None
             result = solver.run()
+            mixers = ([] if solver.mixer is None
+                      else [solver.mixer, solver.ansatz.executor.mixer])
         finally:
             solver.close()
         assert result.execution == solver.plan.path
-        assert "space" not in memoized_problem(spec.problem)._cache
+        cache = memoized_problem(spec.problem)._cache
+        if solver.plan.path == "compressed":
+            assert "space" not in cache and solver.mixer is None
+        else:
+            # the sharded engine runs the registry's mixer over the lazily
+            # labelled space: no label array, and no dim-sized mixer array
+            assert "labels" not in cache["space"]._cache and mixers
+            for mixer in mixers:
+                assert not {"diagonal", "term_diagonals", "psi0"} & set(vars(mixer))
+                assert "labels" not in mixer.space._cache
+
+    @pytest.mark.parametrize(
+        "overrides, plan, built",
+        [
+            # the flip half's labels, for its objective; nothing else
+            (dict(problem="maxcut", n=18, mixer="x"), None, [(17, None)]),
+            (dict(problem="maxcut", n=8, mixer="x"),
+             ExecutionPlan("sharded", "forced", 1 << 8, shards=2), []),
+            (dict(problem="densest_subgraph", n=9, mixer="grover"),
+             ExecutionPlan("sharded", "forced", 126, shards=2), []),
+        ],
+        ids=["dense-x", "sharded-x", "sharded-dicke-grover"],
+    )
+    def test_cold_solver_builds_only_the_objective_labels(
+        self, monkeypatch, overrides, plan, built
+    ):
+        import repro.api.routing as routing
+        import repro.hilbert.subspace as subspace
+
+        calls = []
+        for module in (subspace, routing):
+            for name, weight in (("state_labels", False), ("dicke_labels", True)):
+                make = getattr(module, name)
+
+                def counted(n, *k, _make=make, _weight=weight):
+                    calls.append((n, k[0] if _weight else None))
+                    return _make(n, *k)
+
+                monkeypatch.setattr(module, name, counted)
+        solver = QAOASolver(_spec(p=1, **overrides), plan=plan)
+        solver.close()
+        assert calls == built
 
     def test_clearing_both_memos_leaves_nothing_memoized(self):
         spec = _spec(problem="ksat", n=13)

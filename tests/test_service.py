@@ -12,6 +12,7 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -78,6 +79,36 @@ class TestKeys:
         assert pool_fingerprint(_spec(0)) != pool_fingerprint(_spec(0, n=8))
         assert pool_fingerprint(_spec(0)) != pool_fingerprint(_spec(0, mixer="grover"))
         assert pool_fingerprint(_spec(0)) != pool_fingerprint(_spec(0, p=3))
+
+    def test_cold_fingerprint_builds_no_problem(self, monkeypatch):
+        import repro.api.routing as routing
+
+        calls = []
+        build = routing.make_problem
+        monkeypatch.setattr(
+            routing, "make_problem", lambda *a, **kw: calls.append(a) or build(*a, **kw)
+        )
+        clear_problem_memo()
+        spec = _spec(0, problem="ksat", n=16, mixer="grover")
+        pool_fingerprint(spec)
+        coalesce_key(spec)
+        assert calls == []
+
+    def test_routing_is_timed_as_construction(self, monkeypatch):
+        import repro.api.routing as routing
+
+        build = routing.make_problem
+
+        def slow_build(*args, **kwargs):  # the problem routing reads, 50 ms slower
+            time.sleep(0.05)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(routing, "make_problem", slow_build)
+        clear_problem_memo()
+        service = SolverService(result_cache=None)
+        first, hit = service.solve(_spec(0)), service.solve(_spec(1))
+        assert first.setup_s >= 0.05
+        assert hit.setup_s == 0.0 and service.pool.stats()["hits"] == 1
 
     def test_coalesce_key_ignores_only_the_seed(self):
         assert coalesce_key(_spec(0)) == coalesce_key(_spec(7))

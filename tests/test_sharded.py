@@ -15,16 +15,17 @@ from repro.angles.grid import _evolution_columns, grid_search
 from repro.api.mixers import make_mixer
 from repro.backend.base import DiagonalPhase
 from repro.core.ansatz import QAOAAnsatz
-from repro.hilbert import state_matrix
+from repro.core.symmetry import flip_half
+from repro.hilbert import FullSpace, state_matrix
 from repro.hpc.partition import split_full_space
 from repro.hpc.sharded import (
     ShardedAnsatz,
     ShardedExecutionError,
     ShardedExecutor,
     ShardedWorkspace,
-    sharded_mixer_config,
 )
 from repro.hpc.sharded.executor import _openblas_calls, _WorkerConfig, _WorkerState
+from repro.mixers.grover import GroverMixer
 from repro.problems.registry import ProblemInstance, make_problem
 from repro.problems.weighted import random_weighted_graph, weighted_maxcut_values
 
@@ -37,8 +38,9 @@ def _dense(name, n, mixer, p, *, k=None, mixer_params=None):
 
 
 def _sharded(name, n, mixer, p, shards, *, k=None, mixer_params=None):
-    structure = make_problem(name, n, seed=3, k=k)
-    return ShardedAnsatz(structure, mixer, p, shards, mixer_params=mixer_params)
+    problem = make_problem(name, n, seed=3, k=k)
+    mx = make_mixer(mixer, problem.space, **(mixer_params or {}))
+    return ShardedAnsatz(problem, mx, p, shards)
 
 
 class TestShardedWorkspace:
@@ -218,7 +220,7 @@ class TestShardedWorkerKernels:
         chunk = split_full_space(n, 2)[1]
         state = _WorkerState(_WorkerConfig(
             index=chunk.index, chunk=chunk, n=n, k=None, shards=2,
-            problem=structure, mixer=sharded_mixer_config("x", n),
+            problem=structure, mixer=make_mixer("x", structure.space),
         ))
         state.setup([], batch)  # fills the chunk's cost values; maps no segment
         state._row_chunk = lambda: 100  # several row blocks, the last one short
@@ -272,7 +274,7 @@ class TestShardedPhaseTables:
             structure = make_problem("maxcut", n, seed=5)
         obj = structure.cost_vectorized(state_matrix(n))
         dense = QAOAAnsatz(obj, make_mixer("x", structure.space), p)
-        sharded = ShardedAnsatz(structure, "x", p, 2)
+        sharded = ShardedAnsatz(structure, make_mixer("x", structure.space), p, 2)
         try:
             rng = np.random.default_rng(8)
             angles = 2 * np.pi * rng.random((4, dense.num_angles))
@@ -522,33 +524,65 @@ class TestShardedLifecycle:
 
 class TestShardedValidation:
     def test_unsupported_mixer_family(self):
-        with pytest.raises(ValueError, match="no sharded execution path"):
-            sharded_mixer_config("xy", 6)
+        problem = make_problem("densest_subgraph", 6, seed=3, k=3)
+        with pytest.raises(ValueError, match="no sharded execution path.*'multiangle_x'"):
+            ShardedExecutor(problem, make_mixer("clique", problem.space), 1, 2)
 
     def test_wht_mixers_need_power_of_two_shards(self):
         structure = make_problem("maxcut", 6, seed=3)
-        config = sharded_mixer_config("x", 6)
         with pytest.raises(ValueError, match="power-of-two"):
-            ShardedExecutor(structure, config, 1, 3)
+            ShardedExecutor(structure, make_mixer("x", structure.space), 1, 3)
 
     def test_wht_mixers_reject_dicke_subspaces(self):
         structure = make_problem("densest_subgraph", 7, seed=3, k=3)
-        config = sharded_mixer_config("x", 7)
         with pytest.raises(ValueError, match="Grover"):
-            ShardedExecutor(structure, config, 1, 2)
+            ShardedExecutor(structure, make_mixer("x", FullSpace(7)), 1, 2)
 
     def test_too_many_shards(self):
         structure = make_problem("densest_subgraph", 5, seed=3, k=1)
-        config = sharded_mixer_config("grover", 5)
         with pytest.raises(ValueError, match="shards"):
-            ShardedExecutor(structure, config, 1, 9)
+            ShardedExecutor(structure, make_mixer("grover", structure.space), 1, 9)
+
+    @pytest.mark.parametrize("fold", [False, True], ids=["dicke", "unfolded-half"])
+    def test_the_mixer_must_act_on_the_problem_space(self, fold):
+        if fold:  # the n-qubit mixer on the (n - 1)-qubit flip half
+            full = make_problem("maxcut", 6, seed=3)
+            problem, mixer = flip_half(full), make_mixer("x", full.space)
+        else:  # full-space Grover on a Dicke problem
+            problem = make_problem("densest_subgraph", 6, seed=3, k=3)
+            mixer = make_mixer("grover", FullSpace(6))
+        with pytest.raises(ValueError, match="the mixer acts on dim"):
+            ShardedExecutor(problem, mixer, 1, 2)
+
+    def test_grover_with_a_custom_start_state_is_rejected(self):
+        # the workers run the uniform Grover update; a custom start state
+        # would be dropped silently
+        problem = make_problem("maxcut", 5, seed=3)
+        start = np.random.default_rng(0).random(problem.dim)
+        with pytest.raises(ValueError, match="custom start state"):
+            ShardedExecutor(problem, GroverMixer(problem.space, start), 1, 2)
 
     def test_mixer_config_matches_registry_enumeration(self):
-        config = sharded_mixer_config("x", 4, {"orders": [1, 2]})
-        assert len(config.masks) == 4 + 6
-        multi = sharded_mixer_config("multiangle_x", 4)
-        assert multi.betas_per_round == 4
-        assert multi.masks == (1, 2, 4, 8)
+        # the workers enumerate the registry mixer's own terms and angles
+        problem = make_problem("maxcut", 4, seed=3)
+        chunk = split_full_space(4, 2)[0]
+
+        def worker(mixer):
+            return _WorkerState(_WorkerConfig(
+                index=chunk.index, chunk=chunk, n=4, k=None, shards=2,
+                problem=problem, mixer=mixer,
+            ))
+
+        masks, coeffs = worker(make_mixer("x", problem.space, orders=[1, 2]))._terms()
+        assert len(masks) == 4 + 6 and list(coeffs) == [1.0] * 10
+        multi = make_mixer("multiangle_x", problem.space)
+        masks, coeffs = worker(multi)._terms()
+        assert list(masks) == [1, 2, 4, 8] and list(coeffs) == [1.0] * 4
+        sharded = ShardedAnsatz(problem, multi, 1, 2)
+        try:
+            assert sharded.num_angles == 4 + 1
+        finally:
+            sharded.close()
 
     def test_bad_angle_shape(self):
         sharded = _sharded("maxcut", 6, "x", 1, 2)
@@ -557,3 +591,53 @@ class TestShardedValidation:
                 sharded.expectation_batch(np.zeros((2, 7)))
         finally:
             sharded.close()
+
+
+@st.composite
+def _registry_mixers(draw):
+    """A registry mixer spec: random ``x`` orders and coefficients, random
+    ``multiangle_x`` term lists (multi-qubit terms included), or full-space
+    ``grover``; on 2 or 4 shards, with or without the flip fold."""
+    n = draw(st.integers(4, 8))
+    family = draw(st.sampled_from(["x", "multiangle_x", "grover"]))
+    params = {}
+    if family == "x":
+        orders = draw(st.lists(st.integers(1, n), min_size=1, max_size=3, unique=True))
+        params["orders"] = orders
+        params["coefficients"] = draw(st.none() | st.lists(
+            st.floats(-1.0, 1.0, allow_nan=False), min_size=len(orders), max_size=len(orders)
+        ))
+    elif family == "multiangle_x":
+        params["terms"] = draw(st.lists(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True),
+            min_size=1, max_size=5,
+        ))
+    shards = draw(st.sampled_from([2, 4]))
+    return n, family, params, shards, draw(st.booleans()), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=_registry_mixers())
+def test_property_registry_mixers_run_sharded_as_dense(case):
+    """Shard workers run the registry's mixer objects: values and adjoint
+    gradients equal the unreduced dense engine's, folded or not."""
+    n, family, params, shards, fold, seed = case
+    problem = make_problem("maxcut", n, seed=seed % 7)
+    mixer = make_mixer(family, problem.space, **params)
+    dense = QAOAAnsatz(problem.objective_values(), mixer, 2)
+    if fold:
+        sharded = ShardedAnsatz(flip_half(problem), mixer.flip_folded(), 2, shards)
+    else:
+        sharded = ShardedAnsatz(problem, mixer, 2, shards)
+    try:
+        assert sharded.num_angles == dense.num_angles
+        angles = 2 * np.pi * np.random.default_rng(seed).random((3, dense.num_angles))
+        values_d, grads_d = dense.value_and_gradient_batch(angles)
+        values_s, grads_s = sharded.value_and_gradient_batch(angles)
+        np.testing.assert_allclose(values_s, values_d, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(grads_s, grads_d, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(
+            sharded.expectation_batch(angles), values_d, rtol=0, atol=1e-10
+        )
+    finally:
+        sharded.close()

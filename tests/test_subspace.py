@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hilbert import CustomSpace, DickeSpace, FeasibleSpace, FullSpace
+from repro.hilbert import (
+    CustomSpace,
+    DickeSpace,
+    FeasibleSpace,
+    FullSpace,
+    dicke_labels,
+    state_labels,
+)
 from repro.problems import maxcut, maxcut_values
 
 
@@ -127,3 +134,51 @@ def test_property_dicke_initial_state_normalized(n, data):
     psi = space.initial_state()
     assert np.isclose(np.linalg.norm(psi), 1.0)
     assert psi.shape == (space.dim,)
+
+
+class TestDerivedLabels:
+    def test_a_large_full_space_allocates_nothing(self):
+        space = FullSpace(40)
+        assert space.dim == 2**40 and space.is_full and space.hamming_weight is None
+        assert not space._cache  # no label array until one is read
+
+    def test_labels_are_built_once_on_first_read(self):
+        space = DickeSpace(6, 2)
+        assert not space._cache
+        labels = space.labels
+        assert space.labels is labels
+        assert np.array_equal(labels, dicke_labels(6, 2))
+
+    def test_derived_spaces_check_their_arguments(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            FullSpace(-1)
+        with pytest.raises(ValueError, match="0 <= k <= n"):
+            DickeSpace(4, 5)
+
+
+@given(st.integers(min_value=0, max_value=14), st.data())
+@settings(max_examples=20, deadline=None)
+def test_property_derived_spaces_equal_explicit_ones(n, data):
+    """Derived labels, ``dim``, ``index_of``, ``embed`` and ``project`` equal
+    those of a space given the same labels explicitly, for every weight."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    for k in [None, *range(n + 1)]:
+        derived = FullSpace(n) if k is None else DickeSpace(n, k)
+        labels = state_labels(n) if k is None else dicke_labels(n, k)
+        explicit = FeasibleSpace(n, labels.copy(), hamming_weight=k)
+        assert derived.dim == explicit.dim == labels.size
+        assert derived.is_full == explicit.is_full == (k is None or labels.size == 1 << n)
+        assert derived.labels.dtype == explicit.labels.dtype == np.int64
+        assert np.array_equal(derived.labels, explicit.labels)
+        for label in rng.integers(0, 1 << n, size=4):
+            try:
+                expected = explicit.index_of(int(label))
+            except KeyError:
+                with pytest.raises(KeyError):
+                    derived.index_of(int(label))
+            else:
+                assert derived.index_of(int(label)) == expected
+        sub = rng.normal(size=derived.dim) + 1j * rng.normal(size=derived.dim)
+        assert np.array_equal(derived.embed(sub), explicit.embed(sub))
+        full = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        assert np.array_equal(derived.project(full), explicit.project(full))

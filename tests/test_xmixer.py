@@ -303,19 +303,38 @@ def _x_orders(draw):
 @settings(max_examples=60, deadline=None)
 @given(case=_x_orders())
 def test_property_sharded_config_enumerates_the_dense_terms(case):
-    """The sharded X config and ``mixer_x`` enumerate and validate identically."""
-    from repro.hpc.sharded import sharded_mixer_config
+    """The registry X mixer the shard workers run validates like ``mixer_x``
+    and, chunk by chunk, enumerates the dense terms and diagonal."""
+    from repro.api.mixers import make_mixer
+    from repro.hilbert import FullSpace
+    from repro.hpc.partition import split_full_space
+    from repro.hpc.sharded.executor import _WorkerConfig, _WorkerState
     from repro.mixers.xmixer import term_mask
+    from repro.problems.registry import make_problem
 
     n, orders, coefficients = case
     params = {"orders": orders, "coefficients": coefficients}
     try:
         mixer = mixer_x(orders, n, coefficients)
     except ValueError as exc:
-        with pytest.raises(ValueError) as sharded_exc:
-            sharded_mixer_config("x", n, params)
-        assert str(sharded_exc.value) == str(exc)
+        with pytest.raises(ValueError) as registry_exc:
+            make_mixer("x", FullSpace(n), **params)
+        assert str(registry_exc.value) == str(exc)
         return
-    config = sharded_mixer_config("x", n, params)
-    assert config.masks == tuple(term_mask(term, n) for term in mixer.terms)
-    assert config.coeffs == tuple(mixer.coefficients)
+    registry = make_mixer("x", FullSpace(n), **params)
+    assert registry.masks == [term_mask(term, n) for term in mixer.terms]
+    assert registry.coefficients == list(mixer.coefficients)
+    if n < 2:
+        return
+    problem = make_problem("maxcut", n, seed=1)
+    chunks = []
+    for chunk in split_full_space(n, 2):
+        state = _WorkerState(_WorkerConfig(
+            index=chunk.index, chunk=chunk, n=n, k=None, shards=2,
+            problem=problem, mixer=registry,
+        ))
+        masks, coeffs = state._terms()
+        assert tuple(masks) == tuple(term_mask(term, n) for term in mixer.terms)
+        assert tuple(coeffs) == tuple(mixer.coefficients)
+        chunks.append(state._chunk_diagonal())
+    np.testing.assert_allclose(np.concatenate(chunks), mixer.diagonal, rtol=0, atol=1e-12)
